@@ -1,7 +1,8 @@
 """Thin FFT wrappers with a process-wide worker count.
 
 The worker count is read once from the SLRECON_THREADS environment variable
-(default 1) so that runs are reproducible regardless of where threads land.
+(default 1) so that runs are reproducible regardless of where threads land;
+anything but a positive integer is rejected at import.
 """
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ import os
 
 import scipy.fft
 
-_WORKERS = max(1, int(os.environ.get("SLRECON_THREADS", "1")))
+_RAW_WORKERS = os.environ.get("SLRECON_THREADS", "1")
+if not _RAW_WORKERS.strip().isdecimal() or int(_RAW_WORKERS) < 1:
+    raise ValueError(f"SLRECON_THREADS must be a positive integer, got {_RAW_WORKERS!r}")
+_WORKERS = int(_RAW_WORKERS)
 
 
 def fft2(a):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridShape, IndexSet2D, predicted_rank
-from .lifting import KSpaceArray, LiftingConfig, lift_dense
+from .lifting import KSpaceArray, LiftingConfig, lag_sums, lift_dense, toeplitz_from_lags
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
 
@@ -88,16 +88,8 @@ def gradient_sq_coefficients(edge: EdgePolynomial) -> tuple[IndexSet2D, np.ndarr
 
 def _autocorrelate(c: np.ndarray) -> np.ndarray:
     """a[m] = sum_k conj(c[k]) c[k+m], lags m in -(e-1)..(e-1) per axis."""
-    e1, e2 = c.shape
-    out = np.zeros((2 * e1 - 1, 2 * e2 - 1), dtype=np.complex128)
-    cc = np.conj(c)
-    for m1 in range(-(e1 - 1), e1):
-        for m2 in range(-(e2 - 1), e2):
-            a1, b1 = max(0, -m1), min(e1, e1 - m1)
-            a2, b2 = max(0, -m2), min(e2, e2 - m2)
-            block = cc[a1:b1, a2:b2] * c[a1 + m1 : b1 + m1, a2 + m2 : b2 + m2]
-            out[m1 + e1 - 1, m2 + e2 - 1] = block.sum()
-    return out
+    v = c.ravel()
+    return lag_sums(np.outer(v, np.conj(v)), IndexSet2D.rect(*c.shape))
 
 
 def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
@@ -120,15 +112,8 @@ def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
 def rho2_quadratic_form(edge: EdgePolynomial, lambda1: IndexSet2D) -> np.ndarray:
     """Hermitian matrix Q with Q[k, l] = Fourier coefficient of |grad mu0|^2
     at k - l, for k, l in lambda1 (a Toeplitz-structured form)."""
-    support, coeffs = gradient_sq_coefficients(edge)
-    lut = {tuple(k): v for k, v in zip(map(tuple, support.indices), coeffs.ravel())}
-    idx = lambda1.indices
-    n = len(lambda1)
-    q = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            m = (idx[a, 0] - idx[b, 0], idx[a, 1] - idx[b, 1])
-            q[a, b] = lut.get(m, 0.0)
+    _, coeffs = gradient_sq_coefficients(edge)
+    q = toeplitz_from_lags(coeffs, lambda1)
     return 0.5 * (q + q.conj().T)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._fft import fft2, ifft2
 from .grid import IndexSet2D
-from .lifting import KSpaceArray, LiftingConfig, lift_dense
+from .lifting import KSpaceArray, LiftingConfig, _lift_geometry, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -33,29 +33,12 @@ class SVTConfig:
             raise ValueError("SVT parameters must be positive (threshold and tol may be zero)")
 
 
-def zero_fill(b: np.ndarray, mask: SamplingMask, gamma: IndexSet2D | None = None) -> KSpaceArray:
-    """Samples placed on theta, zeros elsewhere."""
-    gamma = gamma or mask.gamma
-    if gamma != mask.gamma:
-        raise ValueError("gamma disagrees with the mask")
-    out = np.zeros(gamma.extents, dtype=np.complex128)
-    rel = mask.theta.indices - gamma.kmin
+def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
+    """Samples placed on theta, zeros elsewhere in gamma."""
+    out = np.zeros(mask.gamma.extents, dtype=np.complex128)
+    rel = mask.theta.indices - mask.gamma.kmin
     out[rel[:, 0], rel[:, 1]] = np.asarray(b, dtype=np.complex128).reshape(-1)
-    return KSpaceArray(gamma, out)
-
-
-def _delift_geometry(cfg: LiftingConfig):
-    """Where each gamma index lands in the lifted matrix, plus the weights."""
-    l2 = cfg.lambda2.indices
-    l1 = cfg.lambda1.indices
-    diff = l2[:, None, :] - l1[None, :, :]
-    rel = diff - cfg.gamma.kmin
-    e1, e2 = cfg.gamma.extents
-    inside = (
-        (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
-    )
-    flat = rel[..., 0] * e2 + rel[..., 1]
-    return inside, flat
+    return KSpaceArray(mask.gamma, out)
 
 
 def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[int, int]]]:
@@ -68,7 +51,7 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     nb = cfg.weighting.nblocks
     if X.shape != (nb * cfg.n_out, cfg.n_filter):
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
-    inside, flat = _delift_geometry(cfg)
+    inside, flat = _lift_geometry(cfg)
     e1, e2 = cfg.gamma.extents
     numer = np.zeros(e1 * e2, dtype=np.complex128)
     denom = np.zeros(e1 * e2)

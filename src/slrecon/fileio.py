@@ -10,6 +10,7 @@ convention makes the extents sufficient to reconstruct the index set.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,11 +38,22 @@ def write_kspace(path, x: KSpaceArray):
 
 
 def read_kspace(path) -> KSpaceArray:
+    """Read a k-space binary file, checking its header against the file size."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a k-space array file (magic {magic!r})")
-        e1, e2, _flags = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated header")
+        e1, e2, flags = struct.unpack("<III", header)
+        if flags != 0:
+            raise ValueError(f"{path}: unsupported flags word {flags:#x} (expected 0)")
+        if e1 == 0 or e2 == 0:
+            raise ValueError(f"{path}: zero extent {e1}x{e2} in header")
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 + 16 * e1 * e2:
+            raise ValueError(f"{path}: header claims {e1}x{e2} samples but the file holds {size} bytes")
         data = np.frombuffer(fh.read(16 * e1 * e2), dtype="<f8").reshape(e1, e2, 2)
     return KSpaceArray(IndexSet2D.rect(e1, e2), data[..., 0] + 1j * data[..., 1])
 

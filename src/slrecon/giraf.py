@@ -1,11 +1,14 @@
 """Iteratively reweighted annihilating-filter solver.
 
-Each outer iteration estimates a regularized annihilating function from the
-eigen-decomposition of the lifting's Gram matrix, then solves a weighted
-least-squares annihilation problem by conjugate gradients.  The default
-normal operator condenses all filters into a single spatial-domain mask
-(2 FFTs per application); the exact operator loops over the filter bank
-(4 FFTs per filter) and is kept for validation.
+Each outer iteration eigen-decomposes the lifting's Gram matrix and weights
+its eigenvectors into the square-root filter bank F = V diag(alpha)^(1/2),
+whose product F F^H = V diag(alpha) V^H is the IRLS weight matrix; then it
+solves a weighted least-squares annihilation problem by conjugate gradients.
+F is the only weight representation and both normal operators read it.
+The default operator condenses the bank into a single spatial sum-of-squares
+mask, built from the lag sums of F F^H with one inverse FFT, and costs 2 FFTs
+per application; the exact operator keeps the bank's spectra (4 FFTs per
+filter per application) and is kept for validation.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
+from .baselines import zero_fill
 from .grid import GridShape
-from .lifting import KSpaceArray, LiftingConfig, embed, gather, gram_matrix
+from .lifting import KSpaceArray, LiftingConfig, embed, filter_spectra, gather, gram_matrix, lag_sums
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -95,58 +99,37 @@ def _spectral_weights(eigenvalues: np.ndarray, eps: float, p: float) -> np.ndarr
     return (np.maximum(eigenvalues, 0.0) + eps) ** (p / 2.0 - 1.0)
 
 
-def mask_from_filters(filters: np.ndarray, cfg: LiftingConfig, weights=None) -> AnnihilatingMask:
-    """Sum of squared spatial responses of a filter bank.
-
-    ``filters`` has one filter per column, aligned with cfg.lambda1.  The
-    result depends only on filters @ filters^H (times weights), hence it is
-    invariant to any unitary recombination of the bank.
-    """
-    filters = np.asarray(filters, dtype=np.complex128)
-    n = cfg.n_filter
-    if filters.shape[0] != n:
-        raise ValueError(f"filters must have {n} rows")
-    if weights is None:
-        weights = np.ones(filters.shape[1])
-    shape = cfg.fft_grid
-    acc = np.zeros(shape.as_tuple())
-    batch = max(1, (1 << 22) // max(shape.size, 1))
-    e1, e2 = cfg.lambda1.extents
-    for start in range(0, filters.shape[1], batch):
-        cols = filters[:, start : start + batch]
-        w = weights[start : start + batch]
-        stacked = np.zeros((cols.shape[1], shape.n1, shape.n2), dtype=np.complex128)
-        for j in range(cols.shape[1]):
-            stacked[j] = embed(cols[:, j].reshape(e1, e2), cfg.lambda1, shape)
-        gammas = ifft2(stacked) * shape.size  # trig polynomials on the grid
-        acc += np.tensordot(w, np.abs(gammas) ** 2, axes=(0, 0))
-    return AnnihilatingMask(acc, shape)
-
-
-def weight_update(
-    gram: np.ndarray, eps: float, p: float, cfg: LiftingConfig
-) -> tuple[AnnihilatingMask, np.ndarray]:
-    """Annihilating-mask update from the Gram spectrum.
-
-    Eigenvectors are weighted by (lambda_i + eps)^(p/2 - 1), so directions
-    near the null space dominate the resulting spatial mask.  Returns the
-    mask and the (ascending) eigenvalues.
-    """
+def sqrt_weight_filters(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: float) -> np.ndarray:
+    """Square-root filter bank F with columns alpha_i^(1/2) v_i, so F F^H is the
+    IRLS weight matrix; alpha_i = (lambda_i + eps)^(p/2 - 1) favours the null space."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gram = 0.5 * (gram + gram.conj().T)
-    eigenvalues, vectors = np.linalg.eigh(gram)
-    if not np.all(np.isfinite(eigenvalues)):
-        raise ValueError("non-finite eigenvalues in Gram matrix")
-    alpha = _spectral_weights(eigenvalues, eps, p)
-    mask = mask_from_filters(vectors, cfg, weights=alpha)
-    return mask, eigenvalues
-
-
-def sqrt_weight_filters(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: float) -> np.ndarray:
-    """Columns of the weight-matrix square root: alpha_i^(1/2) v_i."""
     alpha = _spectral_weights(eigenvalues, eps, p)
     return vectors * np.sqrt(alpha)[None, :]
+
+
+def mask_from_filters(filters: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
+    """Sum of squared spatial responses of a filter bank, sum_j |gamma_j|^2.
+
+    ``filters`` has one filter per column, aligned with cfg.lambda1.  The
+    mask is the trigonometric polynomial whose coefficient at lag d is the
+    lag sum of W = filters @ filters^H, so it is built in the lag domain
+    (lags wrapped onto the FFT grid, one inverse FFT) and is invariant to
+    any unitary recombination of the bank.  Negative rounding within 1e-12
+    of the maximum is clamped to zero; anything below that is rejected.
+    """
+    filters = np.asarray(filters, dtype=np.complex128)
+    if filters.shape[0] != cfg.n_filter:
+        raise ValueError(f"filters must have {cfg.n_filter} rows")
+    shape = cfg.fft_grid
+    c = lag_sums(filters @ filters.conj().T, cfg.lambda1)
+    e1, e2 = cfg.lambda1.extents
+    wrapped = np.zeros(shape.as_tuple(), dtype=np.complex128)
+    np.add.at(wrapped, np.ix_(np.arange(1 - e1, e1) % shape.n1, np.arange(1 - e2, e2) % shape.n2), c)
+    values = (ifft2(wrapped) * shape.size).real
+    tiny = 1e-12 * max(float(values.max()), 0.0)
+    values[(values < 0.0) & (values >= -tiny)] = 0.0
+    return AnnihilatingMask(values, shape)
 
 
 def normal_apply_approx(
@@ -167,38 +150,28 @@ def normal_apply_approx(
 
 def normal_apply_exact(
     xv: np.ndarray,
-    filters: np.ndarray,
+    spectra: np.ndarray,
     cfg: LiftingConfig,
     lam: float,
     theta_ind: np.ndarray,
-    _fhat_cache: list | None = None,
 ) -> np.ndarray:
     """Unapproximated normal operator over the filter bank (batched FFTs).
 
-    Keeps the restriction to the valid output set inside the per-filter
+    ``spectra`` are the bank's filter spectra from ``filter_spectra``.  Keeps
+    the restriction to the valid output set inside the per-filter
     convolutions, so it matches the dense assembly lift^H lift exactly (up
     to rounding).
     """
     cfg.check_grid()
     shape = cfg.fft_grid
-    e1, e2 = cfg.lambda1.extents
-    if _fhat_cache is not None and _fhat_cache:
-        fhat = _fhat_cache[0]
-    else:
-        stacked = np.zeros((filters.shape[1], shape.n1, shape.n2), dtype=np.complex128)
-        for j in range(filters.shape[1]):
-            stacked[j] = embed(filters[:, j].reshape(e1, e2), cfg.lambda1, shape)
-        fhat = fft2(stacked)
-        if _fhat_cache is not None:
-            _fhat_cache.append(fhat)
     window = embed(np.ones(cfg.lambda2.extents), cfg.lambda2, shape).real
     out = lam * theta_ind * xv
     batch = max(1, (1 << 23) // max(shape.size, 1))
     for w in cfg.weighting.multipliers(cfg.gamma):
         y = fft2(embed(w * xv, cfg.gamma, shape))
         acc = np.zeros(shape.as_tuple(), dtype=np.complex128)
-        for start in range(0, fhat.shape[0], batch):
-            fh = fhat[start : start + batch]
+        for start in range(0, spectra.shape[0], batch):
+            fh = spectra[start : start + batch]
             conv = ifft2(y[None, :, :] * fh)
             acc += ifft2(fft2(window[None, :, :] * conv) * np.conj(fh)).sum(axis=0)
         out = out + w * gather(acc, cfg.gamma)
@@ -209,7 +182,9 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
     """Conjugate gradients on a Hermitian PSD operator over complex arrays.
 
     Returns (x, info) where info carries the iteration count, the final
-    relative residual, and the quadratic objective 0.5<x,Ax> - Re<rhs,x> at
+    relative residual, why the iteration stopped (``stop_reason``:
+    "converged", "max_iter", or "indefinite" when a search direction had
+    p^H A p <= 0), and the quadratic objective 0.5<x,Ax> - Re<rhs,x> at
     entry and exit (monotone for exact arithmetic CG).
     """
     x = x0.copy()
@@ -217,7 +192,8 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(x0), {"iterations": 0, "relative_residual": 0.0,
-                                   "converged": True, "phi_start": 0.0, "phi_end": 0.0}
+                                   "converged": True, "stop_reason": "converged",
+                                   "phi_start": 0.0, "phi_end": 0.0}
 
     def phi(xc, rc):
         # 0.5<x, Ax> - Re<rhs, x> evaluated from the residual: Ax = rhs - r
@@ -228,12 +204,14 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
     p = r.copy()
     rs = np.vdot(r, r).real
     converged = float(np.sqrt(rs)) <= tol * rhs_norm
+    stop_reason = "converged" if converged else "max_iter"
     it = 0
     while not converged and it < maxiter:
         ap = op(p)
         denom = np.vdot(p, ap).real
         if denom <= 0:
-            break  # numerically lost positive-definiteness
+            stop_reason = "indefinite"  # numerically lost positive-definiteness
+            break
         alpha = rs / denom
         x = x + alpha * p
         r = r - alpha * ap
@@ -241,6 +219,7 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
         it += 1
         if np.sqrt(rs_new) <= tol * rhs_norm:
             converged = True
+            stop_reason = "converged"
         beta = rs_new / rs
         rs = rs_new
         p = r + beta * p
@@ -248,18 +227,11 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
         "iterations": it,
         "relative_residual": float(np.sqrt(rs) / rhs_norm),
         "converged": bool(converged),
+        "stop_reason": stop_reason,
         "phi_start": float(phi_start),
         "phi_end": float(phi(x, r)),
     }
     return x, info
-
-
-def zero_filled(b: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Samples scattered onto the gamma rectangle, zeros elsewhere."""
-    out = np.zeros(mask.gamma.extents, dtype=np.complex128)
-    rel = mask.theta.indices - mask.gamma.kmin
-    out[rel[:, 0], rel[:, 1]] = b
-    return out
 
 
 def giraf_solve(
@@ -285,8 +257,9 @@ def giraf_solve(
         raise ValueError("measured samples must be finite")
 
     theta_ind = mask.indicator()
-    x = zero_filled(b, mask)
-    rhs = cfg.lam * x.copy()  # lam * adjoint-sampled data
+    b_fill = zero_fill(b, mask).values
+    x = b_fill
+    rhs = cfg.lam * b_fill  # lam * adjoint-sampled data
     report = SolverReport(solver=f"giraf[p={cfg.p},{cfg.operator}]")
 
     eps = None
@@ -295,8 +268,7 @@ def giraf_solve(
         t0 = time.perf_counter()
         gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
         t1 = time.perf_counter()
-        sym = 0.5 * (gram + gram.conj().T)
-        eigenvalues, vectors = np.linalg.eigh(sym)
+        eigenvalues, vectors = np.linalg.eigh(gram)
         if not np.all(np.isfinite(eigenvalues)):
             raise ValueError("non-finite eigenvalues in Gram matrix")
         t2 = time.perf_counter()
@@ -305,20 +277,19 @@ def giraf_solve(
             scale = lam_max if lam_max > 0 else 1.0
             eps = cfg.eps0_factor * scale
             eps_min = cfg.eps_min_factor * scale
-        alpha = _spectral_weights(eigenvalues, eps, cfg.p)
+        filters = sqrt_weight_filters(eigenvalues, vectors, eps, cfg.p)
         if cfg.operator == APPROXIMATE:
-            mask_fn = mask_from_filters(vectors, lifting, weights=alpha)
+            mask_fn = mask_from_filters(filters, lifting)
             op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, theta_ind)
         else:
-            filters = vectors * np.sqrt(alpha)[None, :]
-            cache: list = []
-            op = lambda v: normal_apply_exact(v, filters, lifting, cfg.lam, theta_ind, cache)
+            spectra = filter_spectra(filters, lifting)
+            op = lambda v: normal_apply_exact(v, spectra, lifting, cfg.lam, theta_ind)
         t3 = time.perf_counter()
 
         # objective fields describe the iterate entering the solve (its
         # spectrum is what the decomposition just produced); change and MSE
         # below describe the iterate it returns
-        data_res = theta_ind * x - zero_filled(b, mask)
+        data_res = theta_ind * x - b_fill
         sigmas = np.sqrt(np.maximum(eigenvalues, 0.0) + eps)
         penalty = schatten_penalty(sigmas, cfg.p)
         data_fit = 0.5 * cfg.lam * float(np.linalg.norm(data_res) ** 2)
@@ -349,8 +320,8 @@ def giraf_solve(
             solve_time=t4 - t3,
         )
         if not cg_info["converged"]:
-            report.notes.append(f"iteration {n}: CG stopped at relative residual "
-                                f"{cg_info['relative_residual']:.2e}")
+            report.notes.append(f"iteration {n}: CG stopped ({cg_info['stop_reason']}) at "
+                                f"relative residual {cg_info['relative_residual']:.2e}")
         if reference is not None:
             num = np.linalg.norm(x_new - reference.values) ** 2
             rec.mse_vs_reference = float(num / np.linalg.norm(reference.values) ** 2)

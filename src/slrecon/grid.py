@@ -110,8 +110,13 @@ class IndexSet2D:
         return len(self) == e1 * e2
 
     def contains(self, other: "IndexSet2D") -> bool:
-        mine = set(map(tuple, self.indices))
-        return all(tuple(row) in mine for row in other.indices)
+        # a linear key over the joint bounding box keeps the lexicographic
+        # order, so the canonical rows are sorted keys to search
+        lo = np.minimum(self.kmin, other.kmin)
+        key = np.array([max(self.kmax[1], other.kmax[1]) - lo[1] + 1, 1])
+        mine, want = (self.indices - lo) @ key, (other.indices - lo) @ key
+        pos = np.minimum(np.searchsorted(mine, want), mine.size - 1)
+        return bool(np.array_equal(mine[pos], want))
 
     def shifted(self, offset: tuple[int, int]) -> "IndexSet2D":
         return IndexSet2D(self.indices + np.asarray(offset, dtype=np.int64))

@@ -99,12 +99,16 @@ class KSpaceArray:
 
 
 def embed(values: np.ndarray, iset: IndexSet2D, shape: GridShape) -> np.ndarray:
-    """Scatter rectangle-aligned values onto an FFT grid at signed indices mod n."""
+    """Scatter rectangle-aligned values onto an FFT grid at signed indices mod n.
+
+    Leading axes of ``values`` are kept (a stack is embedded in one assignment).
+    """
     r1, r2 = iset.axis_ranges()
     if r1.size > shape.n1 or r2.size > shape.n2:
         raise ValueError(f"index set extents {iset.extents} exceed grid {shape}")
-    g = np.zeros(shape.as_tuple(), dtype=np.complex128)
-    g[np.ix_(r1 % shape.n1, r2 % shape.n2)] = values
+    values = np.asarray(values)
+    g = np.zeros(values.shape[:-2] + shape.as_tuple(), dtype=np.complex128)
+    g[(..., *np.ix_(r1 % shape.n1, r2 % shape.n2))] = values
     return g
 
 
@@ -197,6 +201,19 @@ def _check_input(x: KSpaceArray, cfg: LiftingConfig):
         raise ValueError("k-space array is not defined on the config's gamma")
 
 
+def _lift_geometry(cfg: LiftingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Which gamma sample each lifted-matrix position reads.
+
+    Position (l, k) of every block reads index l - k.  Returns the
+    (|lambda2|, N) mask of positions inside gamma and their row-major flat
+    offsets into the gamma rectangle (meaningless where outside).
+    """
+    rel = cfg.lambda2.indices[:, None, :] - cfg.lambda1.indices[None, :, :] - cfg.gamma.kmin
+    e1, e2 = cfg.gamma.extents
+    inside = (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
+    return inside, rel[..., 0] * e2 + rel[..., 1]
+
+
 def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Materialize the lifted matrix (rows = blocks x lambda2, cols = lambda1).
 
@@ -204,21 +221,17 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     zero when l - k falls outside gamma.
     """
     _check_input(x, cfg)
-    l2 = cfg.lambda2.indices
-    l1 = cfg.lambda1.indices
-    diff = l2[:, None, :] - l1[None, :, :]  # (|L2|, N, 2)
-    rel = diff - cfg.gamma.kmin
-    e1, e2 = cfg.gamma.extents
-    inside = (
-        (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
-    )
-    i1 = np.clip(rel[..., 0], 0, e1 - 1)
-    i2 = np.clip(rel[..., 1], 0, e2 - 1)
-    blocks = []
-    for w in cfg.weighting.multipliers(cfg.gamma):
-        wx = w * x.values
-        blocks.append(np.where(inside, wx[i1, i2], 0.0))
+    inside, flat = _lift_geometry(cfg)
+    blocks = [np.where(inside, (w * x.values).ravel().take(flat, mode="clip"), 0.0)
+              for w in cfg.weighting.multipliers(cfg.gamma)]
     return np.concatenate(blocks, axis=0)
+
+
+def filter_spectra(filters: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """FFT-grid spectra of a filter bank (one filter per column, aligned with
+    cfg.lambda1), shape (n_filters, n1, n2)."""
+    bank = np.asarray(filters, dtype=np.complex128).T.reshape(-1, *cfg.lambda1.extents)
+    return fft2(embed(bank, cfg.lambda1, cfg.fft_grid))
 
 
 def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -233,8 +246,7 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
     if h.size != cfg.n_filter:
         raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
-    hgrid = embed(h.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.fft_grid)
-    hhat = fft2(hgrid)
+    hhat = filter_spectra(h[:, None], cfg)[0]
     out = []
     for w in cfg.weighting.multipliers(cfg.gamma):
         g = embed(w * x.values, cfg.gamma, cfg.fft_grid)
@@ -251,8 +263,7 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     if v.size != nb * cfg.n_out:
         raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    hgrid = embed(h.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.fft_grid)
-    hhat_conj = np.conj(fft2(hgrid))
+    hhat_conj = np.conj(filter_spectra(h[:, None], cfg)[0])
     acc = np.zeros(cfg.gamma.extents, dtype=np.complex128)
     for b, w in enumerate(cfg.weighting.multipliers(cfg.gamma)):
         vb = v[b * cfg.n_out : (b + 1) * cfg.n_out].reshape(cfg.lambda2.extents)
@@ -262,21 +273,14 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     return KSpaceArray(cfg.gamma, acc)
 
 
-def gram_matrix(x: KSpaceArray, cfg: LiftingConfig, method: str = "fft") -> np.ndarray:
+def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Hermitian N x N Gram of the lifting, T(x)^H T(x).
 
-    The fast path computes one Gram row per filter index as a windowed
-    correlation of the weighted data (2 FFTs per row), which is exact: the
-    lambda2 window enters as an explicit indicator mask rather than through
-    the circular approximation.  ``method='dense'`` multiplies the
-    materialized matrix instead.
+    One Gram row per filter index is a windowed correlation of the weighted
+    data (2 FFTs per row), which is exact: the lambda2 window enters as an
+    explicit indicator mask rather than through the circular approximation.
+    The result is symmetrised, so it is exactly Hermitian.
     """
-    if method == "dense":
-        t = lift_dense(x, cfg)
-        g = t.conj().T @ t
-        return 0.5 * (g + g.conj().T)
-    if method != "fft":
-        raise ValueError(f"unknown gram method {method!r}")
     _check_input(x, cfg)
     cfg.check_grid()
     n = cfg.n_filter
@@ -296,3 +300,36 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig, method: str = "fft") -> np.n
             corr = ifft2(fft2(z) * yrev_hat)
             gram[row] += corr[pos1, pos2]
     return 0.5 * (gram + gram.conj().T)
+
+
+def lag_sums(m: np.ndarray, iset: IndexSet2D) -> np.ndarray:
+    """Sums of an N x N matrix along its 2-D lags: c[d] = sum_{k-l=d} M[k, l].
+
+    Rows and columns of ``m`` are aligned with iset.indices.  The result is
+    a centred lag array: with bounding-box extents e, lag d sits at index
+    d + (e - 1), for d in -(e-1)..(e-1) per axis.
+    """
+    e1, e2 = iset.extents
+    d = iset.indices[:, None, :] - iset.indices[None, :, :]
+    lag_shape = (2 * e1 - 1, 2 * e2 - 1)
+    flat = ((d[..., 0] + e1 - 1) * lag_shape[1] + d[..., 1] + e2 - 1).ravel()
+    m = np.asarray(m, dtype=np.complex128).ravel()
+    size = lag_shape[0] * lag_shape[1]
+    re = np.bincount(flat, weights=m.real, minlength=size)
+    im = np.bincount(flat, weights=m.imag, minlength=size)
+    return (re + 1j * im).reshape(lag_shape)
+
+
+def toeplitz_from_lags(c: np.ndarray, iset: IndexSet2D) -> np.ndarray:
+    """Toeplitz expansion M[k, l] = c[k - l] over iset (the adjoint of lag_sums).
+
+    ``c`` is a centred lag array of any odd extents (lag d at index
+    d + extent // 2); lags it does not cover read as zero.
+    """
+    c = np.asarray(c)
+    h1, h2 = c.shape[0] // 2, c.shape[1] // 2
+    d = iset.indices[:, None, :] - iset.indices[None, :, :]
+    inside = (np.abs(d[..., 0]) <= h1) & (np.abs(d[..., 1]) <= h2)
+    i1 = np.where(inside, d[..., 0] + h1, 0)
+    i2 = np.where(inside, d[..., 1] + h2, 0)
+    return np.where(inside, c[i1, i2], 0.0)

@@ -24,6 +24,7 @@ from slrecon.analysis import (
     zero_set_points,
 )
 from slrecon.phantom import mu_values_at
+from slrecon.analysis import _autocorrelate, _normalized_gradient_coeffs, gradient_sq_coefficients
 
 
 class TestNumericalRank:
@@ -98,6 +99,48 @@ def cosine_edge() -> EdgePolynomial:
     lam0 = IndexSet2D.rect(3, 1)
     c = np.array([[np.sqrt(2) / 2], [0.0], [np.sqrt(2) / 2]], dtype=complex)
     return EdgePolynomial(lam0, c)
+
+
+def autocorrelate_loop(c):
+    """Reference: a[m] = sum_k conj(c[k]) c[k+m] by explicit lag loops."""
+    e1, e2 = c.shape
+    out = np.zeros((2 * e1 - 1, 2 * e2 - 1), dtype=np.complex128)
+    cc = np.conj(c)
+    for m1 in range(-(e1 - 1), e1):
+        for m2 in range(-(e2 - 1), e2):
+            a1, b1 = max(0, -m1), min(e1, e1 - m1)
+            a2, b2 = max(0, -m2), min(e2, e2 - m2)
+            block = cc[a1:b1, a2:b2] * c[a1 + m1 : b1 + m1, a2 + m2 : b2 + m2]
+            out[m1 + e1 - 1, m2 + e2 - 1] = block.sum()
+    return out
+
+
+def quadratic_form_loop(edge, lambda1):
+    """Reference: Q[k, l] looked up entry by entry from the coefficient support."""
+    support, coeffs = gradient_sq_coefficients(edge)
+    lut = {tuple(k): v for k, v in zip(map(tuple, support.indices), coeffs.ravel())}
+    idx = lambda1.indices
+    n = len(lambda1)
+    q = np.zeros((n, n), dtype=np.complex128)
+    for a in range(n):
+        for b in range(n):
+            q[a, b] = lut.get((idx[a, 0] - idx[b, 0], idx[a, 1] - idx[b, 1]), 0.0)
+    return 0.5 * (q + q.conj().T)
+
+
+class TestLagHelpers:
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 1), (5, 2)])
+    def test_autocorrelation_matches_loop(self, shape):
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = autocorrelate_loop(c)
+        assert np.abs(_autocorrelate(c) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lam1", [(1, 1), (2, 2), (3, 3), (6, 5)])
+    def test_quadratic_form_matches_lookup(self, lam1):
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
+        lambda1 = IndexSet2D.rect(*lam1)
+        assert np.array_equal(rho2_quadratic_form(edge, lambda1), quadratic_form_loop(edge, lambda1))
 
 
 class TestRho2:

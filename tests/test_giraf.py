@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
-from slrecon.lifting import KSpaceArray, LiftingConfig, embed, gather, gram_matrix, lift_dense
+from slrecon.lifting import (
+    KSpaceArray,
+    LiftingConfig,
+    embed,
+    filter_spectra,
+    gather,
+    gram_matrix,
+    lift_dense,
+)
+from slrecon.baselines import zero_fill
 from slrecon.giraf import (
     IRLSConfig,
     cg_solve,
@@ -12,8 +23,6 @@ from slrecon.giraf import (
     normal_apply_exact,
     schatten_penalty,
     sqrt_weight_filters,
-    weight_update,
-    zero_filled,
     _spectral_weights,
 )
 from slrecon.phantom import dirac_fourier, make_mask, sample_kspace
@@ -40,6 +49,73 @@ class TestSchattenPenalty:
             assert schatten_penalty([0.0, 1.0], 0.0) == float("-inf")
 
 
+def weight_mask(gram, eps, p, cfg):
+    """Annihilating mask of the IRLS weights of a Gram matrix."""
+    w, vecs = np.linalg.eigh(gram)
+    return mask_from_filters(sqrt_weight_filters(w, vecs, eps, p), cfg)
+
+
+def per_filter_mask(filters, cfg):
+    """Oracle: sum_j |size * ifft2(embed f_j)|^2, one filter at a time."""
+    shape = cfg.fft_grid
+    acc = np.zeros(shape.as_tuple())
+    for f in np.asarray(filters).T:
+        g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, shape)
+        acc += np.abs(np.fft.ifft2(g) * shape.size) ** 2
+    return acc
+
+
+def zero_sum_filter(n, seed):
+    """A random filter whose response is exactly zero at u = 0; the lag-domain
+    mask there is rounding that lands below zero about a third of the time."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f[-1] = -f[:-1].sum()
+    return f[:, None]
+
+
+@st.composite
+def weighted_banks(draw):
+    """IRLS filter banks over odd/even filter extents, 1-D grids, padded grids
+    and both weightings; optionally with one extra zero-sum filter."""
+    g1 = draw(st.integers(2, 14))
+    g2 = draw(st.sampled_from([1, draw(st.integers(2, 14))]))
+    f1, f2 = draw(st.integers(1, g1)), draw(st.integers(1, g2))
+    weighting = draw(st.sampled_from(["identity", "gradient"]))
+    gamma = IndexSet2D.rect(g1, g2)
+    cfg = LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2), weighting, pad=draw(st.integers(0, 3)))
+    g = gram_matrix(random_kspace(gamma, draw(st.integers(0, 2**16))), cfg)
+    w, vecs = np.linalg.eigh(g)
+    eps = draw(st.sampled_from([1e-6, 1e-2, 1.0])) * max(w[-1], 1.0)
+    filters = sqrt_weight_filters(w, vecs, eps, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    if cfg.n_filter > 1 and draw(st.booleans()):
+        filters = np.hstack([filters, zero_sum_filter(cfg.n_filter, draw(st.integers(0, 2**16)))])
+    return filters, cfg
+
+
+class TestLagDomainMask:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_banks())
+    def test_matches_per_filter_oracle(self, bank):
+        filters, cfg = bank
+        mask = mask_from_filters(filters, cfg)
+        oracle = per_filter_mask(filters, cfg)
+        assert np.abs(mask.values - oracle).max() <= 1e-13 * oracle.max()
+
+    @pytest.mark.parametrize("grid,filt,pad", [((8, 1), (2, 1), 0), ((9, 6), (3, 2), 2)])
+    def test_zero_response_filters_are_clamped(self, grid, filt, pad):
+        # [1, -1] and zero-sum filters vanish at u = 0; negative rounding there
+        # must be clamped, not rejected
+        cfg = LiftingConfig.make(IndexSet2D.rect(*grid), IndexSet2D.rect(*filt), pad=pad)
+        pair = np.zeros((cfg.n_filter, 1))
+        pair[0], pair[-1] = 1.0, -1.0
+        for filters in [pair] + [zero_sum_filter(cfg.n_filter, seed) for seed in range(20)]:
+            mask = mask_from_filters(filters, cfg)
+            oracle = per_filter_mask(filters, cfg)
+            assert mask.values.min() >= 0.0
+            assert np.abs(mask.values - oracle).max() <= 1e-13 * oracle.max()
+
+
 def dft_matrix(n):
     return np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
 
@@ -48,7 +124,7 @@ class TestWeightUpdate:
     def test_single_delta_filter_gives_flat_mask(self):
         gamma = IndexSet2D.rect(5, 5)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(1, 1))
-        mask, eig = weight_update(np.eye(1), 1e-12, 1.0, cfg)
+        mask = weight_mask(np.eye(1), 1e-12, 1.0, cfg)
         assert np.allclose(mask.values, mask.values.flat[0])
 
     def test_matches_direct_dft_oracle(self):
@@ -57,7 +133,7 @@ class TestWeightUpdate:
         x = random_kspace(gamma, 0)
         g = gram_matrix(x, cfg)
         eps = 1e-3 * np.linalg.eigvalsh(g)[-1]
-        mask, eig = weight_update(g, eps, 0.0, cfg)
+        mask = weight_mask(g, eps, 0.0, cfg)
         w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
         alpha = (np.maximum(w, 0) + eps) ** (-1.0)
         n1, n2 = cfg.fft_grid.as_tuple()
@@ -111,8 +187,8 @@ class TestWeightUpdate:
         assert rel_err(w2, c**2 * w1) < 1e-10
         p = 0.5
         eps = 1e-3 * w1[-1]
-        m1, _ = weight_update(g1, eps, p, cfg)
-        m2, _ = weight_update(g2, c**2 * eps, p, cfg)
+        m1 = weight_mask(g1, eps, p, cfg)
+        m2 = weight_mask(g2, c**2 * eps, p, cfg)
         assert rel_err(m2.values, c ** (p - 2) * m1.values) < 1e-9
 
 
@@ -145,7 +221,7 @@ class TestNormalOperators:
         x = random_kspace(gamma, 17)
         g = gram_matrix(x, cfg)
         eps = 1e-2 * np.linalg.eigvalsh(g)[-1]
-        mask, _ = weight_update(g, eps, 0.0, cfg)
+        mask = weight_mask(g, eps, 0.0, cfg)
         smask = make_mask(gamma, "uniform", 2.0, seed=3)
         lam = 2.5
         theta = smask.indicator()
@@ -182,7 +258,7 @@ class TestNormalOperators:
                 e[c] = 1.0
                 li[:, c] = lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg) @ filters[:, i]
             r_dense += li.conj().T @ li
-        out = normal_apply_exact(x.values, filters, cfg, lam, theta)
+        out = normal_apply_exact(x.values, filter_spectra(filters, cfg), cfg, lam, theta)
         expect = (r_dense @ x.values.ravel()).reshape(gamma.extents)
         assert rel_err(out, expect) < 1e-9
 
@@ -192,7 +268,7 @@ class TestNormalOperators:
         h = np.zeros((9, 1), dtype=complex)
         h[4, 0] = 1.0
         x = random_kspace(gamma, 23)
-        out = normal_apply_exact(x.values, h, cfg, 0.0, np.zeros(gamma.extents))
+        out = normal_apply_exact(x.values, filter_spectra(h, cfg), cfg, 0.0, np.zeros(gamma.extents))
         window = np.zeros(gamma.extents)
         rel = cfg.lambda2.indices - gamma.kmin
         window[rel[:, 0], rel[:, 1]] = 1.0
@@ -242,6 +318,19 @@ class TestCG:
         x, info = cg_solve(op, np.zeros(5), np.ones(5), 1e-10, 10)
         assert np.allclose(x, 0.0)
         assert info["converged"]
+        assert info["stop_reason"] == "converged"
+
+    def test_indefinite_operator_reports_stop_reason(self):
+        x, info = cg_solve(lambda v: -v, np.ones(5), np.zeros(5), 1e-10, 10)
+        assert not info["converged"]
+        assert info["stop_reason"] == "indefinite"
+        assert info["iterations"] == 0
+
+    def test_iteration_cap_reports_stop_reason(self):
+        mat = np.diag(np.arange(1.0, 9.0))
+        _, info = cg_solve(lambda v: mat @ v, np.ones(8), np.zeros(8), 1e-14, 2)
+        assert info["stop_reason"] == "max_iter"
+        assert info["iterations"] == 2
 
 
 def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
@@ -249,7 +338,7 @@ def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
     Gram eigen-decomposition, dense normal equations, direct solve."""
     gamma = cfg_lift.gamma
     m = gamma.extents[0] * gamma.extents[1]
-    x0 = zero_filled(b, mask)
+    x0 = zero_fill(b, mask).values
     t0 = lift_dense(KSpaceArray(gamma, x0), cfg_lift)
     gram = t0.conj().T @ t0
     w, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
@@ -369,3 +458,12 @@ class TestGirafSolve:
             assert rec.sigma_max >= rec.sigma_min >= 0
             assert rec.mse_vs_reference == rec.mse_vs_reference
         assert rep.final_mse is not None
+
+    def test_capped_cg_is_named_in_notes(self):
+        gamma = IndexSet2D.rect(12, 12)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
+        mask = make_mask(gamma, "uniform", 1.5, seed=13)
+        b = sample_kspace(random_kspace(gamma, 53), mask)
+        cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=1, cg_max=1)
+        _, rep = giraf_solve(b, mask, lifting, cfg)
+        assert rep.notes and "(max_iter)" in rep.notes[0]

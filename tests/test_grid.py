@@ -73,6 +73,18 @@ class TestIndexSet2D:
     def test_json_roundtrip_property(self, s):
         assert IndexSet2D.from_json(s.to_json()) == s
 
+    @given(arbitrary_sets, arbitrary_sets)
+    def test_contains_matches_set_definition(self, a, b):
+        mine = set(map(tuple, a.indices))
+        assert a.contains(b) == all(tuple(row) in mine for row in b.indices)
+
+    @given(arbitrary_sets, st.data())
+    def test_contains_every_subset(self, a, data):
+        rows = data.draw(st.lists(st.sampled_from([tuple(r) for r in a.indices]), min_size=1))
+        assert a.contains(IndexSet2D.from_indices(rows))
+        outside = IndexSet2D.from_indices(rows + [(7, 0)])  # arbitrary_sets stay within +-6
+        assert not a.contains(outside)
+
 
 class TestDilate:
     def test_identity_element(self):
