@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import IndexSet2D
-from .lifting import KSpaceArray, LiftingConfig, _lift_geometry, lift_dense
+from .grid import GridShape, IndexSet2D
+from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -36,8 +36,7 @@ class SVTConfig:
 def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
     """Samples placed on theta, zeros elsewhere in gamma."""
     out = np.zeros(mask.gamma.extents, dtype=np.complex128)
-    rel = mask.theta.indices - mask.gamma.kmin
-    out[rel[:, 0], rel[:, 1]] = np.asarray(b, dtype=np.complex128).reshape(-1)
+    out[mask.positions] = np.asarray(b, dtype=np.complex128).reshape(-1)
     return KSpaceArray(mask.gamma, out)
 
 
@@ -51,12 +50,12 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     nb = cfg.weighting.nblocks
     if X.shape != (nb * cfg.n_out, cfg.n_filter):
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
-    inside, flat = _lift_geometry(cfg)
+    inside, flat = cfg.lift_geometry
     e1, e2 = cfg.gamma.extents
     numer = np.zeros(e1 * e2, dtype=np.complex128)
     denom = np.zeros(e1 * e2)
     flat_in = flat[inside]
-    for blk, w in enumerate(cfg.weighting.multipliers(cfg.gamma)):
+    for blk, w in enumerate(cfg.multipliers):
         xb = X[blk * cfg.n_out : (blk + 1) * cfg.n_out, :]
         wflat = w.ravel()[flat_in]
         np.add.at(numer, flat_in, np.conj(wflat) * xb[inside])
@@ -180,24 +179,19 @@ def tv_solve(
         raise ValueError("weight must be positive")
     if gamma != mask.gamma:
         raise ValueError("gamma disagrees with the mask")
-    e1, e2 = gamma.extents
-    ntot = e1 * e2
-    r1, r2 = gamma.axis_ranges()
-    i1, i2 = r1 % e1, r2 % e2
-    rel = mask.theta.indices - gamma.kmin
+    shape = GridShape(*gamma.extents)
+    ntot = shape.size
     # k-space arrays store coefficients of the trig-polynomial image
     # (image = ifft * ntot); the unitary-scale data is b * sqrt(ntot)
     bu = np.asarray(b, dtype=np.complex128).reshape(-1) * np.sqrt(ntot)
 
     def forward(u):
-        return (fft2(u) / np.sqrt(ntot))[np.ix_(i1, i2)][rel[:, 0], rel[:, 1]]
+        return gather(fft2(u) / np.sqrt(ntot), gamma)[mask.positions]
 
     def adjoint(v):
-        g = np.zeros((e1, e2), dtype=np.complex128)
-        kk = np.zeros((e1, e2), dtype=np.complex128)
-        kk[rel[:, 0], rel[:, 1]] = v
-        g[np.ix_(i1, i2)] = kk
-        return ifft2(g) * np.sqrt(ntot)
+        kk = np.zeros(gamma.extents, dtype=np.complex128)
+        kk[mask.positions] = v
+        return ifft2(embed(kk, gamma, shape)) * np.sqrt(ntot)
 
     L = np.sqrt(8.0 + 1.0)
     sigma = tau = 1.0 / L
@@ -216,5 +210,4 @@ def tv_solve(
         u_old = u
         u = u + tau * (_div(p1, p2) - adjoint(q))
         ubar = 2.0 * u - u_old
-    ks = (fft2(u) / ntot)[np.ix_(i1, i2)]
-    return KSpaceArray(gamma, ks)
+    return KSpaceArray(gamma, gather(fft2(u) / ntot, gamma))

@@ -141,7 +141,7 @@ def normal_apply_approx(
 ) -> np.ndarray:
     """Mask-condensed normal operator: 2 FFTs per weighting block."""
     out = lam * theta_ind * xv
-    for w in cfg.weighting.multipliers(cfg.gamma):
+    for w in cfg.multipliers:
         g = embed(w * xv, cfg.gamma, cfg.fft_grid)
         s = fft2(mask.values * ifft2(g))
         out = out + w * gather(s, cfg.gamma)
@@ -162,18 +162,16 @@ def normal_apply_exact(
     convolutions, so it matches the dense assembly lift^H lift exactly (up
     to rounding).
     """
-    cfg.check_grid()
     shape = cfg.fft_grid
-    window = embed(np.ones(cfg.lambda2.extents), cfg.lambda2, shape).real
     out = lam * theta_ind * xv
     batch = max(1, (1 << 23) // max(shape.size, 1))
-    for w in cfg.weighting.multipliers(cfg.gamma):
+    for w in cfg.multipliers:
         y = fft2(embed(w * xv, cfg.gamma, shape))
         acc = np.zeros(shape.as_tuple(), dtype=np.complex128)
         for start in range(0, spectra.shape[0], batch):
             fh = spectra[start : start + batch]
             conv = ifft2(y[None, :, :] * fh)
-            acc += ifft2(fft2(window[None, :, :] * conv) * np.conj(fh)).sum(axis=0)
+            acc += ifft2(fft2(cfg.window[None, :, :] * conv) * np.conj(fh)).sum(axis=0)
         out = out + w * gather(acc, cfg.gamma)
     return out
 
@@ -285,6 +283,10 @@ def giraf_solve(
             spectra = filter_spectra(filters, lifting)
             op = lambda v: normal_apply_exact(v, spectra, lifting, cfg.lam, theta_ind)
         t3 = time.perf_counter()
+        x_new, cg_info = cg_solve(op, rhs, x, cfg.cg_tol, cfg.cg_max)
+        t4 = time.perf_counter()
+        if not np.all(np.isfinite(x_new)):
+            raise ValueError("solver produced non-finite iterate")
 
         # objective fields describe the iterate entering the solve (its
         # spectrum is what the decomposition just produced); change and MSE
@@ -293,11 +295,6 @@ def giraf_solve(
         sigmas = np.sqrt(np.maximum(eigenvalues, 0.0) + eps)
         penalty = schatten_penalty(sigmas, cfg.p)
         data_fit = 0.5 * cfg.lam * float(np.linalg.norm(data_res) ** 2)
-
-        x_new, cg_info = cg_solve(op, rhs, x, cfg.cg_tol, cfg.cg_max)
-        t4 = time.perf_counter()
-        if not np.all(np.isfinite(x_new)):
-            raise ValueError("solver produced non-finite iterate")
 
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
         rec = IterationRecord(

@@ -10,7 +10,7 @@ symmetric and even extents lean one step to the negative side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,18 +49,35 @@ class IndexSet2D:
 
     ``indices`` is canonical: unique rows, lexicographically sorted, shape
     (m, 2), dtype int64.  ``rectangular`` is true iff the set contains every
-    integer pair inside its bounding box.
+    integer pair inside its bounding box.  The bounding box (``kmin``,
+    ``kmax``, ``extents``) and, for rectangles, the per-axis ranges are
+    computed once at construction; every array is read-only.
     """
 
     indices: np.ndarray
+    kmin: np.ndarray = field(init=False, repr=False)
+    kmax: np.ndarray = field(init=False, repr=False)
+    extents: tuple[int, int] = field(init=False, repr=False)
+    rectangular: bool = field(init=False, repr=False)
+    _ranges: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
             raise ValueError("indices must be a non-empty (m, 2) integer array")
         idx = np.unique(idx, axis=0)  # sorts lexicographically
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        lo, hi = idx.min(axis=0), idx.max(axis=0)
+        extents = (int(hi[0] - lo[0] + 1), int(hi[1] - lo[1] + 1))
+        rectangular = idx.shape[0] == extents[0] * extents[1]
+        ranges = None
+        if rectangular:
+            ranges = (np.arange(lo[0], hi[0] + 1, dtype=np.int64),
+                      np.arange(lo[1], hi[1] + 1, dtype=np.int64))
+        for a in (idx, lo, hi, *(ranges or ())):
+            a.setflags(write=False)
+        for name, value in (("indices", idx), ("kmin", lo), ("kmax", hi), ("extents", extents),
+                            ("rectangular", rectangular), ("_ranges", ranges)):
+            object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------------
 
@@ -69,8 +86,7 @@ class IndexSet2D:
         """Centered rectangle with given per-axis extents (optionally shifted)."""
         r1 = centered_range(extent1, offset[0])
         r2 = centered_range(extent2, offset[1])
-        k1, k2 = np.meshgrid(r1, r2, indexing="ij")
-        return cls(np.stack([k1.ravel(), k2.ravel()], axis=1))
+        return _box((r1[0], r2[0]), (r1[-1], r2[-1]))
 
     @classmethod
     def from_indices(cls, pairs: Iterable[Sequence[int]]) -> "IndexSet2D":
@@ -91,24 +107,6 @@ class IndexSet2D:
             np.array_equal(self.indices, other.indices)
         )
 
-    @property
-    def kmin(self) -> np.ndarray:
-        return self.indices.min(axis=0)
-
-    @property
-    def kmax(self) -> np.ndarray:
-        return self.indices.max(axis=0)
-
-    @property
-    def extents(self) -> tuple[int, int]:
-        e = self.kmax - self.kmin + 1
-        return (int(e[0]), int(e[1]))
-
-    @property
-    def rectangular(self) -> bool:
-        e1, e2 = self.extents
-        return len(self) == e1 * e2
-
     def contains(self, other: "IndexSet2D") -> bool:
         # a linear key over the joint bounding box keeps the lexicographic
         # order, so the canonical rows are sorted keys to search
@@ -123,14 +121,9 @@ class IndexSet2D:
 
     def axis_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis index ranges; only meaningful for rectangular sets."""
-        if not self.rectangular:
+        if self._ranges is None:
             raise ValueError("axis_ranges requires a rectangular set")
-        lo = self.kmin
-        hi = self.kmax
-        return (
-            np.arange(lo[0], hi[0] + 1, dtype=np.int64),
-            np.arange(lo[1], hi[1] + 1, dtype=np.int64),
-        )
+        return self._ranges
 
     # -- serialization -----------------------------------------------------
 
@@ -161,6 +154,12 @@ class IndexSet2D:
         return cls.from_json_dict(json.loads(s))
 
 
+def _box(lo, hi) -> IndexSet2D:
+    """Every integer pair (k1, k2) with lo <= (k1, k2) <= hi per axis."""
+    k1, k2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
+    return IndexSet2D(np.stack([k1.ravel(), k2.ravel()], axis=1))
+
+
 def dilate(a: IndexSet2D, b: IndexSet2D) -> IndexSet2D:
     """Set of all pairwise sums {x + y : x in a, y in b}.
 
@@ -168,12 +167,7 @@ def dilate(a: IndexSet2D, b: IndexSet2D) -> IndexSet2D:
     rectangular with extents (p + r - 1, q + s - 1).
     """
     if a.rectangular and b.rectangular:
-        lo = a.kmin + b.kmin
-        hi = a.kmax + b.kmax
-        e = hi - lo + 1
-        # rect() wants the offset relative to the centered position
-        canon = np.array([-(int(e[0]) // 2), -(int(e[1]) // 2)])
-        return IndexSet2D.rect(int(e[0]), int(e[1]), offset=tuple(lo - canon))
+        return _box(a.kmin + b.kmin, a.kmax + b.kmax)
     sums = a.indices[:, None, :] + b.indices[None, :, :]
     return IndexSet2D(sums.reshape(-1, 2))
 
@@ -187,11 +181,7 @@ def valid_output_set(gamma: IndexSet2D, lambda1: IndexSet2D) -> IndexSet2D:
         raise ValueError(
             f"filter support {fe} exceeds grid extents {ge}; filter larger than grid"
         )
-    lo = gamma.kmin - lambda1.kmin
-    hi = gamma.kmax - lambda1.kmax
-    e = hi - lo + 1
-    canon = np.array([-(int(e[0]) // 2), -(int(e[1]) // 2)])
-    return IndexSet2D.rect(int(e[0]), int(e[1]), offset=tuple(lo - canon))
+    return _box(gamma.kmin - lambda1.kmin, gamma.kmax - lambda1.kmax)
 
 
 def count_shifts(lambda1: IndexSet2D, lambda0: IndexSet2D) -> int:

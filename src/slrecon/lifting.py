@@ -9,7 +9,10 @@ the matrix stacks the k1-weighted block on top of the k2-weighted block.
 Both realizations live here: ``lift_dense`` materializes the matrix entry by
 entry (the oracle), while ``apply_filter`` / ``adjoint_apply`` /
 ``gram_matrix`` evaluate the same maps implicitly with circular FFTs on a
-grid just large enough that the restricted outputs are alias-free.
+grid just large enough that the restricted outputs are alias-free.  A
+``LiftingConfig`` is validated once, at construction; the arrays derived
+from its geometry are computed on first use and cached read-only, so no
+per-call map re-checks or re-derives them.
 
 For symmetric (odd-extent) filter supports every matrix entry is an actual
 weighted sample.  Asymmetric supports are allowed, but the requirement
@@ -21,7 +24,8 @@ only in the symmetric case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +54,6 @@ class Weighting:
     @property
     def nblocks(self) -> int:
         return 1 if self.kind == IDENTITY else 2
-
-    def multipliers(self, gamma: IndexSet2D) -> list[np.ndarray]:
-        """Per-block real multiplier arrays shaped like the gamma rectangle."""
-        r1, r2 = gamma.axis_ranges()
-        if self.kind == IDENTITY:
-            return [np.ones((r1.size, r2.size))]
-        k1 = np.broadcast_to(r1[:, None], (r1.size, r2.size)).astype(float)
-        k2 = np.broadcast_to(r2[None, :], (r1.size, r2.size)).astype(float)
-        return [k1, k2]
 
 
 @dataclass(frozen=True)
@@ -125,32 +120,31 @@ def _alias_free_extents(gamma: IndexSet2D, lambda1: IndexSet2D, lambda2: IndexSe
     Outputs on lambda2 read data indices in [min(l2)-max(l1), max(l2)-min(l1)];
     the grid must hold the union of that window and gamma injectively.
     """
-    need = []
-    for ax in range(2):
-        lo = min(int(gamma.kmin[ax]), int(lambda2.kmin[ax]) - int(lambda1.kmax[ax]))
-        hi = max(int(gamma.kmax[ax]), int(lambda2.kmax[ax]) - int(lambda1.kmin[ax]))
-        need.append(hi - lo + 1)
-    return (need[0], need[1])
+    lo = np.minimum(gamma.kmin, lambda2.kmin - lambda1.kmax)
+    hi = np.maximum(gamma.kmax, lambda2.kmax - lambda1.kmin)
+    return (int(hi[0] - lo[0] + 1), int(hi[1] - lo[1] + 1))
 
 
 @dataclass(frozen=True)
 class LiftingConfig:
-    """Geometry of one lifting: supports, weighting, and the FFT work grid."""
+    """Geometry of one lifting: supports, weighting, and the alias-free FFT
+    work grid, checked at construction; derived arrays are cached read-only."""
 
     gamma: IndexSet2D
     lambda1: IndexSet2D
     lambda2: IndexSet2D
-    weighting: Weighting = field(default_factory=Weighting)
-    fft_grid: GridShape = None  # filled by make(); required here
+    weighting: Weighting
+    fft_grid: GridShape
 
     def __post_init__(self):
         if dilate(self.lambda1, self.lambda2) != self.gamma:
             raise ValueError("lambda2 must satisfy dilate(lambda1, lambda2) == gamma")
-        if self.fft_grid is None:
-            raise ValueError("fft_grid is required; use LiftingConfig.make")
-        ge = self.gamma.extents
-        if self.fft_grid.n1 < ge[0] or self.fft_grid.n2 < ge[1]:
-            raise ValueError(f"fft_grid {self.fft_grid} smaller than gamma extents {ge}")
+        e1, e2 = _alias_free_extents(self.gamma, self.lambda1, self.lambda2)
+        if self.fft_grid.n1 < e1 or self.fft_grid.n2 < e2:
+            raise ValueError(
+                f"fft_grid {self.fft_grid} too small for alias-free valid region "
+                f"({e1} x {e2} needed)"
+            )
 
     @classmethod
     def make(
@@ -158,10 +152,9 @@ class LiftingConfig:
         gamma: IndexSet2D,
         lambda1: IndexSet2D,
         weighting: Weighting | str = IDENTITY,
-        fft_grid: GridShape | None = None,
         pad: int = 0,
     ) -> "LiftingConfig":
-        """Build a config with lambda2 and (by default) the minimal safe grid.
+        """Build a config with lambda2 and the minimal alias-free grid.
 
         For symmetric (odd-extent) filters the minimal grid equals the gamma
         extents; asymmetric supports need one extra sample per axis.  ``pad``
@@ -170,10 +163,8 @@ class LiftingConfig:
         if isinstance(weighting, str):
             weighting = Weighting(weighting)
         lambda2 = valid_output_set(gamma, lambda1)
-        if fft_grid is None:
-            e1, e2 = _alias_free_extents(gamma, lambda1, lambda2)
-            fft_grid = GridShape(e1 + pad, e2 + pad)
-        return cls(gamma, lambda1, lambda2, weighting, fft_grid)
+        e1, e2 = _alias_free_extents(gamma, lambda1, lambda2)
+        return cls(gamma, lambda1, lambda2, weighting, GridShape(e1 + pad, e2 + pad))
 
     @property
     def n_filter(self) -> int:
@@ -187,31 +178,44 @@ class LiftingConfig:
     def lifted_shape(self) -> tuple[int, int]:
         return (self.weighting.nblocks * self.n_out, self.n_filter)
 
-    def check_grid(self):
-        e1, e2 = _alias_free_extents(self.gamma, self.lambda1, self.lambda2)
-        if self.fft_grid.n1 < e1 or self.fft_grid.n2 < e2:
-            raise ValueError(
-                f"fft_grid {self.fft_grid} too small for alias-free valid region "
-                f"({e1} x {e2} needed)"
-            )
+    @cached_property
+    def multipliers(self) -> tuple[np.ndarray, ...]:
+        """Per-block real weighting arrays shaped like the gamma rectangle."""
+        if self.weighting.kind == IDENTITY:
+            return _read_only(np.ones(self.gamma.extents))
+        r1, r2 = self.gamma.axis_ranges()
+        return _read_only(*np.meshgrid(r1.astype(float), r2.astype(float), indexing="ij"))
+
+    @cached_property
+    def window(self) -> np.ndarray:
+        """Indicator of lambda2 on the FFT grid."""
+        window = embed(np.ones(self.lambda2.extents), self.lambda2, self.fft_grid).real
+        window.setflags(write=False)
+        return window
+
+    @cached_property
+    def lift_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which gamma sample each lifted-matrix position reads.
+
+        Position (l, k) of every block reads index l - k.  Holds the
+        (|lambda2|, N) mask of positions inside gamma and their row-major
+        flat offsets into the gamma rectangle (meaningless where outside).
+        """
+        rel = self.lambda2.indices[:, None, :] - self.lambda1.indices[None, :, :] - self.gamma.kmin
+        e1, e2 = self.gamma.extents
+        inside = (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
+        return _read_only(inside, rel[..., 0] * e2 + rel[..., 1])
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _check_input(x: KSpaceArray, cfg: LiftingConfig):
     if x.gamma != cfg.gamma:
         raise ValueError("k-space array is not defined on the config's gamma")
-
-
-def _lift_geometry(cfg: LiftingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Which gamma sample each lifted-matrix position reads.
-
-    Position (l, k) of every block reads index l - k.  Returns the
-    (|lambda2|, N) mask of positions inside gamma and their row-major flat
-    offsets into the gamma rectangle (meaningless where outside).
-    """
-    rel = cfg.lambda2.indices[:, None, :] - cfg.lambda1.indices[None, :, :] - cfg.gamma.kmin
-    e1, e2 = cfg.gamma.extents
-    inside = (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
-    return inside, rel[..., 0] * e2 + rel[..., 1]
 
 
 def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
@@ -221,9 +225,9 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     zero when l - k falls outside gamma.
     """
     _check_input(x, cfg)
-    inside, flat = _lift_geometry(cfg)
+    inside, flat = cfg.lift_geometry
     blocks = [np.where(inside, (w * x.values).ravel().take(flat, mode="clip"), 0.0)
-              for w in cfg.weighting.multipliers(cfg.gamma)]
+              for w in cfg.multipliers]
     return np.concatenate(blocks, axis=0)
 
 
@@ -242,13 +246,12 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
     lift_dense(x, cfg) @ h up to rounding.
     """
     _check_input(x, cfg)
-    cfg.check_grid()
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
     if h.size != cfg.n_filter:
         raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
     hhat = filter_spectra(h[:, None], cfg)[0]
     out = []
-    for w in cfg.weighting.multipliers(cfg.gamma):
+    for w in cfg.multipliers:
         g = embed(w * x.values, cfg.gamma, cfg.fft_grid)
         conv = ifft2(fft2(g) * hhat)
         out.append(gather(conv, cfg.lambda2).ravel())
@@ -257,7 +260,6 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
 
 def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
     """Adjoint of apply_filter for a fixed filter: scatter, correlate, weight."""
-    cfg.check_grid()
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     nb = cfg.weighting.nblocks
     if v.size != nb * cfg.n_out:
@@ -265,7 +267,7 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
     hhat_conj = np.conj(filter_spectra(h[:, None], cfg)[0])
     acc = np.zeros(cfg.gamma.extents, dtype=np.complex128)
-    for b, w in enumerate(cfg.weighting.multipliers(cfg.gamma)):
+    for b, w in enumerate(cfg.multipliers):
         vb = v[b * cfg.n_out : (b + 1) * cfg.n_out].reshape(cfg.lambda2.extents)
         g = embed(vb, cfg.lambda2, cfg.fft_grid)
         corr = ifft2(fft2(g) * hhat_conj)
@@ -282,21 +284,19 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     The result is symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
-    cfg.check_grid()
     n = cfg.n_filter
     shape = cfg.fft_grid.as_tuple()
-    window = embed(np.ones(cfg.lambda2.extents), cfg.lambda2, cfg.fft_grid).real
     gram = np.zeros((n, n), dtype=np.complex128)
     l1 = cfg.lambda1.indices
     pos1 = l1[:, 0] % shape[0]
     pos2 = l1[:, 1] % shape[1]
-    for w in cfg.weighting.multipliers(cfg.gamma):
+    for w in cfg.multipliers:
         y = embed(w * x.values, cfg.gamma, cfg.fft_grid)
         yrev = np.roll(y[::-1, ::-1], 1, axis=(0, 1))  # y reversed: yrev[t] = y[-t]
         yrev_hat = fft2(yrev)
         yconj = np.conj(y)
         for row, (k1, k2) in enumerate(l1):
-            z = window * np.roll(yconj, (int(k1), int(k2)), axis=(0, 1))
+            z = cfg.window * np.roll(yconj, (int(k1), int(k2)), axis=(0, 1))
             corr = ifft2(fft2(z) * yrev_hat)
             gram[row] += corr[pos1, pos2]
     return 0.5 * (gram + gram.conj().T)

@@ -10,7 +10,7 @@ generators so results are independent of thread placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,14 +62,10 @@ class EdgePolynomial:
 
 
 def _conj_reflect(iset: IndexSet2D, c: np.ndarray) -> np.ndarray | None:
-    """conj(c[-k]) aligned like c, or None if -k leaves the support."""
-    neg = -iset.indices
-    rel = neg - iset.kmin
-    e1, e2 = iset.extents
-    if (rel < 0).any() or (rel[:, 0] >= e1).any() or (rel[:, 1] >= e2).any():
+    """conj(c[-k]) aligned like c over a rectangle, or None if -k leaves it."""
+    if not np.array_equal(iset.kmin, -iset.kmax):
         return None
-    flat = np.conj(c[rel[:, 0], rel[:, 1]])
-    return flat.reshape(e1, e2)
+    return np.conj(c[::-1, ::-1])
 
 
 def rasterize_mu(edge: EdgePolynomial, shape: GridShape, offset: float = 0.0) -> np.ndarray:
@@ -193,16 +189,21 @@ class SamplingMask:
     seed: int = 0
     acceleration: float = 1.0
     sigma: float | None = None  # variable-density Gaussian width, recorded for replay
+    # theta's (row, column) positions in the gamma rectangle, aligned with
+    # theta.indices; index a gamma-shaped array with it
+    positions: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gamma.contains(self.theta):
             raise ValueError("theta must be a subset of gamma")
+        rel = self.theta.indices - self.gamma.kmin
+        rel.setflags(write=False)
+        object.__setattr__(self, "positions", (rel[:, 0], rel[:, 1]))
 
     def indicator(self) -> np.ndarray:
         """0/1 array aligned with the gamma rectangle."""
         out = np.zeros(self.gamma.extents)
-        rel = self.theta.indices - self.gamma.kmin
-        out[rel[:, 0], rel[:, 1]] = 1.0
+        out[self.positions] = 1.0
         return out
 
     def to_json_dict(self) -> dict:
@@ -270,8 +271,9 @@ def make_mask(
 
 def sample_kspace(x: KSpaceArray, mask: SamplingMask) -> np.ndarray:
     """Measured values b, aligned with mask.theta.indices."""
-    rel = mask.theta.indices - x.gamma.kmin
-    return x.values[rel[:, 0], rel[:, 1]].copy()
+    if x.gamma != mask.gamma:
+        raise ValueError("k-space array and mask disagree on gamma")
+    return x.values[mask.positions]
 
 
 def add_noise(b: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:

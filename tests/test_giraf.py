@@ -231,7 +231,7 @@ class TestNormalOperators:
         f1, f2 = dft_matrix(n1), dft_matrix(n2)
         f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2
         acc = lam * theta * x.values
-        for w in cfg.weighting.multipliers(gamma):
+        for w in cfg.multipliers:
             grid = embed(w * x.values, gamma, cfg.fft_grid)
             spatial = f1i @ grid @ f2i.T
             back = f1 @ (mask.values * spatial) @ f2.T

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,28 @@ class TestIndexSet2D:
         assert tuple(s.kmin) == (-1, 0)
         assert tuple(s.kmax) == (2, 3)
         assert not s.rectangular
+
+    @given(st.one_of(arbitrary_sets, rects))
+    def test_stored_bounds_match_reductions(self, s):
+        idx = s.indices
+        assert np.array_equal(s.kmin, idx.min(axis=0))
+        assert np.array_equal(s.kmax, idx.max(axis=0))
+        e = idx.max(axis=0) - idx.min(axis=0) + 1
+        assert s.extents == (int(e[0]), int(e[1]))
+        assert s.rectangular == (len(s) == int(e[0]) * int(e[1]))
+        arrays = [idx, s.kmin, s.kmax]
+        if s.rectangular:
+            r1, r2 = s.axis_ranges()
+            assert np.array_equal(r1, np.arange(s.kmin[0], s.kmax[0] + 1))
+            assert np.array_equal(r2, np.arange(s.kmin[1], s.kmax[1] + 1))
+            arrays += [r1, r2]
+        else:
+            with pytest.raises(ValueError, match="rectangular"):
+                s.axis_ranges()
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_duplicates_removed(self):
         s = IndexSet2D.from_indices([(0, 0), (0, 0), (1, 1)])

@@ -156,11 +156,27 @@ class TestApply:
         lam1 = IndexSet2D.rect(4, 1)
         from slrecon.grid import valid_output_set
 
-        cfg = LiftingConfig(gamma, lam1, valid_output_set(gamma, lam1),
-                            Weighting("identity"), GridShape(12, 1))
-        x = random_kspace(gamma, 1)
         with pytest.raises(ValueError, match="alias-free"):
-            apply_filter(x, np.ones(4), cfg)
+            LiftingConfig(gamma, lam1, valid_output_set(gamma, lam1),
+                          Weighting("identity"), GridShape(12, 1))
+
+
+class TestConfigInvariants:
+    @pytest.mark.parametrize("weighting", ["identity", "gradient"])
+    @pytest.mark.parametrize("filt,pad", [((3, 3), 0), ((4, 1), 2)])
+    def test_derived_arrays_cached_read_only(self, weighting, filt, pad):
+        gamma = IndexSet2D.rect(9, 8)
+        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting, pad=pad)
+        assert cfg.multipliers is cfg.multipliers
+        assert cfg.window is cfg.window
+        assert cfg.lift_geometry is cfg.lift_geometry
+        assert len(cfg.multipliers) == cfg.weighting.nblocks
+        window = np.zeros(cfg.fft_grid.as_tuple())
+        rel = cfg.lambda2.indices
+        window[rel[:, 0] % window.shape[0], rel[:, 1] % window.shape[1]] = 1.0
+        assert np.array_equal(cfg.window, window)
+        for a in (*cfg.multipliers, cfg.window, *cfg.lift_geometry):
+            assert not a.flags.writeable
 
 
 class TestAdjoint:

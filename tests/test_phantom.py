@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slrecon.grid import GridShape, IndexSet2D, predicted_rank
-from slrecon.lifting import LiftingConfig, lift_dense
+from slrecon.lifting import KSpaceArray, LiftingConfig, lift_dense
 from slrecon.phantom import (
     EdgePolynomial,
     Phantom,
@@ -201,3 +201,19 @@ class TestMakeMask:
         b = sample_kspace(ks, mask)
         for val, (k1, k2) in zip(b[:5], mask.theta.indices[:5]):
             assert val == ks.values[k1 - gamma.kmin[0], k2 - gamma.kmin[1]]
+
+    def test_sample_kspace_rejects_other_gamma(self):
+        # negative offsets into a smaller array would otherwise wrap around
+        small = KSpaceArray(IndexSet2D.rect(8, 8), np.arange(64.0).reshape(8, 8))
+        theta = IndexSet2D.from_indices([(-8, -8), (-6, 0), (3, 3)])
+        mask = SamplingMask(IndexSet2D.rect(16, 16), theta)
+        with pytest.raises(ValueError, match="disagree on gamma"):
+            sample_kspace(small, mask)
+
+    def test_positions_are_read_only_theta_offsets(self):
+        gamma = IndexSet2D.rect(7, 6, offset=(1, -1))
+        mask = make_mask(gamma, "uniform", 2.0, seed=8)
+        rows, cols = mask.positions
+        rel = mask.theta.indices - gamma.kmin
+        assert np.array_equal(rows, rel[:, 0]) and np.array_equal(cols, rel[:, 1])
+        assert not rows.flags.writeable and not cols.flags.writeable
