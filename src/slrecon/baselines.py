@@ -14,7 +14,7 @@ import numpy as np
 
 from ._fft import fft2, ifft2
 from .grid import GridShape, IndexSet2D
-from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_dense
+from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -23,14 +23,14 @@ DENSE_ENTRY_CAP = 50_000_000
 
 @dataclass
 class SVTConfig:
-    step: float = 1.0
+    """SVT runs exactly ``max_iter`` iterations."""
+
     threshold: float = 3e-2  # relative to sigma_1 of the zero-filled lifting
     max_iter: int = 50
-    tol: float = 0.0  # 0 runs exactly max_iter iterations
 
     def __post_init__(self):
-        if self.step <= 0 or self.threshold < 0 or self.max_iter < 1 or self.tol < 0:
-            raise ValueError("SVT parameters must be positive (threshold and tol may be zero)")
+        if self.threshold < 0 or self.max_iter < 1:
+            raise ValueError("SVT parameters must be positive (threshold may be zero)")
 
 
 def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
@@ -44,31 +44,21 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     """Least-squares inverse of the lifting (pseudo-inverse applied to X).
 
     Each k-space entry is the weight-weighted average of every matrix
-    position holding a copy of it.  Indices whose weights all vanish (the DC
-    entry under gradient weighting) are returned as zero and flagged.
+    position holding a copy of it: the lifting's adjoint divided by the
+    diagonal of T^*T (reference count times the summed squared weights).
+    Indices whose weights all vanish (the DC entry under gradient weighting)
+    are returned as zero and flagged.
     """
-    nb = cfg.weighting.nblocks
-    if X.shape != (nb * cfg.n_out, cfg.n_filter):
-        raise ValueError(f"lifted matrix shape {X.shape} does not match config")
+    numer = lift_adjoint(X, cfg)
     inside, flat = cfg.lift_geometry
-    e1, e2 = cfg.gamma.extents
-    numer = np.zeros(e1 * e2, dtype=np.complex128)
-    denom = np.zeros(e1 * e2)
-    flat_in = flat[inside]
-    for blk, w in enumerate(cfg.multipliers):
-        xb = X[blk * cfg.n_out : (blk + 1) * cfg.n_out, :]
-        wflat = w.ravel()[flat_in]
-        np.add.at(numer, flat_in, np.conj(wflat) * xb[inside])
-        np.add.at(denom, flat_in, np.abs(wflat) ** 2)
+    refs = np.bincount(flat[inside], minlength=numer.size).reshape(numer.shape)
+    denom = refs * sum(w**2 for w in cfg.multipliers)
     # zero weight sum: either all-zero weights (DC under gradient weighting)
     # or an index the matrix never references (asymmetric filter supports)
     undetermined = denom == 0.0
-    safe = np.where(denom > 0.0, denom, 1.0)
-    vals = (numer / safe).reshape(e1, e2)
-    flagged = [
-        (int(i // e2 + cfg.gamma.kmin[0]), int(i % e2 + cfg.gamma.kmin[1]))
-        for i in np.nonzero(undetermined)[0]
-    ]
+    vals = numer / np.where(undetermined, 1.0, denom)
+    kmin = cfg.gamma.kmin
+    flagged = [(int(i1 + kmin[0]), int(i2 + kmin[1])) for i1, i2 in np.argwhere(undetermined)]
     return KSpaceArray(cfg.gamma, vals), flagged
 
 
@@ -83,11 +73,11 @@ def svt_solve(
 
     Splitting iteration with a running multiplier: soft-threshold the
     singular values of lift(x) + U, de-lift by the lifting's pseudo-inverse,
-    take the data-consistency step x <- x - step (P x - b) (step = 1
-    replaces the sampled entries outright), then update the multiplier.
-    With the hard data step the fixed point is the data-consistent nuclear
-    norm minimizer for any positive threshold; the threshold (relative to
-    sigma_1 of the zero-filled lifting) only sets the convergence speed.
+    replace the sampled entries by the data (x <- x - (P x - b)), then
+    update the multiplier.  With this hard data step the fixed point is the
+    data-consistent nuclear norm minimizer for any positive threshold; the
+    threshold (relative to sigma_1 of the zero-filled lifting) only sets the
+    convergence speed.
     """
     rows, cols = lifting.lifted_shape
     if rows * cols > DENSE_ENTRY_CAP:
@@ -111,13 +101,13 @@ def svt_solve(
         t0 = time.perf_counter()
         u, s, vh = np.linalg.svd(tx + multiplier, full_matrices=False)
         t1 = time.perf_counter()
-        s_shrunk = np.maximum(s - cfg.step * tau_abs, 0.0)
+        s_shrunk = np.maximum(s - tau_abs, 0.0)
         z = (u * s_shrunk[None, :]) @ vh
         x_new, _flagged = delift(z - multiplier, lifting)
         x_new = x_new.values
-        # data-consistency step; at step=1 this also fixes the DC entry the
-        # gradient weighting cannot see (DC is always sampled)
-        x_new = x_new - cfg.step * (theta_ind * x_new - bfill)
+        # data-consistency step; it also fixes the DC entry the gradient
+        # weighting cannot see (DC is always sampled)
+        x_new = x_new - (theta_ind * x_new - bfill)
         tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
         multiplier = multiplier + tx - z
         t2 = time.perf_counter()
@@ -142,9 +132,6 @@ def svt_solve(
             )
         report.iterations.append(rec)
         x = x_new
-        if cfg.tol > 0 and change < cfg.tol:
-            report.converged = True
-            break
 
     result = KSpaceArray(lifting.gamma, x)
     if reference is not None:

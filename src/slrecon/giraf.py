@@ -1,14 +1,14 @@
 """Iteratively reweighted annihilating-filter solver.
 
-Each outer iteration eigen-decomposes the lifting's Gram matrix and weights
-its eigenvectors into the square-root filter bank F = V diag(alpha)^(1/2),
-whose product F F^H = V diag(alpha) V^H is the IRLS weight matrix; then it
-solves a weighted least-squares annihilation problem by conjugate gradients.
-F is the only weight representation and both normal operators read it.
-The default operator condenses the bank into a single spatial sum-of-squares
-mask, built from the lag sums of F F^H with one inverse FFT, and costs 2 FFTs
-per application; the exact operator keeps the bank's spectra (4 FFTs per
-filter per application) and is kept for validation.
+Each outer iteration eigen-decomposes the lifting's Gram matrix into the
+IRLS weight matrix W = V diag(alpha) V^H, then solves a weighted
+least-squares annihilation problem by conjugate gradients.  W is the only
+weight representation and both normal operators read it.  The default
+operator condenses W into a single spatial sum-of-squares mask, built from
+the lag sums of W with one inverse FFT, and costs 2 FFTs per application.
+The exact operator is the definition, the gradient T^*(T(x) W) of
+(1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept for validation
+and small grids, and holds the memory of ``lift_dense``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from ._fft import fft2, ifft2
 from .baselines import zero_fill
 from .grid import GridShape
-from .lifting import KSpaceArray, LiftingConfig, embed, filter_spectra, gather, gram_matrix, lag_sums
+from .lifting import (KSpaceArray, LiftingConfig, embed, gather, gram_matrix, lag_sums,
+                      lift_adjoint, lift_dense)
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -30,20 +31,19 @@ APPROXIMATE = "approximate"
 EXACT = "exact"
 
 
+# the first smoothing level, and the floor of its geometric decay, relative
+# to the largest Gram eigenvalue at the initialization (scale-free)
+EPS0_FACTOR = 1e-2
+EPS_MIN_FACTOR = 1e-15
+
+
 @dataclass
 class IRLSConfig:
-    """Knobs of the IRLS loop.
-
-    ``eps0_factor`` scales the first smoothing level off the largest Gram
-    eigenvalue at the initialization (scale-free); ``eps_min_factor`` floors
-    the geometric decay relative to the same eigenvalue.
-    """
+    """Knobs of the IRLS loop."""
 
     p: float
     lam: float
-    eps0_factor: float = 1e-2
     eps_decay: float = 2.0
-    eps_min_factor: float = 1e-15
     max_outer: int = 20
     cg_tol: float = 1e-9
     cg_max: int = 500
@@ -59,7 +59,7 @@ class IRLSConfig:
             raise ValueError("eps_decay must exceed 1")
         if self.operator not in (APPROXIMATE, EXACT):
             raise ValueError(f"operator must be '{APPROXIMATE}' or '{EXACT}'")
-        for name in ("eps0_factor", "eps_min_factor", "cg_tol", "convergence_tol"):
+        for name in ("cg_tol", "convergence_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer < 1 or self.cg_max < 1:
@@ -99,30 +99,30 @@ def _spectral_weights(eigenvalues: np.ndarray, eps: float, p: float) -> np.ndarr
     return (np.maximum(eigenvalues, 0.0) + eps) ** (p / 2.0 - 1.0)
 
 
-def sqrt_weight_filters(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: float) -> np.ndarray:
-    """Square-root filter bank F with columns alpha_i^(1/2) v_i, so F F^H is the
-    IRLS weight matrix; alpha_i = (lambda_i + eps)^(p/2 - 1) favours the null space."""
+def weight_matrix(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: float) -> np.ndarray:
+    """IRLS weight matrix W = V diag(alpha) V^H, with
+    alpha_i = (lambda_i + eps)^(p/2 - 1) favouring the null space."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     alpha = _spectral_weights(eigenvalues, eps, p)
-    return vectors * np.sqrt(alpha)[None, :]
+    return (vectors * alpha) @ vectors.conj().T
 
 
-def mask_from_filters(filters: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
-    """Sum of squared spatial responses of a filter bank, sum_j |gamma_j|^2.
+def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
+    """Sum of squared spatial responses of a filter bank F, sum_j |gamma_j|^2,
+    given through its weight matrix W = F F^H.
 
-    ``filters`` has one filter per column, aligned with cfg.lambda1.  The
-    mask is the trigonometric polynomial whose coefficient at lag d is the
-    lag sum of W = filters @ filters^H, so it is built in the lag domain
-    (lags wrapped onto the FFT grid, one inverse FFT) and is invariant to
-    any unitary recombination of the bank.  Negative rounding within 1e-12
-    of the maximum is clamped to zero; anything below that is rejected.
+    Rows and columns of ``wm`` are aligned with cfg.lambda1.  The mask is the
+    trigonometric polynomial whose coefficient at lag d is the lag sum of W,
+    so it is built in the lag domain (lags wrapped onto the FFT grid, one
+    inverse FFT).  Negative rounding within 1e-12 of the maximum is clamped
+    to zero; anything below that is rejected.
     """
-    filters = np.asarray(filters, dtype=np.complex128)
-    if filters.shape[0] != cfg.n_filter:
-        raise ValueError(f"filters must have {cfg.n_filter} rows")
+    wm = np.asarray(wm, dtype=np.complex128)
+    if wm.shape != (cfg.n_filter, cfg.n_filter):
+        raise ValueError(f"weight matrix must be {cfg.n_filter} x {cfg.n_filter}")
     shape = cfg.fft_grid
-    c = lag_sums(filters @ filters.conj().T, cfg.lambda1)
+    c = lag_sums(wm, cfg.lambda1)
     e1, e2 = cfg.lambda1.extents
     wrapped = np.zeros(shape.as_tuple(), dtype=np.complex128)
     np.add.at(wrapped, np.ix_(np.arange(1 - e1, e1) % shape.n1, np.arange(1 - e2, e2) % shape.n2), c)
@@ -150,30 +150,19 @@ def normal_apply_approx(
 
 def normal_apply_exact(
     xv: np.ndarray,
-    spectra: np.ndarray,
+    wm: np.ndarray,
     cfg: LiftingConfig,
     lam: float,
     theta_ind: np.ndarray,
 ) -> np.ndarray:
-    """Unapproximated normal operator over the filter bank (batched FFTs).
+    """Unapproximated normal operator, lam theta x + T^*(T(x) W).
 
-    ``spectra`` are the bank's filter spectra from ``filter_spectra``.  Keeps
-    the restriction to the valid output set inside the per-filter
-    convolutions, so it matches the dense assembly lift^H lift exactly (up
-    to rounding).
+    The gradient of (1/2) tr(T(x) W T(x)^H) on the dense lifting, with the
+    restriction to the valid output set kept; for W = F F^H it equals the
+    sum over the bank's filters of adjoint_apply(apply_filter(x, f), f).
     """
-    shape = cfg.fft_grid
-    out = lam * theta_ind * xv
-    batch = max(1, (1 << 23) // max(shape.size, 1))
-    for w in cfg.multipliers:
-        y = fft2(embed(w * xv, cfg.gamma, shape))
-        acc = np.zeros(shape.as_tuple(), dtype=np.complex128)
-        for start in range(0, spectra.shape[0], batch):
-            fh = spectra[start : start + batch]
-            conv = ifft2(y[None, :, :] * fh)
-            acc += ifft2(fft2(cfg.window[None, :, :] * conv) * np.conj(fh)).sum(axis=0)
-        out = out + w * gather(acc, cfg.gamma)
-    return out
+    tx = lift_dense(KSpaceArray(cfg.gamma, xv), cfg)
+    return lam * theta_ind * xv + lift_adjoint(tx @ wm, cfg)
 
 
 def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
@@ -273,15 +262,14 @@ def giraf_solve(
         lam_max = float(eigenvalues[-1])
         if eps is None:
             scale = lam_max if lam_max > 0 else 1.0
-            eps = cfg.eps0_factor * scale
-            eps_min = cfg.eps_min_factor * scale
-        filters = sqrt_weight_filters(eigenvalues, vectors, eps, cfg.p)
+            eps = EPS0_FACTOR * scale
+            eps_min = EPS_MIN_FACTOR * scale
+        wm = weight_matrix(eigenvalues, vectors, eps, cfg.p)
         if cfg.operator == APPROXIMATE:
-            mask_fn = mask_from_filters(filters, lifting)
+            mask_fn = mask_from_filters(wm, lifting)
             op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, theta_ind)
         else:
-            spectra = filter_spectra(filters, lifting)
-            op = lambda v: normal_apply_exact(v, spectra, lifting, cfg.lam, theta_ind)
+            op = lambda v: normal_apply_exact(v, wm, lifting, cfg.lam, theta_ind)
         t3 = time.perf_counter()
         x_new, cg_info = cg_solve(op, rhs, x, cfg.cg_tol, cfg.cg_max)
         t4 = time.perf_counter()

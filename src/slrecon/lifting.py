@@ -7,7 +7,7 @@ the filter, and ``lambda2`` is the valid output set.  With gradient weighting
 the matrix stacks the k1-weighted block on top of the k2-weighted block.
 
 Both realizations live here: ``lift_dense`` materializes the matrix entry by
-entry (the oracle), while ``apply_filter`` / ``adjoint_apply`` /
+entry (the oracle) and ``lift_adjoint`` is its adjoint, while ``apply_filter`` / ``adjoint_apply`` /
 ``gram_matrix`` evaluate the same maps implicitly with circular FFTs on a
 grid just large enough that the restricted outputs are alias-free.  A
 ``LiftingConfig`` is validated once, at construction; the arrays derived
@@ -229,6 +229,28 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     blocks = [np.where(inside, (w * x.values).ravel().take(flat, mode="clip"), 0.0)
               for w in cfg.multipliers]
     return np.concatenate(blocks, axis=0)
+
+
+def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
+
+    Every lifted entry is summed onto the gamma sample it reads (one
+    bincount per real/imaginary part and block), then weighted by that
+    block's real multiplier.
+    """
+    X = np.asarray(X)
+    if X.shape != cfg.lifted_shape:
+        raise ValueError(f"lifted matrix shape {X.shape} does not match config")
+    inside, flat = cfg.lift_geometry
+    flat_in = flat[inside]
+    size = cfg.gamma.extents[0] * cfg.gamma.extents[1]
+    out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
+    for b, w in enumerate(cfg.multipliers):
+        xb = X[b * cfg.n_out : (b + 1) * cfg.n_out][inside]
+        re = np.bincount(flat_in, weights=xb.real, minlength=size)
+        im = np.bincount(flat_in, weights=xb.imag, minlength=size)
+        out += w * (re + 1j * im).reshape(cfg.gamma.extents)
+    return out
 
 
 def filter_spectra(filters: np.ndarray, cfg: LiftingConfig) -> np.ndarray:

@@ -114,7 +114,7 @@ class TestSVT:
         b = sample_kspace(truth, mask)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(21, 1), "identity")
         rec, rep = svt_solve(b, mask, lifting,
-                             SVTConfig(threshold=3e-2, max_iter=200, tol=0.0),
+                             SVTConfig(threshold=3e-2, max_iter=200),
                              reference=truth)
         assert rep.final_mse < 1e-4
 

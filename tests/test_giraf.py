@@ -7,10 +7,12 @@ from slrecon.grid import IndexSet2D
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
+    adjoint_apply,
+    apply_filter,
     embed,
-    filter_spectra,
     gather,
     gram_matrix,
+    lift_adjoint,
     lift_dense,
 )
 from slrecon.baselines import zero_fill
@@ -22,12 +24,12 @@ from slrecon.giraf import (
     normal_apply_approx,
     normal_apply_exact,
     schatten_penalty,
-    sqrt_weight_filters,
+    weight_matrix,
     _spectral_weights,
 )
 from slrecon.phantom import dirac_fourier, make_mask, sample_kspace
 
-from conftest import random_kspace
+from conftest import lifting_configs, random_kspace
 
 
 def rel_err(a, b):
@@ -52,7 +54,7 @@ class TestSchattenPenalty:
 def weight_mask(gram, eps, p, cfg):
     """Annihilating mask of the IRLS weights of a Gram matrix."""
     w, vecs = np.linalg.eigh(gram)
-    return mask_from_filters(sqrt_weight_filters(w, vecs, eps, p), cfg)
+    return mask_from_filters(weight_matrix(w, vecs, eps, p), cfg)
 
 
 def per_filter_mask(filters, cfg):
@@ -75,19 +77,21 @@ def zero_sum_filter(n, seed):
 
 
 @st.composite
-def weighted_banks(draw):
-    """IRLS filter banks over odd/even filter extents, 1-D grids, padded grids
-    and both weightings; optionally with one extra zero-sum filter."""
-    g1 = draw(st.integers(2, 14))
-    g2 = draw(st.sampled_from([1, draw(st.integers(2, 14))]))
-    f1, f2 = draw(st.integers(1, g1)), draw(st.integers(1, g2))
-    weighting = draw(st.sampled_from(["identity", "gradient"]))
-    gamma = IndexSet2D.rect(g1, g2)
-    cfg = LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2), weighting, pad=draw(st.integers(0, 3)))
-    g = gram_matrix(random_kspace(gamma, draw(st.integers(0, 2**16))), cfg)
+def irls_weights(draw):
+    """Gram eigen-decomposition of random data with a smoothing level and p."""
+    cfg = draw(lifting_configs())
+    g = gram_matrix(random_kspace(cfg.gamma, draw(st.integers(0, 2**16))), cfg)
     w, vecs = np.linalg.eigh(g)
     eps = draw(st.sampled_from([1e-6, 1e-2, 1.0])) * max(w[-1], 1.0)
-    filters = sqrt_weight_filters(w, vecs, eps, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return w, vecs, eps, draw(st.sampled_from([0.0, 0.5, 1.0])), cfg
+
+
+@st.composite
+def weighted_banks(draw):
+    """IRLS square-root filter banks F = V diag(alpha)^(1/2) over the
+    liftings above; optionally with one extra zero-sum filter."""
+    w, vecs, eps, p, cfg = draw(irls_weights())
+    filters = vecs * np.sqrt(_spectral_weights(w, eps, p))
     if cfg.n_filter > 1 and draw(st.booleans()):
         filters = np.hstack([filters, zero_sum_filter(cfg.n_filter, draw(st.integers(0, 2**16)))])
     return filters, cfg
@@ -98,7 +102,7 @@ class TestLagDomainMask:
     @given(weighted_banks())
     def test_matches_per_filter_oracle(self, bank):
         filters, cfg = bank
-        mask = mask_from_filters(filters, cfg)
+        mask = mask_from_filters(filters @ filters.conj().T, cfg)
         oracle = per_filter_mask(filters, cfg)
         assert np.abs(mask.values - oracle).max() <= 1e-13 * oracle.max()
 
@@ -110,10 +114,23 @@ class TestLagDomainMask:
         pair = np.zeros((cfg.n_filter, 1))
         pair[0], pair[-1] = 1.0, -1.0
         for filters in [pair] + [zero_sum_filter(cfg.n_filter, seed) for seed in range(20)]:
-            mask = mask_from_filters(filters, cfg)
+            mask = mask_from_filters(filters @ filters.conj().T, cfg)
             oracle = per_filter_mask(filters, cfg)
             assert mask.values.min() >= 0.0
             assert np.abs(mask.values - oracle).max() <= 1e-13 * oracle.max()
+
+
+class TestWeightMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(irls_weights())
+    def test_is_product_of_square_root_bank(self, weights):
+        w, vecs, eps, p, _ = weights
+        bank = vecs * np.sqrt(_spectral_weights(w, eps, p))
+        assert rel_err(weight_matrix(w, vecs, eps, p), bank @ bank.conj().T) <= 1e-12
+
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            weight_matrix(np.ones(2), np.eye(2), 0.0, 1.0)
 
 
 def dft_matrix(n):
@@ -160,8 +177,8 @@ class TestWeightUpdate:
         bank = vecs * np.sqrt(alpha)
         rng = np.random.default_rng(7)
         q = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))[0]
-        m1 = mask_from_filters(bank, cfg)
-        m2 = mask_from_filters(bank @ q, cfg)
+        m1 = mask_from_filters(bank @ bank.conj().T, cfg)
+        m2 = mask_from_filters((bank @ q) @ (bank @ q).conj().T, cfg)
         assert m1.values.min() >= 0.0
         assert np.abs(m1.values - m2.values).max() < 1e-10 * m1.values.max()
 
@@ -245,7 +262,7 @@ class TestNormalOperators:
         x = random_kspace(gamma, 19)
         g = gram_matrix(x, cfg)
         w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
-        filters = sqrt_weight_filters(w, vecs, 1e-2 * w[-1], 0.0)
+        filters = vecs * np.sqrt(_spectral_weights(w, 1e-2 * w[-1], 0.0))
         smask = make_mask(gamma, "uniform", 2.0, seed=5)
         lam = 0.7
         theta = smask.indicator()
@@ -258,7 +275,7 @@ class TestNormalOperators:
                 e[c] = 1.0
                 li[:, c] = lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg) @ filters[:, i]
             r_dense += li.conj().T @ li
-        out = normal_apply_exact(x.values, filter_spectra(filters, cfg), cfg, lam, theta)
+        out = normal_apply_exact(x.values, weight_matrix(w, vecs, 1e-2 * w[-1], 0.0), cfg, lam, theta)
         expect = (r_dense @ x.values.ravel()).reshape(gamma.extents)
         assert rel_err(out, expect) < 1e-9
 
@@ -268,11 +285,31 @@ class TestNormalOperators:
         h = np.zeros((9, 1), dtype=complex)
         h[4, 0] = 1.0
         x = random_kspace(gamma, 23)
-        out = normal_apply_exact(x.values, filter_spectra(h, cfg), cfg, 0.0, np.zeros(gamma.extents))
+        out = normal_apply_exact(x.values, h @ h.conj().T, cfg, 0.0, np.zeros(gamma.extents))
         window = np.zeros(gamma.extents)
         rel = cfg.lambda2.indices - gamma.kmin
         window[rel[:, 0], rel[:, 1]] = 1.0
         assert rel_err(out, window * x.values) < 1e-12
+
+
+class TestExactOperatorOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_banks(), st.integers(0, 2**16), st.sampled_from([0.0, 0.7]))
+    def test_matches_per_filter_fft_oracle(self, bank, seed, lam):
+        filters, cfg = bank
+        x = random_kspace(cfg.gamma, seed)
+        theta = (np.random.default_rng([seed, 1]).random(cfg.gamma.extents) < 0.5).astype(float)
+        wm = filters @ filters.conj().T
+        out = normal_apply_exact(x.values, wm, cfg, lam, theta)
+        expect = lam * theta * x.values
+        for f in filters.T:
+            expect = expect + adjoint_apply(apply_filter(x, f, cfg), f, cfg).values
+        # relative to a bound on the operator's norm: T^*T is diagonal with
+        # entries at most N max|w|^2, and T(x) may vanish (or nearly so) while
+        # the FFT oracle still rounds at the scale of x
+        lift_sq = cfg.n_filter * max(np.abs(w).max() ** 2 for w in cfg.multipliers)
+        scale = (lam + lift_sq * np.linalg.norm(wm, 2)) * np.linalg.norm(x.values)
+        assert np.linalg.norm(out - expect) <= 1e-12 * scale
 
 
 class TestCG:
@@ -344,17 +381,13 @@ def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
     w, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     eps = eps0_factor * w[-1]
     alpha = (np.maximum(w, 0.0) + eps) ** (p / 2.0 - 1.0)
-    filters = vecs * np.sqrt(alpha)
-    # dense lifting tensor, one matrix per filter
+    wm = (vecs * alpha) @ vecs.conj().T
+    # dense normal matrix R[a, b] = <T(e_a), T(e_b) W> from the lifted basis
+    basis = np.stack([lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg_lift)
+                      for e in np.eye(m)])
     theta = mask.indicator().ravel()
     r_dense = lam * np.diag(theta).astype(complex)
-    for i in range(filters.shape[1]):
-        li = np.zeros((cfg_lift.lifted_shape[0], m), dtype=complex)
-        for c in range(m):
-            e = np.zeros(m)
-            e[c] = 1.0
-            li[:, c] = lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg_lift) @ filters[:, i]
-        r_dense += li.conj().T @ li
+    r_dense += basis.conj().reshape(m, -1) @ (basis @ wm).reshape(m, -1).T
     rhs = lam * x0.ravel()
     return np.linalg.solve(r_dense, rhs).reshape(gamma.extents)
 
@@ -387,7 +420,7 @@ class TestGirafSolve:
         lam, p = 10.0, 1.0
         dense = brute_force_irls_iteration(b, mask, lifting, p, lam, 1e-2)
         cfg = IRLSConfig(p=p, lam=lam, operator=operator, max_outer=1,
-                         cg_tol=1e-13, cg_max=5000, eps0_factor=1e-2)
+                         cg_tol=1e-13, cg_max=5000)
         rec, rep = giraf_solve(b, mask, lifting, cfg)
         tol = 1e-6 if operator == "exact" else 0.2
         assert rel_err(rec.values, dense) < tol
@@ -413,9 +446,9 @@ class TestGirafSolve:
         b = sample_kspace(truth, mask)
         p, c = 0.5, 2.0
         base = IRLSConfig(p=p, lam=10.0, max_outer=2, cg_tol=1e-13, cg_max=4000,
-                          eps0_factor=1e-2, convergence_tol=1e-13)
+                          convergence_tol=1e-13)
         scaled = IRLSConfig(p=p, lam=10.0 * c ** (p - 2), max_outer=2, cg_tol=1e-13,
-                            cg_max=4000, eps0_factor=1e-2, convergence_tol=1e-13)
+                            cg_max=4000, convergence_tol=1e-13)
         rec1, _ = giraf_solve(b, mask, lifting, base)
         rec2, _ = giraf_solve(c * b, mask, lifting, scaled)
         assert rel_err(rec2.values, c * rec1.values) < 1e-8

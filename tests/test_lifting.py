@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrecon.grid import GridShape, IndexSet2D
 from slrecon.lifting import (
@@ -9,10 +11,11 @@ from slrecon.lifting import (
     adjoint_apply,
     apply_filter,
     gram_matrix,
+    lift_adjoint,
     lift_dense,
 )
 
-from conftest import conv_oracle, random_kspace
+from conftest import conv_oracle, lifting_configs, random_kspace
 
 
 def rel_err(a, b):
@@ -96,6 +99,24 @@ class TestLiftDense:
         x = random_kspace(IndexSet2D.rect(4, 4), 0)
         with pytest.raises(ValueError):
             lift_dense(x, cfg)
+
+
+class TestLiftAdjoint:
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_inner_product_identity(self, cfg, seed):
+        rng = np.random.default_rng([seed, 1])
+        x = random_kspace(cfg.gamma, seed)
+        big_x = rng.standard_normal(cfg.lifted_shape) + 1j * rng.standard_normal(cfg.lifted_shape)
+        tx = lift_dense(x, cfg)
+        lhs = np.vdot(big_x, tx)
+        rhs = np.vdot(lift_adjoint(big_x, cfg), x.values)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(big_x) * np.linalg.norm(tx)
+
+    def test_shape_mismatch_raises(self):
+        cfg = LiftingConfig.make(IndexSet2D.rect(5, 5), IndexSet2D.rect(3, 3))
+        with pytest.raises(ValueError, match="does not match"):
+            lift_adjoint(np.zeros((4, 9)), cfg)
 
 
 class TestApply:
