@@ -14,12 +14,12 @@ import scipy.fft
 _RAW_WORKERS = os.environ.get("SLRECON_THREADS", "1")
 if not _RAW_WORKERS.strip().isdecimal() or int(_RAW_WORKERS) < 1:
     raise ValueError(f"SLRECON_THREADS must be a positive integer, got {_RAW_WORKERS!r}")
-_WORKERS = int(_RAW_WORKERS)
+WORKERS = int(_RAW_WORKERS)
 
 
 def fft2(a):
-    return scipy.fft.fft2(a, workers=_WORKERS)
+    return scipy.fft.fft2(a, workers=WORKERS)
 
 
 def ifft2(a):
-    return scipy.fft.ifft2(a, workers=_WORKERS)
+    return scipy.fft.ifft2(a, workers=WORKERS)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D
+from .grid import GridShape
 from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
@@ -50,8 +50,8 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     are returned as zero and flagged.
     """
     numer = lift_adjoint(X, cfg)
-    inside, flat = cfg.lift_geometry
-    refs = np.bincount(flat[inside], minlength=numer.size).reshape(numer.shape)
+    counts = np.bincount(cfg.lift_geometry.ravel(), minlength=cfg.fft_grid.size)
+    refs = gather(counts.reshape(cfg.fft_grid.as_tuple()), cfg.gamma)
     denom = refs * sum(w**2 for w in cfg.multipliers)
     # zero weight sum: either all-zero weights (DC under gradient weighting)
     # or an index the matrix never references (asymmetric filter supports)
@@ -151,7 +151,6 @@ def _div(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 def tv_solve(
     b: np.ndarray,
     mask: SamplingMask,
-    gamma: IndexSet2D,
     weight: float = 1e3,
     iters: int = 300,
 ) -> KSpaceArray:
@@ -164,8 +163,7 @@ def tv_solve(
     """
     if weight <= 0:
         raise ValueError("weight must be positive")
-    if gamma != mask.gamma:
-        raise ValueError("gamma disagrees with the mask")
+    gamma = mask.gamma
     shape = GridShape(*gamma.extents)
     ntot = shape.size
     # k-space arrays store coefficients of the trig-polynomial image

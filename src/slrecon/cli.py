@@ -3,19 +3,22 @@ and theory validation, all reproducible from an emitted manifest.
 
 Every run writes ``manifest.json`` echoing the fully resolved parameters;
 ``slrecon rerun manifest.json --out DIR`` replays it bit-exactly (timings
-aside).  Exit codes: 0 success, 1 invariant failure, 2 usage error.
+aside).  Exit codes: 0 success, 1 invariant failure, 2 usage error
+(including unreadable or malformed input files).
 """
 
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import fileio
+from . import _fft, fileio
 from .analysis import (
     incoherence,
     numerical_rank,
@@ -26,7 +29,7 @@ from .analysis import (
 )
 from .baselines import SVTConfig, svt_solve, tv_solve, zero_fill
 from .giraf import IRLSConfig, giraf_solve
-from .grid import IndexSet2D, predicted_rank
+from .grid import IndexSet2D, json_field, predicted_rank
 from .lifting import LiftingConfig, lift_dense
 from .phantom import (
     Phantom,
@@ -58,6 +61,10 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
         "command": command,
         "params": {k: v for k, v in params.items() if k != "out"},
         "outputs": outputs,
+        # provenance only: rerun replays params and ignores this
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "platform": platform.platform(),
+                        "SLRECON_THREADS": _fft.WORKERS},
     })
 
 
@@ -111,7 +118,7 @@ def cmd_recover(params: dict) -> int:
     if solver == "zerofill":
         rec = zero_fill(b, mask)
     elif solver == "tv":
-        rec = tv_solve(b, mask, gamma, weight=params["tv_weight"], iters=params["tv_iters"])
+        rec = tv_solve(b, mask, weight=params["tv_weight"], iters=params["tv_iters"])
     else:
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(*params["filter"]),
                                      params["weighting"])
@@ -296,8 +303,10 @@ def cmd_validate(params: dict) -> int:
 
 def cmd_rerun(params: dict) -> int:
     manifest = fileio.read_json(params["manifest"])
-    command = manifest["command"]
-    replay = dict(manifest["params"])
+    command = json_field(manifest, "command", str, "manifest")
+    if command not in DISPATCH:
+        raise ValueError(f"manifest names unknown command {command!r}")
+    replay = dict(json_field(manifest, "params", dict, "manifest"))
     replay["out"] = params["out"]
     return DISPATCH[command](replay)
 
@@ -389,8 +398,6 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     params = vars(ns)
     command = params.pop("command")
-    if command == "rerun":
-        return cmd_rerun(params)
     # normalize possibly-tuple params to lists for JSON round-tripping
     for key, val in list(params.items()):
         if isinstance(val, tuple):
@@ -398,8 +405,8 @@ def main(argv=None) -> int:
         elif isinstance(val, list) and val and isinstance(val[0], tuple):
             params[key] = [list(v) for v in val]
     try:
-        return DISPATCH[command](params)
-    except ValueError as exc:
+        return (cmd_rerun if command == "rerun" else DISPATCH[command])(params)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,13 +138,14 @@ class IndexSet2D:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IndexSet2D":
-        if d["kind"] == "rect":
-            e1, e2 = d["extents"]
+        kind = json_field(d, "kind", str, "index set")
+        if kind == "rect":
+            e1, e2 = json_field(d, "extents", list, "index set")
             off = tuple(d.get("offset", (0, 0)))
             return cls.rect(e1, e2, offset=off)
-        if d["kind"] == "list":
-            return cls.from_indices(d["elements"])
-        raise ValueError(f"unknown index-set kind {d.get('kind')!r}")
+        if kind == "list":
+            return cls.from_indices(json_field(d, "elements", list, "index set"))
+        raise ValueError(f"unknown index-set kind {kind!r}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -152,6 +153,16 @@ class IndexSet2D:
     @classmethod
     def from_json(cls, s: str) -> "IndexSet2D":
         return cls.from_json_dict(json.loads(s))
+
+
+def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
+    """``d[key]`` of parsed JSON; ValueError naming the field if ``d`` is not
+    an object or the field is missing or not of type ``kind``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{owner} must be a JSON object, got {type(d).__name__}")
+    if not isinstance(d.get(key), kind):
+        raise ValueError(f"{owner} field {key!r} is missing or ill-typed")
+    return d[key]
 
 
 def _box(lo, hi) -> IndexSet2D:

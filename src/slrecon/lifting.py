@@ -6,13 +6,14 @@ plain (non-circular) discrete convolution of the gamma-supported data with
 the filter, and ``lambda2`` is the valid output set.  With gradient weighting
 the matrix stacks the k1-weighted block on top of the k2-weighted block.
 
-Both realizations live here: ``lift_dense`` materializes the matrix entry by
-entry (the oracle) and ``lift_adjoint`` is its adjoint, while ``apply_filter`` / ``adjoint_apply`` /
-``gram_matrix`` evaluate the same maps implicitly with circular FFTs on a
-grid just large enough that the restricted outputs are alias-free.  A
-``LiftingConfig`` is validated once, at construction; the arrays derived
-from its geometry are computed on first use and cached read-only, so no
-per-call map re-checks or re-derives them.
+The read rule, entry (l, k) holds the sample at index l - k, is written once,
+as a sliding-window view of the data on an FFT grid just large enough that
+the restricted outputs are alias-free: ``lift_dense``, its adjoint
+``lift_adjoint`` and ``gram_matrix`` read through it.  ``apply_filter`` /
+``adjoint_apply`` evaluate the same maps with circular FFTs on that grid and
+are the view's independent oracle.  A ``LiftingConfig`` is validated once, at
+construction; the arrays derived from its geometry are computed on first use
+and cached read-only, so no per-call map re-checks or re-derives them.
 
 For symmetric (odd-extent) filter supports every matrix entry is an actual
 weighted sample.  Asymmetric supports are allowed, but the requirement
@@ -179,38 +180,33 @@ class LiftingConfig:
         return (self.weighting.nblocks * self.n_out, self.n_filter)
 
     @cached_property
-    def multipliers(self) -> tuple[np.ndarray, ...]:
-        """Per-block real weighting arrays shaped like the gamma rectangle."""
+    def multipliers(self) -> np.ndarray:
+        """Per-block real weightings, stacked as (nblocks, *gamma.extents)."""
         if self.weighting.kind == IDENTITY:
-            return _read_only(np.ones(self.gamma.extents))
+            return _read_only(np.ones((1, *self.gamma.extents)))
         r1, r2 = self.gamma.axis_ranges()
-        return _read_only(*np.meshgrid(r1.astype(float), r2.astype(float), indexing="ij"))
+        return _read_only(np.stack(np.meshgrid(r1.astype(float), r2.astype(float), indexing="ij")))
 
     @cached_property
-    def window(self) -> np.ndarray:
-        """Indicator of lambda2 on the FFT grid."""
-        window = embed(np.ones(self.lambda2.extents), self.lambda2, self.fft_grid).real
-        window.setflags(write=False)
-        return window
-
-    @cached_property
-    def lift_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which gamma sample each lifted-matrix position reads.
-
-        Position (l, k) of every block reads index l - k.  Holds the
-        (|lambda2|, N) mask of positions inside gamma and their row-major
-        flat offsets into the gamma rectangle (meaningless where outside).
-        """
-        rel = self.lambda2.indices[:, None, :] - self.lambda1.indices[None, :, :] - self.gamma.kmin
-        e1, e2 = self.gamma.extents
-        inside = (rel[..., 0] >= 0) & (rel[..., 0] < e1) & (rel[..., 1] >= 0) & (rel[..., 1] < e2)
-        return _read_only(inside, rel[..., 0] * e2 + rel[..., 1])
+    def lift_geometry(self) -> np.ndarray:
+        """(|lambda2|, N) flat FFT-grid offsets: position (l, k) of every block
+        reads index l - k, a cell an embedding leaves zero if outside gamma."""
+        cells = np.arange(self.fft_grid.size).reshape(self.fft_grid.as_tuple())
+        return _read_only(_windows(cells, self).reshape(self.n_out, -1).copy())
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+def _windows(g: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """View of FFT-grid arrays with [..., m1, m2, k1, k2] at index lambda2[m] -
+    lambda1[k]; the roll makes every index read contiguous, and the alias-free
+    grid holds them injectively.  Leading axes are kept."""
+    g = np.roll(g, cfg.lambda1.kmax - cfg.lambda2.kmin, axis=(-2, -1))
+    view = np.lib.stride_tricks.sliding_window_view(g, cfg.lambda1.extents, axis=(-2, -1))
+    return view[..., : cfg.lambda2.extents[0], : cfg.lambda2.extents[1], ::-1, ::-1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _check_input(x: KSpaceArray, cfg: LiftingConfig):
@@ -225,31 +221,28 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     zero when l - k falls outside gamma.
     """
     _check_input(x, cfg)
-    inside, flat = cfg.lift_geometry
-    blocks = [np.where(inside, (w * x.values).ravel().take(flat, mode="clip"), 0.0)
-              for w in cfg.multipliers]
-    return np.concatenate(blocks, axis=0)
+    g = embed(cfg.multipliers * x.values, cfg.gamma, cfg.fft_grid)
+    lifted = np.take(g.reshape(len(g), -1), cfg.lift_geometry, axis=1)
+    return lifted.reshape(cfg.lifted_shape)
 
 
 def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
 
-    Every lifted entry is summed onto the gamma sample it reads (one
-    bincount per real/imaginary part and block), then weighted by that
-    block's real multiplier.
+    Every lifted entry is summed onto the grid cell it reads (one bincount
+    per real/imaginary part and block), gathered onto gamma, then weighted
+    by that block's real multiplier.
     """
     X = np.asarray(X)
     if X.shape != cfg.lifted_shape:
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
-    inside, flat = cfg.lift_geometry
-    flat_in = flat[inside]
-    size = cfg.gamma.extents[0] * cfg.gamma.extents[1]
+    flat = cfg.lift_geometry.ravel()
+    grid = cfg.fft_grid
     out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
-    for b, w in enumerate(cfg.multipliers):
-        xb = X[b * cfg.n_out : (b + 1) * cfg.n_out][inside]
-        re = np.bincount(flat_in, weights=xb.real, minlength=size)
-        im = np.bincount(flat_in, weights=xb.imag, minlength=size)
-        out += w * (re + 1j * im).reshape(cfg.gamma.extents)
+    for xb, w in zip(X.reshape(len(cfg.multipliers), -1), cfg.multipliers):
+        re = np.bincount(flat, weights=xb.real, minlength=grid.size)
+        im = np.bincount(flat, weights=xb.imag, minlength=grid.size)
+        out += w * gather((re + 1j * im).reshape(grid.as_tuple()), cfg.gamma)
     return out
 
 
@@ -300,27 +293,16 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
 def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Hermitian N x N Gram of the lifting, T(x)^H T(x).
 
-    One Gram row per filter index is a windowed correlation of the weighted
-    data (2 FFTs per row), which is exact: the lambda2 window enters as an
-    explicit indicator mask rather than through the circular approximation.
-    The result is symmetrised, so it is exactly Hermitian.
+    Summed one lambda2 row at a time over the window view of the weighted
+    data, so the lifted matrix is never held whole.  The result is
+    symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
-    n = cfg.n_filter
-    shape = cfg.fft_grid.as_tuple()
-    gram = np.zeros((n, n), dtype=np.complex128)
-    l1 = cfg.lambda1.indices
-    pos1 = l1[:, 0] % shape[0]
-    pos2 = l1[:, 1] % shape[1]
-    for w in cfg.multipliers:
-        y = embed(w * x.values, cfg.gamma, cfg.fft_grid)
-        yrev = np.roll(y[::-1, ::-1], 1, axis=(0, 1))  # y reversed: yrev[t] = y[-t]
-        yrev_hat = fft2(yrev)
-        yconj = np.conj(y)
-        for row, (k1, k2) in enumerate(l1):
-            z = cfg.window * np.roll(yconj, (int(k1), int(k2)), axis=(0, 1))
-            corr = ifft2(fft2(z) * yrev_hat)
-            gram[row] += corr[pos1, pos2]
+    gram = np.zeros((cfg.n_filter, cfg.n_filter), dtype=np.complex128)
+    for block in _windows(embed(cfg.multipliers * x.values, cfg.gamma, cfg.fft_grid), cfg):
+        for row in block:  # one lambda2 row of T(x): (o2, N)
+            t = row.reshape(-1, cfg.n_filter)
+            gram += t.conj().T @ t
     return 0.5 * (gram + gram.conj().T)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D
+from .grid import GridShape, IndexSet2D, json_field
 from .lifting import KSpaceArray, embed, gather
 
 
@@ -219,11 +219,11 @@ class SamplingMask:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SamplingMask":
         return cls(
-            gamma=IndexSet2D.from_json_dict(d["gamma"]),
-            theta=IndexSet2D.from_indices(d["indices"]),
-            scheme=d["scheme"],
-            seed=d["seed"],
-            acceleration=d["acceleration"],
+            gamma=IndexSet2D.from_json_dict(json_field(d, "gamma", dict, "mask")),
+            theta=IndexSet2D.from_indices(json_field(d, "indices", list, "mask")),
+            scheme=json_field(d, "scheme", str, "mask"),
+            seed=json_field(d, "seed", int, "mask"),
+            acceleration=json_field(d, "acceleration", (int, float), "mask"),
             sigma=d.get("sigma"),
         )
 

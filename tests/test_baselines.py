@@ -169,7 +169,7 @@ class TestTV:
         b = sample_kspace(self.truth, mask)
         misfits = []
         for weight in (1e0, 1e2, 1e6):
-            rec = tv_solve(b, mask, self.gamma, weight=weight, iters=1500)
+            rec = tv_solve(b, mask, weight=weight, iters=1500)
             misfits.append(rel_err(sample_kspace(rec, mask), b))
         assert misfits[0] > misfits[1] > misfits[2]
         assert misfits[2] < 2e-3
@@ -181,19 +181,19 @@ class TestTV:
         truth = phantom_fourier(Phantom(edge, (0.8, 0.0), oversample=8), self.gamma)
         mask = make_mask(self.gamma, "uniform", 1.0, seed=0)
         b = sample_kspace(truth, mask)
-        rec = tv_solve(b, mask, self.gamma, weight=1e5, iters=400)
+        rec = tv_solve(b, mask, weight=1e5, iters=400)
         assert snr_db(rec, truth) > 40.0
 
     def test_undersampled_beats_zero_fill(self):
         mask = make_mask(self.gamma, "uniform", 2.0, seed=2)
         b = sample_kspace(self.truth, mask)
-        rec = tv_solve(b, mask, self.gamma, weight=1e3, iters=300)
+        rec = tv_solve(b, mask, weight=1e3, iters=300)
         zf = zero_fill(b, mask)
         assert snr_db(rec, self.truth) > snr_db(zf, self.truth) + 3.0
 
     def test_deterministic(self):
         mask = make_mask(self.gamma, "uniform", 2.0, seed=3)
         b = sample_kspace(self.truth, mask)
-        r1 = tv_solve(b, mask, self.gamma, weight=100.0, iters=50)
-        r2 = tv_solve(b, mask, self.gamma, weight=100.0, iters=50)
+        r1 = tv_solve(b, mask, weight=100.0, iters=50)
+        r2 = tv_solve(b, mask, weight=100.0, iters=50)
         assert np.array_equal(r1.values, r2.values)

@@ -43,6 +43,12 @@ class TestPhantomCmd:
         assert code == 0
         assert (out2 / "phantom.ksar").read_bytes() == (phantom_dir / "phantom.ksar").read_bytes()
 
+    def test_manifest_records_environment(self, phantom_dir):
+        env = fileio.read_json(phantom_dir / "manifest.json")["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "platform", "SLRECON_THREADS"}
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["SLRECON_THREADS"], int) and env["SLRECON_THREADS"] >= 1
+
     def test_same_seed_same_bytes(self, phantom_dir, tmp_path):
         out2 = tmp_path / "again"
         run(["phantom", "--lambda0", "3x3", "--grid", "33x33", "--seed", "7", "--out", out2])
@@ -104,6 +110,43 @@ class TestRecoverCmd:
         m1 = fileio.read_json(out1 / "mask.json")
         m2 = fileio.read_json(out2 / "mask.json")
         assert m1 == m2
+
+
+class TestBadInput:
+    """Malformed or missing input files exit 2 with a message naming the problem."""
+
+    def _mask_file(self, tmp_path, edit):
+        from slrecon.grid import IndexSet2D
+        from slrecon.phantom import make_mask
+
+        d = make_mask(IndexSet2D.rect(33, 33), "uniform", 2.0, seed=0).to_json_dict()
+        path = tmp_path / "mask.json"
+        path.write_text(json.dumps(edit(d)))
+        return path
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda d: {k: v for k, v in d.items() if k != "seed"}, "'seed'"),
+        (lambda d: [d], "JSON object"),
+        (lambda d: {**d, "gamma": {"extents": [33, 33]}}, "'kind'"),
+    ], ids=["no-seed", "list", "gamma-no-kind"])
+    def test_malformed_mask(self, phantom_dir, tmp_path, capsys, edit, needle):
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
+                    "--mask", self._mask_file(tmp_path, edit), "--out", tmp_path / "out"])
+        assert code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_missing_kspace_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ksar"
+        code = run(["recover", "--kspace", missing, "--solver", "zerofill",
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert "absent.ksar" in capsys.readouterr().err
+
+    def test_manifest_without_command(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"params": {}}))
+        assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
+        assert "'command'" in capsys.readouterr().err
 
 
 class TestValidateCmd:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrecon.grid import GridShape, IndexSet2D
+from slrecon.grid import GridShape, IndexSet2D, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
@@ -94,6 +96,22 @@ class TestLiftDense:
         resid = np.linalg.norm(t @ mu)
         assert resid < 1e-10 * np.linalg.norm(t) * np.linalg.norm(mu)
 
+    @pytest.mark.parametrize("weighting", ["identity", "gradient"])
+    def test_off_centre_filter_matches_conv_oracle(self, weighting):
+        # lambda1 shifted off the origin: lambda2 and the grid shift with it,
+        # and the boundary rows read indices outside gamma
+        gamma = IndexSet2D.rect(9, 8)
+        lam1 = IndexSet2D.rect(4, 3, offset=(2, -1))
+        lam2 = valid_output_set(gamma, lam1)
+        # reads span k1 in -7..4 and k2 in -4..5; one extra row of padding
+        cfg = LiftingConfig(gamma, lam1, lam2, Weighting(weighting), GridShape(13, 10))
+        x = random_kspace(gamma, 61)
+        t = lift_dense(x, cfg)
+        blocks = [KSpaceArray(gamma, w * x.values) for w in cfg.multipliers]
+        for h in np.random.default_rng(67).standard_normal((5, cfg.n_filter)):
+            oracle = np.concatenate([conv_oracle(xb, h, lam1, lam2) for xb in blocks])
+            assert rel_err(t @ h, oracle) < 1e-12
+
     def test_shape_mismatch_raises(self):
         cfg = LiftingConfig.make(IndexSet2D.rect(5, 5), IndexSet2D.rect(3, 3))
         x = random_kspace(IndexSet2D.rect(4, 4), 0)
@@ -175,8 +193,6 @@ class TestApply:
     def test_too_small_grid_raises(self):
         gamma = IndexSet2D.rect(12, 1)
         lam1 = IndexSet2D.rect(4, 1)
-        from slrecon.grid import valid_output_set
-
         with pytest.raises(ValueError, match="alias-free"):
             LiftingConfig(gamma, lam1, valid_output_set(gamma, lam1),
                           Weighting("identity"), GridShape(12, 1))
@@ -189,14 +205,9 @@ class TestConfigInvariants:
         gamma = IndexSet2D.rect(9, 8)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting, pad=pad)
         assert cfg.multipliers is cfg.multipliers
-        assert cfg.window is cfg.window
         assert cfg.lift_geometry is cfg.lift_geometry
         assert len(cfg.multipliers) == cfg.weighting.nblocks
-        window = np.zeros(cfg.fft_grid.as_tuple())
-        rel = cfg.lambda2.indices
-        window[rel[:, 0] % window.shape[0], rel[:, 1] % window.shape[1]] = 1.0
-        assert np.array_equal(cfg.window, window)
-        for a in (*cfg.multipliers, cfg.window, *cfg.lift_geometry):
+        for a in (cfg.multipliers, cfg.lift_geometry):
             assert not a.flags.writeable
 
 
@@ -253,6 +264,30 @@ class TestGram:
         t = lift_dense(x, cfg)
         dense = t.conj().T @ t
         assert rel_err(fast, dense) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_matches_fft_oracle(self, cfg, seed):
+        # A[:, k] = T(x) e_k by FFT convolution; the tolerance is relative to
+        # a bound on ||T(x)||^2, since T(x) can be exactly zero (a 2x1 grid
+        # under gradient weighting) while the FFT rounds to ~1e-33
+        x = random_kspace(cfg.gamma, seed)
+        a = np.stack([apply_filter(x, e, cfg) for e in np.eye(cfg.n_filter)], axis=1)
+        bound = cfg.n_filter * np.abs(cfg.multipliers).max() ** 2 * x.norm() ** 2
+        assert np.abs(gram_matrix(x, cfg) - a.conj().T @ a).max() <= 1e-12 * bound
+
+    def test_never_holds_the_lifted_matrix(self):
+        gamma = IndexSet2D.rect(65, 65)
+        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
+        x = random_kspace(gamma, 71)
+        lifted_bytes = cfg.lifted_shape[0] * cfg.lifted_shape[1] * 16
+        tracemalloc.start()
+        try:
+            gram_matrix(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lifted_bytes / 4
 
     def test_hermitian_psd(self):
         gamma = IndexSet2D.rect(12, 12)
