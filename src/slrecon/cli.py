@@ -1,5 +1,5 @@
-"""Command-line entry points: phantom generation, recovery, benchmarking,
-and theory validation, all reproducible from an emitted manifest.
+"""Command-line entry points: phantom generation, recovery and theory
+validation, all reproducible from an emitted manifest.
 
 Every run writes ``manifest.json`` echoing the fully resolved parameters;
 ``slrecon rerun manifest.json --out DIR`` replays it bit-exactly (timings
@@ -165,49 +165,6 @@ def cmd_recover(params: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def cmd_bench(params: dict) -> int:
-    out = _outdir(params)
-    rows = []
-    mse_tol = params["mse_tol"]
-    for grid in params["grids"]:
-        gamma = IndexSet2D.rect(*grid)
-        edge = random_edge_polynomial(IndexSet2D.rect(*params["lambda0"]), seed=params["seed"])
-        truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=params["oversample"]), gamma)
-        mask = make_mask(gamma, "uniform", params["accel"], seed=params["seed"] + 1)
-        b = sample_kspace(truth, mask)
-        for filt in params["filters"]:
-            lifting = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), "gradient")
-            svt_cfg = SVTConfig(threshold=params["svt_threshold"], max_iter=params["svt_iters"])
-            xstar, _ = svt_solve(b, mask, lifting, svt_cfg)
-            _, svt_rep = svt_solve(b, mask, lifting, svt_cfg, reference=xstar)
-            giraf_cfg = IRLSConfig(p=1.0, lam=params["lam"], operator=params["operator"],
-                                   max_outer=params["giraf_iters"], cg_tol=params["cg_tol"],
-                                   cg_max=params["cg_max"], convergence_tol=1e-12)
-            _, giraf_rep = giraf_solve(b, mask, lifting, giraf_cfg, reference=xstar)
-            for name, rep in (("svt", svt_rep), ("giraf", giraf_rep)):
-                iters = rep.iterations_to_mse(mse_tol)
-                decomp = float(np.median([r.decomp_time for r in rep.iterations]))
-                total = sum(r.decomp_time + r.solve_time + r.gram_time + r.mask_time
-                            for r in rep.iterations)
-                rows.append({
-                    "algorithm": name,
-                    "grid": f"{grid[0]}x{grid[1]}",
-                    "filter": f"{filt[0]}x{filt[1]}",
-                    "iters_to_tol": iters if iters is not None else -1,
-                    "total_s": round(total, 4),
-                    "decomp_s_per_iter": round(decomp, 5),
-                })
-                print(rows[-1])
-    fileio.write_csv_rows(out / "bench.csv", rows)
-    _write_manifest(out, "bench", params, ["bench.csv"])
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
@@ -244,7 +201,7 @@ def cmd_validate(params: dict) -> int:
         m = len(gamma)
         levels = params.get("levels") or [max(1, r // 2), m // 4, m // 2, 3 * m // 4, m]
         res = phase_transition(edge, lam1, gamma, levels, trials=params["trials"],
-                               seed=params["seed"])
+                               seed=params["seed"], oversample=params["oversample"])
         rows = [
             {"samples": c, "success_fraction": f, "trials": res.trials}
             for c, f in zip(res.sample_counts, res.success_fractions)
@@ -314,7 +271,6 @@ def cmd_rerun(params: dict) -> int:
 DISPATCH = {
     "phantom": cmd_phantom,
     "recover": cmd_recover,
-    "bench": cmd_bench,
     "validate": cmd_validate,
 }
 
@@ -356,25 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tv-iters", dest="tv_iters", type=int, default=300)
     r.add_argument("--out", default="recover_out")
 
-    b = sub.add_parser("bench", help="iteration/timing comparison of svt and giraf")
-    b.add_argument("--grids", type=lambda s: [parse_extents(v) for v in s.split(",")],
-                   default=[(65, 65), (129, 129)])
-    b.add_argument("--filters", type=lambda s: [parse_extents(v) for v in s.split(",")],
-                   default=[(15, 15)])
-    b.add_argument("--lambda0", type=parse_extents, default=(3, 3))
-    b.add_argument("--accel", type=float, default=1.5)
-    b.add_argument("--seed", type=int, default=11)
-    b.add_argument("--oversample", type=int, default=8)
-    b.add_argument("--svt-iters", dest="svt_iters", type=int, default=50)
-    b.add_argument("--giraf-iters", dest="giraf_iters", type=int, default=10)
-    b.add_argument("--svt-threshold", dest="svt_threshold", type=float, default=3e-2)
-    b.add_argument("--lambda", dest="lam", type=float, default=1e8)
-    b.add_argument("--operator", choices=["approximate", "exact"], default="exact")
-    b.add_argument("--cg-tol", dest="cg_tol", type=float, default=1e-10)
-    b.add_argument("--cg-max", dest="cg_max", type=int, default=400)
-    b.add_argument("--mse-tol", dest="mse_tol", type=float, default=1e-4)
-    b.add_argument("--out", default="bench_out")
-
     v = sub.add_parser("validate", help="run a theory-validation suite")
     v.add_argument("suite", choices=["rank", "phase", "lemmas", "incoherence"])
     v.add_argument("--grid", type=parse_extents, default=(65, 65))
@@ -398,12 +335,10 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     params = vars(ns)
     command = params.pop("command")
-    # normalize possibly-tuple params to lists for JSON round-tripping
+    # normalize tuple params (extents) to lists for JSON round-tripping
     for key, val in list(params.items()):
         if isinstance(val, tuple):
             params[key] = list(val)
-        elif isinstance(val, list) and val and isinstance(val[0], tuple):
-            params[key] = [list(v) for v in val]
     try:
         return (cmd_rerun if command == "rerun" else DISPATCH[command])(params)
     except (ValueError, OSError) as exc:

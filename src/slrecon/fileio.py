@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fft import ifft2
 from .grid import IndexSet2D
-from .lifting import KSpaceArray, embed
+from .lifting import KSpaceArray
 
 MAGIC = b"KSAR"
 
@@ -58,17 +57,9 @@ def read_kspace(path) -> KSpaceArray:
     return KSpaceArray(IndexSet2D.rect(e1, e2), data[..., 0] + 1j * data[..., 1])
 
 
-def write_kspace_csv(path, x: KSpaceArray):
-    """Debug export: one k1,k2,re,im row per sample."""
-    with open(path, "w") as fh:
-        fh.write("k1,k2,re,im\n")
-        for (k1, k2), v in zip(x.gamma.indices, x.values.ravel()):
-            fh.write(f"{k1},{k2},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
 def write_pgm(path, x: KSpaceArray, percentile: float = 99.5):
     """16-bit PGM of the image magnitude, windowed to [0, percentile]."""
-    img = np.abs(ifft2(embed(x.values, x.gamma, x.grid)) * x.grid.size)
+    img = np.abs(x.image())
     hi = np.percentile(img, percentile)
     if hi <= 0:
         hi = 1.0
@@ -88,7 +79,7 @@ def maybe_write_png(path, x: KSpaceArray, percentile: float = 99.5) -> bool:
         import matplotlib.pyplot as plt
     except ImportError:
         return False
-    img = np.abs(ifft2(embed(x.values, x.gamma, x.grid)) * x.grid.size)
+    img = np.abs(x.image())
     hi = np.percentile(img, percentile) or 1.0
     plt.imsave(path, np.clip(img / hi, 0, 1), cmap="gray")
     return True

@@ -9,7 +9,6 @@ symmetric and even extents lean one step to the negative side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -116,9 +115,6 @@ class IndexSet2D:
         pos = np.minimum(np.searchsorted(mine, want), mine.size - 1)
         return bool(np.array_equal(mine[pos], want))
 
-    def shifted(self, offset: tuple[int, int]) -> "IndexSet2D":
-        return IndexSet2D(self.indices + np.asarray(offset, dtype=np.int64))
-
     def axis_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis index ranges; only meaningful for rectangular sets."""
         if self._ranges is None:
@@ -140,19 +136,12 @@ class IndexSet2D:
     def from_json_dict(cls, d: dict) -> "IndexSet2D":
         kind = json_field(d, "kind", str, "index set")
         if kind == "rect":
-            e1, e2 = json_field(d, "extents", list, "index set")
-            off = tuple(d.get("offset", (0, 0)))
-            return cls.rect(e1, e2, offset=off)
+            e1, e2 = _int_pair(d.get("extents"), "extents")
+            return cls.rect(e1, e2, offset=_int_pair(d.get("offset", [0, 0]), "offset"))
         if kind == "list":
-            return cls.from_indices(json_field(d, "elements", list, "index set"))
+            elements = json_field(d, "elements", list, "index set")
+            return cls.from_indices([_int_pair(e, "elements") for e in elements])
         raise ValueError(f"unknown index-set kind {kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "IndexSet2D":
-        return cls.from_json_dict(json.loads(s))
 
 
 def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
@@ -163,6 +152,15 @@ def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
     if not isinstance(d.get(key), kind):
         raise ValueError(f"{owner} field {key!r} is missing or ill-typed")
     return d[key]
+
+
+def _int_pair(value, key: str) -> tuple[int, int]:
+    """A JSON pair of integers (booleans excluded); ValueError naming the
+    index-set field otherwise."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"index set field {key!r} must hold pairs of integers, got {value!r}")
+    return (value[0], value[1])
 
 
 def _box(lo, hi) -> IndexSet2D:

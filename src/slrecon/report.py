@@ -49,12 +49,6 @@ class SolverReport:
                 return rec.iteration
         return None
 
-    def mean_stage_time(self, stage: str) -> float:
-        if not self.iterations:
-            return 0.0
-        vals = [getattr(rec, stage) for rec in self.iterations]
-        return float(sum(vals) / len(vals))
-
     def to_jsonl(self, path):
         with open(path, "w") as fh:
             for rec in self.iterations:
@@ -69,15 +63,3 @@ class SolverReport:
             writer.writeheader()
             for rec in self.iterations:
                 writer.writerow(asdict(rec))
-
-    def summary(self) -> dict:
-        return {
-            "solver": self.solver,
-            "iterations": self.n_iterations,
-            "converged": self.converged,
-            "final_mse": self.final_mse,
-            "final_snr_db": self.final_snr_db,
-            "mean_decomp_time": self.mean_stage_time("decomp_time"),
-            "mean_solve_time": self.mean_stage_time("solve_time"),
-            "notes": list(self.notes),
-        }

@@ -128,7 +128,8 @@ class TestBadInput:
         (lambda d: {k: v for k, v in d.items() if k != "seed"}, "'seed'"),
         (lambda d: [d], "JSON object"),
         (lambda d: {**d, "gamma": {"extents": [33, 33]}}, "'kind'"),
-    ], ids=["no-seed", "list", "gamma-no-kind"])
+        (lambda d: {**d, "gamma": {"kind": "rect", "extents": ["a", 33]}}, "'extents'"),
+    ], ids=["no-seed", "list", "gamma-no-kind", "gamma-ill-typed-extents"])
     def test_malformed_mask(self, phantom_dir, tmp_path, capsys, edit, needle):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
                     "--mask", self._mask_file(tmp_path, edit), "--out", tmp_path / "out"])
@@ -143,10 +144,13 @@ class TestBadInput:
         assert "absent.ksar" in capsys.readouterr().err
 
     def test_manifest_without_command(self, tmp_path, capsys):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"params": {}}))
-        assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
-        assert "'command'" in capsys.readouterr().err
+        # no command at all, and a command this version no longer has
+        for manifest, needle in (({"params": {}}, "'command'"),
+                                 ({"command": "bench", "params": {}}, "unknown command 'bench'")):
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(manifest))
+            assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
+            assert needle in capsys.readouterr().err
 
 
 class TestValidateCmd:
@@ -174,20 +178,23 @@ class TestValidateCmd:
         assert code == 1
         assert not fileio.read_json(out / "validate_rank.json")["passed"]
 
+    def test_phase_suite_passes_oversample(self, tmp_path, monkeypatch):
+        from slrecon import cli
+        from slrecon.analysis import PhaseTransitionResult
+
+        seen = {}
+
+        def record(*a, **kw):
+            seen.update(kw)
+            return PhaseTransitionResult([289], [1.0], 1, [[True]], [[0]])
+
+        monkeypatch.setattr(cli, "phase_transition", record)
+        code = run(["validate", "phase", "--grid", "17x17", "--levels", "289",
+                    "--oversample", "16", "--out", tmp_path / "phase"])
+        assert code == 0 and seen["oversample"] == 16
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run(["validate", "bogus-suite"])
         assert exc.value.code == 2
 
-
-class TestBenchCmd:
-    def test_small_bench_writes_table(self, tmp_path):
-        out = tmp_path / "bench"
-        code = run(["bench", "--grids", "33x33", "--filters", "5x5",
-                    "--svt-iters", "12", "--giraf-iters", "4", "--out", out])
-        assert code == 0
-        lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("algorithm,")
-        assert len(lines) == 3  # header + svt + giraf
-        algos = {line.split(",")[0] for line in lines[1:]}
-        assert algos == {"svt", "giraf"}

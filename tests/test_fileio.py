@@ -70,17 +70,6 @@ class TestKSpaceBinary:
         assert (e1, e2, flags) == (4, 3, 0)
         assert len(raw) == 16 + 16 * 12
 
-    def test_csv_export(self, tmp_path):
-        x = random_kspace(IndexSet2D.rect(3, 3), 3)
-        path = tmp_path / "x.csv"
-        fileio.write_kspace_csv(path, x)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k1,k2,re,im"
-        assert len(lines) == 10
-        k1, k2, re, im = lines[1].split(",")
-        assert (int(k1), int(k2)) == (-1, -1)
-        assert complex(float(re), float(im)) == x.values[0, 0]
-
 
 class TestPgm:
     def test_writes_valid_16bit_pgm(self, tmp_path):

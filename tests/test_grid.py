@@ -86,15 +86,30 @@ class TestIndexSet2D:
 
     def test_json_roundtrip_rect(self):
         s = IndexSet2D.rect(4, 6, offset=(1, -2))
-        assert IndexSet2D.from_json(s.to_json()) == s
+        assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
 
     def test_json_roundtrip_list(self):
         s = IndexSet2D.from_indices([(0, 0), (3, -1), (2, 2)])
-        assert IndexSet2D.from_json(s.to_json()) == s
+        assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
 
     @given(arbitrary_sets)
     def test_json_roundtrip_property(self, s):
-        assert IndexSet2D.from_json(s.to_json()) == s
+        assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
+
+    @pytest.mark.parametrize("d,field", [
+        ({"kind": "rect", "extents": ["a", 3]}, "extents"),
+        ({"kind": "rect", "extents": [3.5, 3]}, "extents"),
+        ({"kind": "rect", "extents": [True, 3]}, "extents"),
+        ({"kind": "rect", "extents": [3]}, "extents"),
+        ({"kind": "rect", "extents": [3, 3], "offset": 5}, "offset"),
+        ({"kind": "rect", "extents": [3, 3], "offset": ["x", 0]}, "offset"),
+        ({"kind": "list", "elements": [[1.5, 2]]}, "elements"),
+        ({"kind": "list", "elements": [[1, 2, 3]]}, "elements"),
+        ({"kind": "list", "elements": [4]}, "elements"),
+    ])
+    def test_json_ill_typed_fields_rejected(self, d, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            IndexSet2D.from_json_dict(d)
 
     @given(arbitrary_sets, arbitrary_sets)
     def test_contains_matches_set_definition(self, a, b):

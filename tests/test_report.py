@@ -36,13 +36,3 @@ def test_csv_headers(tmp_path):
     header = path.read_text().splitlines()[0]
     assert "iteration" in header and "decomp_time" in header
 
-
-def test_mean_stage_time():
-    rep = make_report()
-    assert abs(rep.mean_stage_time("decomp_time") - 0.02) < 1e-12
-
-
-def test_summary():
-    rep = make_report()
-    s = rep.summary()
-    assert s["solver"] == "test" and s["iterations"] == 3
