@@ -4,7 +4,6 @@ from .grid import GridShape, IndexSet2D, count_shifts, dilate, predicted_rank, v
 from .lifting import (
     KSpaceArray,
     LiftingConfig,
-    Weighting,
     adjoint_apply,
     apply_filter,
     gram_matrix,
@@ -34,7 +33,6 @@ __all__ = [
     "valid_output_set",
     "KSpaceArray",
     "LiftingConfig",
-    "Weighting",
     "adjoint_apply",
     "apply_filter",
     "gram_matrix",

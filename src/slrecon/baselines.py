@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
+from .analysis import snr_db
 from .grid import GridShape
 from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
@@ -50,8 +51,7 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     are returned as zero and flagged.
     """
     numer = lift_adjoint(X, cfg)
-    counts = np.bincount(cfg.lift_geometry.ravel(), minlength=cfg.fft_grid.size)
-    refs = gather(counts.reshape(cfg.fft_grid.as_tuple()), cfg.gamma)
+    refs = cfg.from_grid(np.bincount(cfg.lift_geometry.ravel(), minlength=cfg.fft_grid.size))
     denom = refs * sum(w**2 for w in cfg.multipliers)
     # zero weight sum: either all-zero weights (DC under gradient weighting)
     # or an index the matrix never references (asymmetric filter supports)
@@ -136,6 +136,7 @@ def svt_solve(
     result = KSpaceArray(lifting.gamma, x)
     if reference is not None:
         report.final_mse = report.iterations[-1].mse_vs_reference
+        report.final_snr_db = snr_db(result, reference)
     return result, report
 
 
@@ -174,9 +175,7 @@ def tv_solve(
         return gather(fft2(u) / np.sqrt(ntot), gamma)[mask.positions]
 
     def adjoint(v):
-        kk = np.zeros(gamma.extents, dtype=np.complex128)
-        kk[mask.positions] = v
-        return ifft2(embed(kk, gamma, shape)) * np.sqrt(ntot)
+        return ifft2(embed(zero_fill(v, mask).values, gamma, shape)) * np.sqrt(ntot)
 
     L = np.sqrt(8.0 + 1.0)
     sigma = tau = 1.0 / L

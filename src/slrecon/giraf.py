@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
+from .analysis import snr_db
 from .baselines import zero_fill
 from .grid import GridShape
-from .lifting import (KSpaceArray, LiftingConfig, embed, gather, gram_matrix, lag_sums,
-                      lift_adjoint, lift_dense)
+from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lag_sums, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -142,9 +142,8 @@ def normal_apply_approx(
     """Mask-condensed normal operator: 2 FFTs per weighting block."""
     out = lam * theta_ind * xv
     for w in cfg.multipliers:
-        g = embed(w * xv, cfg.gamma, cfg.fft_grid)
-        s = fft2(mask.values * ifft2(g))
-        out = out + w * gather(s, cfg.gamma)
+        s = fft2(mask.values * ifft2(cfg.to_grid(w * xv)))
+        out = out + w * cfg.from_grid(s)
     return out
 
 
@@ -322,7 +321,5 @@ def giraf_solve(
         report.final_mse = float(
             np.linalg.norm(x - reference.values) ** 2 / np.linalg.norm(reference.values) ** 2
         )
-        from .analysis import snr_db
-
         report.final_snr_db = snr_db(result, reference)
     return result, report

@@ -136,11 +136,11 @@ class IndexSet2D:
     def from_json_dict(cls, d: dict) -> "IndexSet2D":
         kind = json_field(d, "kind", str, "index set")
         if kind == "rect":
-            e1, e2 = _int_pair(d.get("extents"), "extents")
-            return cls.rect(e1, e2, offset=_int_pair(d.get("offset", [0, 0]), "offset"))
+            e1, e2 = int_pair(d.get("extents"), "extents")
+            return cls.rect(e1, e2, offset=int_pair(d.get("offset", [0, 0]), "offset"))
         if kind == "list":
             elements = json_field(d, "elements", list, "index set")
-            return cls.from_indices([_int_pair(e, "elements") for e in elements])
+            return cls.from_indices([int_pair(e, "elements") for e in elements])
         raise ValueError(f"unknown index-set kind {kind!r}")
 
 
@@ -154,7 +154,7 @@ def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
     return d[key]
 
 
-def _int_pair(value, key: str) -> tuple[int, int]:
+def int_pair(value, key: str) -> tuple[int, int]:
     """A JSON pair of integers (booleans excluded); ValueError naming the
     index-set field otherwise."""
     if not (isinstance(value, list) and len(value) == 2

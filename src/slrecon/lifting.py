@@ -11,50 +11,32 @@ as a sliding-window view of the data on an FFT grid just large enough that
 the restricted outputs are alias-free: ``lift_dense``, its adjoint
 ``lift_adjoint`` and ``gram_matrix`` read through it.  ``apply_filter`` /
 ``adjoint_apply`` evaluate the same maps with circular FFTs on that grid and
-are the view's independent oracle.  A ``LiftingConfig`` is validated once, at
-construction; the arrays derived from its geometry are computed on first use
-and cached read-only, so no per-call map re-checks or re-derives them.
+are the view's independent oracle.  A ``LiftingConfig`` is a function of
+gamma, lambda1, the weighting and the grid padding: lambda2 and the grid are
+derived from them at construction, not accepted and checked.  The arrays
+derived from its geometry are computed on first use and cached read-only, so
+no per-call map re-derives them.
 
 For symmetric (odd-extent) filter supports every matrix entry is an actual
-weighted sample.  Asymmetric supports are allowed, but the requirement
-dilate(lambda1, lambda2) == gamma then forces one boundary output row to
-read a single index just outside gamma, which counts as zero; sliding-window
-identities (e.g. exact annihilation of a restricted infinite sequence) hold
-only in the symmetric case.
+weighted sample.  Asymmetric supports are allowed, but lambda2, placed so
+that dilate(lambda1, lambda2) == gamma, then makes one boundary output row
+read a single index just outside gamma, which counts as zero;
+sliding-window identities (e.g. exact annihilation of a restricted infinite
+sequence) hold only in the symmetric case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, dilate, valid_output_set
+from .grid import GridShape, IndexSet2D, valid_output_set
 
 IDENTITY = "identity"
 GRADIENT = "gradient"
-
-
-@dataclass(frozen=True)
-class Weighting:
-    """Diagonal k-space weighting applied before convolution.
-
-    ``identity`` leaves the data untouched; ``gradient`` multiplies by the
-    integer frequencies k1 and k2 (one block each), the constant -j*2*pi
-    being dropped since it only rescales all singular values uniformly.
-    """
-
-    kind: str = IDENTITY
-
-    def __post_init__(self):
-        if self.kind not in (IDENTITY, GRADIENT):
-            raise ValueError(f"unknown weighting kind {self.kind!r}")
-
-    @property
-    def nblocks(self) -> int:
-        return 1 if self.kind == IDENTITY else 2
 
 
 @dataclass(frozen=True)
@@ -128,44 +110,40 @@ def _alias_free_extents(gamma: IndexSet2D, lambda1: IndexSet2D, lambda2: IndexSe
 
 @dataclass(frozen=True)
 class LiftingConfig:
-    """Geometry of one lifting: supports, weighting, and the alias-free FFT
-    work grid, checked at construction; derived arrays are cached read-only."""
+    """Geometry of one lifting, a function of the supports, the weighting and
+    the grid padding; lambda2 and the FFT work grid are derived from them,
+    and derived arrays are cached read-only.
+
+    ``weighting`` is ``identity`` (the data untouched) or ``gradient`` (the
+    data multiplied by the integer frequencies k1 and k2, one block each, the
+    constant -j*2*pi being dropped since it only rescales all singular values
+    uniformly).  The grid is the minimal alias-free one plus ``pad`` samples
+    per axis; for symmetric (odd-extent) filters the minimal grid equals the
+    gamma extents, asymmetric supports need one extra sample per axis.
+    """
 
     gamma: IndexSet2D
     lambda1: IndexSet2D
-    lambda2: IndexSet2D
-    weighting: Weighting
-    fft_grid: GridShape
+    weighting: str = IDENTITY
+    pad: int = 0
+    lambda2: IndexSet2D = field(init=False)
+    fft_grid: GridShape = field(init=False)
 
     def __post_init__(self):
-        if dilate(self.lambda1, self.lambda2) != self.gamma:
-            raise ValueError("lambda2 must satisfy dilate(lambda1, lambda2) == gamma")
-        e1, e2 = _alias_free_extents(self.gamma, self.lambda1, self.lambda2)
-        if self.fft_grid.n1 < e1 or self.fft_grid.n2 < e2:
-            raise ValueError(
-                f"fft_grid {self.fft_grid} too small for alias-free valid region "
-                f"({e1} x {e2} needed)"
-            )
+        if self.weighting not in (IDENTITY, GRADIENT):
+            raise ValueError(f"unknown weighting kind {self.weighting!r}")
+        if self.pad < 0:
+            raise ValueError(f"pad must be non-negative, got {self.pad}")
+        lambda2 = valid_output_set(self.gamma, self.lambda1)
+        e1, e2 = _alias_free_extents(self.gamma, self.lambda1, lambda2)
+        object.__setattr__(self, "lambda2", lambda2)
+        object.__setattr__(self, "fft_grid", GridShape(e1 + self.pad, e2 + self.pad))
 
     @classmethod
-    def make(
-        cls,
-        gamma: IndexSet2D,
-        lambda1: IndexSet2D,
-        weighting: Weighting | str = IDENTITY,
-        pad: int = 0,
-    ) -> "LiftingConfig":
-        """Build a config with lambda2 and the minimal alias-free grid.
-
-        For symmetric (odd-extent) filters the minimal grid equals the gamma
-        extents; asymmetric supports need one extra sample per axis.  ``pad``
-        adds extra padding on top (used to validate grid-independence).
-        """
-        if isinstance(weighting, str):
-            weighting = Weighting(weighting)
-        lambda2 = valid_output_set(gamma, lambda1)
-        e1, e2 = _alias_free_extents(gamma, lambda1, lambda2)
-        return cls(gamma, lambda1, lambda2, weighting, GridShape(e1 + pad, e2 + pad))
+    def make(cls, gamma: IndexSet2D, lambda1: IndexSet2D, weighting: str = IDENTITY,
+             pad: int = 0) -> "LiftingConfig":
+        """The named constructor existing callers use; the same as ``cls(...)``."""
+        return cls(gamma, lambda1, weighting, pad)
 
     @property
     def n_filter(self) -> int:
@@ -177,22 +155,40 @@ class LiftingConfig:
 
     @property
     def lifted_shape(self) -> tuple[int, int]:
-        return (self.weighting.nblocks * self.n_out, self.n_filter)
+        return (len(self.multipliers) * self.n_out, self.n_filter)
 
     @cached_property
     def multipliers(self) -> np.ndarray:
         """Per-block real weightings, stacked as (nblocks, *gamma.extents)."""
-        if self.weighting.kind == IDENTITY:
+        if self.weighting == IDENTITY:
             return _read_only(np.ones((1, *self.gamma.extents)))
         r1, r2 = self.gamma.axis_ranges()
         return _read_only(np.stack(np.meshgrid(r1.astype(float), r2.astype(float), indexing="ij")))
 
     @cached_property
+    def cells(self) -> np.ndarray:
+        """Flat FFT-grid offsets of gamma's indices (signed indices mod n),
+        aligned row-major with gamma."""
+        r1, r2 = self.gamma.axis_ranges()
+        n1, n2 = self.fft_grid.as_tuple()
+        return _read_only(((r1 % n1)[:, None] * n2 + r2 % n2).ravel())
+
+    @cached_property
     def lift_geometry(self) -> np.ndarray:
         """(|lambda2|, N) flat FFT-grid offsets: position (l, k) of every block
-        reads index l - k, a cell an embedding leaves zero if outside gamma."""
+        reads index l - k, a cell ``to_grid`` leaves zero if outside gamma."""
         cells = np.arange(self.fft_grid.size).reshape(self.fft_grid.as_tuple())
         return _read_only(_windows(cells, self).reshape(self.n_out, -1).copy())
+
+    def to_grid(self, v: np.ndarray) -> np.ndarray:
+        """Gamma-shaped values placed on a zeroed FFT grid (``embed`` on gamma)."""
+        g = np.zeros(self.fft_grid.size, dtype=np.complex128)
+        g[self.cells] = np.ravel(v)
+        return g.reshape(self.fft_grid.as_tuple())
+
+    def from_grid(self, g: np.ndarray) -> np.ndarray:
+        """Gamma-shaped values read off an FFT grid (``gather`` on gamma)."""
+        return np.take(g, self.cells).reshape(self.gamma.extents)
 
 
 def _windows(g: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -221,7 +217,7 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     zero when l - k falls outside gamma.
     """
     _check_input(x, cfg)
-    g = embed(cfg.multipliers * x.values, cfg.gamma, cfg.fft_grid)
+    g = np.stack([cfg.to_grid(w * x.values) for w in cfg.multipliers])
     lifted = np.take(g.reshape(len(g), -1), cfg.lift_geometry, axis=1)
     return lifted.reshape(cfg.lifted_shape)
 
@@ -230,19 +226,19 @@ def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
 
     Every lifted entry is summed onto the grid cell it reads (one bincount
-    per real/imaginary part and block), gathered onto gamma, then weighted
+    per real/imaginary part and block), read back onto gamma, then weighted
     by that block's real multiplier.
     """
     X = np.asarray(X)
     if X.shape != cfg.lifted_shape:
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
     flat = cfg.lift_geometry.ravel()
-    grid = cfg.fft_grid
+    size = cfg.fft_grid.size
     out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
     for xb, w in zip(X.reshape(len(cfg.multipliers), -1), cfg.multipliers):
-        re = np.bincount(flat, weights=xb.real, minlength=grid.size)
-        im = np.bincount(flat, weights=xb.imag, minlength=grid.size)
-        out += w * gather((re + 1j * im).reshape(grid.as_tuple()), cfg.gamma)
+        re = np.bincount(flat, weights=xb.real, minlength=size)
+        im = np.bincount(flat, weights=xb.imag, minlength=size)
+        out += w * cfg.from_grid(re + 1j * im)
     return out
 
 
@@ -276,7 +272,7 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
 def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
     """Adjoint of apply_filter for a fixed filter: scatter, correlate, weight."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nb = cfg.weighting.nblocks
+    nb = len(cfg.multipliers)
     if v.size != nb * cfg.n_out:
         raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
@@ -299,8 +295,8 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """
     _check_input(x, cfg)
     gram = np.zeros((cfg.n_filter, cfg.n_filter), dtype=np.complex128)
-    for block in _windows(embed(cfg.multipliers * x.values, cfg.gamma, cfg.fft_grid), cfg):
-        for row in block:  # one lambda2 row of T(x): (o2, N)
+    for w in cfg.multipliers:
+        for row in _windows(cfg.to_grid(w * x.values), cfg):  # one lambda2 row of T(x): (o2, N)
             t = row.reshape(-1, cfg.n_filter)
             gram += t.conj().T @ t
     return 0.5 * (gram + gram.conj().T)

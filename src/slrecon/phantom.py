@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, json_field
+from .grid import GridShape, IndexSet2D, int_pair, json_field
 from .lifting import KSpaceArray, embed, gather
 
 
@@ -220,7 +220,8 @@ class SamplingMask:
     def from_json_dict(cls, d: dict) -> "SamplingMask":
         return cls(
             gamma=IndexSet2D.from_json_dict(json_field(d, "gamma", dict, "mask")),
-            theta=IndexSet2D.from_indices(json_field(d, "indices", list, "mask")),
+            theta=IndexSet2D.from_indices([int_pair(e, "indices")
+                                           for e in json_field(d, "indices", list, "mask")]),
             scheme=json_field(d, "scheme", str, "mask"),
             seed=json_field(d, "seed", int, "mask"),
             acceleration=json_field(d, "acceleration", (int, float), "mask"),

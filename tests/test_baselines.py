@@ -117,6 +117,7 @@ class TestSVT:
                              SVTConfig(threshold=3e-2, max_iter=200),
                              reference=truth)
         assert rep.final_mse < 1e-4
+        assert rep.final_snr_db == snr_db(rec, truth)
 
     def test_objective_trend_after_warmup(self):
         gamma = IndexSet2D.rect(24, 24)

@@ -129,7 +129,9 @@ class TestBadInput:
         (lambda d: [d], "JSON object"),
         (lambda d: {**d, "gamma": {"extents": [33, 33]}}, "'kind'"),
         (lambda d: {**d, "gamma": {"kind": "rect", "extents": ["a", 33]}}, "'extents'"),
-    ], ids=["no-seed", "list", "gamma-no-kind", "gamma-ill-typed-extents"])
+        (lambda d: {**d, "indices": [[1.5, 2.9], [True, 0]]}, "'indices'"),
+    ], ids=["no-seed", "list", "gamma-no-kind", "gamma-ill-typed-extents",
+            "non-integer-indices"])
     def test_malformed_mask(self, phantom_dir, tmp_path, capsys, edit, needle):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
                     "--mask", self._mask_file(tmp_path, edit), "--out", tmp_path / "out"])

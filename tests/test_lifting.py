@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrecon.grid import GridShape, IndexSet2D, valid_output_set
+from slrecon.grid import GridShape, IndexSet2D, dilate, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
-    Weighting,
     adjoint_apply,
     apply_filter,
+    embed,
+    gather,
     gram_matrix,
     lift_adjoint,
     lift_dense,
@@ -103,8 +105,10 @@ class TestLiftDense:
         gamma = IndexSet2D.rect(9, 8)
         lam1 = IndexSet2D.rect(4, 3, offset=(2, -1))
         lam2 = valid_output_set(gamma, lam1)
-        # reads span k1 in -7..4 and k2 in -4..5; one extra row of padding
-        cfg = LiftingConfig(gamma, lam1, lam2, Weighting(weighting), GridShape(13, 10))
+        # reads span k1 in -7..4 and k2 in -4..5; one extra sample of padding
+        cfg = LiftingConfig.make(gamma, lam1, weighting, pad=1)
+        assert cfg.lambda2 == lam2
+        assert cfg.fft_grid == GridShape(13, 11)
         x = random_kspace(gamma, 61)
         t = lift_dense(x, cfg)
         blocks = [KSpaceArray(gamma, w * x.values) for w in cfg.multipliers]
@@ -191,11 +195,9 @@ class TestApply:
         assert rel_err(out[n:], k2) < 1e-12
 
     def test_too_small_grid_raises(self):
-        gamma = IndexSet2D.rect(12, 1)
-        lam1 = IndexSet2D.rect(4, 1)
-        with pytest.raises(ValueError, match="alias-free"):
-            LiftingConfig(gamma, lam1, valid_output_set(gamma, lam1),
-                          Weighting("identity"), GridShape(12, 1))
+        # the grid is derived, so only a negative pad could shrink it
+        with pytest.raises(ValueError, match="pad"):
+            LiftingConfig.make(IndexSet2D.rect(12, 1), IndexSet2D.rect(4, 1), pad=-1)
 
 
 class TestConfigInvariants:
@@ -206,9 +208,38 @@ class TestConfigInvariants:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting, pad=pad)
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
-        assert len(cfg.multipliers) == cfg.weighting.nblocks
-        for a in (cfg.multipliers, cfg.lift_geometry):
+        assert cfg.cells is cfg.cells
+        assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
+        for a in (cfg.multipliers, cfg.lift_geometry, cfg.cells):
             assert not a.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs())
+    def test_lambda2_and_grid_are_derived(self, cfg):
+        assert cfg.lambda2 == valid_output_set(cfg.gamma, cfg.lambda1)
+        assert dilate(cfg.lambda1, cfg.lambda2) == cfg.gamma
+        # reads span [min(l2) - max(l1), max(l2) - min(l1)], which must share
+        # the grid injectively with gamma
+        lo = np.minimum(cfg.gamma.kmin, cfg.lambda2.kmin - cfg.lambda1.kmax)
+        hi = np.maximum(cfg.gamma.kmax, cfg.lambda2.kmax - cfg.lambda1.kmin)
+        assert cfg.fft_grid.as_tuple() == tuple(int(e) + cfg.pad for e in hi - lo + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_grid_placement_matches_embed_gather(self, cfg, seed):
+        v = random_kspace(cfg.gamma, seed).values
+        g = cfg.to_grid(v)
+        assert np.array_equal(g, embed(v, cfg.gamma, cfg.fft_grid))
+        g = g + np.random.default_rng(seed).standard_normal(g.shape)
+        assert np.array_equal(cfg.from_grid(g), gather(g, cfg.gamma))
+
+    def test_only_the_four_inputs_are_settable(self):
+        settable = [f.name for f in dataclasses.fields(LiftingConfig) if f.init]
+        assert settable == ["gamma", "lambda1", "weighting", "pad"]
+
+    def test_unknown_weighting_raises(self):
+        with pytest.raises(ValueError, match="laplacian"):
+            LiftingConfig.make(IndexSet2D.rect(9, 8), IndexSet2D.rect(3, 3), "laplacian")
 
 
 class TestAdjoint:
@@ -226,8 +257,8 @@ class TestAdjoint:
         for trial in range(10):
             x = random_kspace(gamma, 100 + trial)
             h = rng.standard_normal(49) + 1j * rng.standard_normal(49)
-            v = rng.standard_normal(cfg.weighting.nblocks * cfg.n_out) + 1j * rng.standard_normal(
-                cfg.weighting.nblocks * cfg.n_out
+            v = rng.standard_normal(len(cfg.multipliers) * cfg.n_out) + 1j * rng.standard_normal(
+                len(cfg.multipliers) * cfg.n_out
             )
             lhs = np.vdot(v, apply_filter(x, h, cfg))
             rhs = np.vdot(adjoint_apply(v, h, cfg).values, x.values)
