@@ -10,7 +10,7 @@ to the phantom oversampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +46,6 @@ def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
 # ---------------------------------------------------------------------------
 # incoherence measures of the edge polynomial
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class IncoherenceEstimate:
-    """rho1 is an upper-bound estimate (heuristic search maximizes the
-    smallest singular value over point sets); rho2 is exact up to the dense
-    eigen-solve."""
-
-    rho1_upper: float
-    rho2: float
-    search_meta: dict = field(default_factory=dict)
 
 
 def _normalized_gradient_coeffs(edge: EdgePolynomial) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +217,6 @@ def rho1_estimate(
     return 1.0 / best, meta
 
 
-def incoherence(edge: EdgePolynomial, lambda1: IndexSet2D, R: int, seed: int = 0) -> IncoherenceEstimate:
-    r1, meta = rho1_estimate(edge, lambda1, R, seed=seed)
-    return IncoherenceEstimate(rho1_upper=r1, rho2=rho2(edge, lambda1), search_meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # row/column subspace checks
 # ---------------------------------------------------------------------------
@@ -262,7 +246,6 @@ def subspace_check(
     lambda1: IndexSet2D,
     gamma: IndexSet2D,
     n_points: int = 48,
-    raster: int = 512,
     seed: int = 0,
 ) -> SubspaceCheck:
     """Validate the subspace structure of the gradient-weighted lifting.
@@ -273,8 +256,10 @@ def subspace_check(
     selected on-curve translates through the gradient-weighted data (the
     lifted image of each translate) must land in the top-R left subspace and
     span all R dimensions; images of off-curve translates consist mostly of
-    the quadrature tail and do not.
+    the quadrature tail and do not.  On- and off-curve points come from a
+    512 x 512 raster of the edge polynomial.
     """
+    raster = 512
     edge = ph.edge
     cfg = LiftingConfig.make(gamma, lambda1, "gradient")
     ks = phantom_fourier(ph, gamma)
@@ -344,7 +329,10 @@ class PhaseTransitionResult:
     per_trial: list[list[bool]]
     seeds: list[list[int]]
 
-    def wilson_halfwidth(self, i: int, z: float = 1.96) -> float:
+    def wilson_halfwidth(self, i: int) -> float:
+        """Half-width of the 95% Wilson score interval (z = 1.96) of level i's
+        success fraction."""
+        z = 1.96
         n = self.trials
         p = self.success_fractions[i]
         denom = 1.0 + z**2 / n
@@ -366,7 +354,6 @@ def phase_transition(
     sample_counts: list[int],
     trials: int,
     seed: int = 0,
-    success_tol: float = 1e-3,
     solver_kwargs: dict | None = None,
     oversample: int = 8,
 ) -> PhaseTransitionResult:
@@ -374,7 +361,7 @@ def phase_transition(
 
     Each trial draws a fresh uniform mask (per-trial seeds are recorded for
     exact replay), recovers with the IRLS solver, and scores success when the
-    relative k-space error is below success_tol.  Trials are independent, so
+    relative k-space error is below 1e-3.  Trials are independent, so
     they may run in any order; results are keyed by trial index.
     """
     from .giraf import IRLSConfig, giraf_solve
@@ -401,7 +388,7 @@ def phase_transition(
             b = sample_kspace(truth, mask)
             rec, _ = giraf_solve(b, mask, lifting, cfg)
             err = np.linalg.norm(rec.values - truth.values) / np.linalg.norm(truth.values)
-            level_outcomes.append(bool(err < success_tol))
+            level_outcomes.append(bool(err < 1e-3))
         outcomes.append(level_outcomes)
         seeds.append(level_seeds)
         fractions.append(sum(level_outcomes) / trials)

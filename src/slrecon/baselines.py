@@ -35,9 +35,16 @@ class SVTConfig:
 
 
 def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
-    """Samples placed on theta, zeros elsewhere in gamma."""
+    """Samples placed on theta, zeros elsewhere in gamma.
+
+    Every solver reads its samples through here, so this is where they are
+    checked: one finite value per sampled index, aligned with mask.theta.
+    """
+    b = np.asarray(b, dtype=np.complex128).reshape(-1)
+    if b.size != len(mask.theta):
+        raise ValueError(f"expected {len(mask.theta)} samples, got {b.size}")
     out = np.zeros(mask.gamma.extents, dtype=np.complex128)
-    out[mask.positions] = np.asarray(b, dtype=np.complex128).reshape(-1)
+    out[mask.positions] = b
     return KSpaceArray(mask.gamma, out)
 
 
@@ -87,7 +94,6 @@ def svt_solve(
         )
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
     bfill = zero_fill(b, mask).values
     theta_ind = mask.indicator()
     x = bfill.copy()

@@ -20,9 +20,10 @@ import scipy
 
 from . import _fft, fileio
 from .analysis import (
-    incoherence,
     numerical_rank,
     phase_transition,
+    rho1_estimate,
+    rho2,
     rho2_rayleigh_search,
     snr_db,
     subspace_check,
@@ -42,10 +43,11 @@ from .phantom import (
 )
 
 
-def parse_extents(text: str) -> tuple[int, int]:
+def parse_extents(text: str) -> list[int]:
+    """``WxH`` as ``[W, H]``, the form the manifest's JSON records."""
     try:
         a, b = text.lower().split("x")
-        return (int(a), int(b))
+        return [int(a), int(b)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from exc
 
@@ -172,34 +174,29 @@ def cmd_recover(params: dict) -> int:
 def cmd_validate(params: dict) -> int:
     out = _outdir(params)
     suite = params["suite"]
+    lam0, lam1, gamma = (IndexSet2D.rect(*params[k]) for k in ("lambda0", "filter", "grid"))
+    rank = predicted_rank(lam1, lam0)
+    # the rank suite draws one edge per seed; the others share this one
+    edge = None if suite == "rank" else random_edge_polynomial(lam0, seed=params["seed"])
     ok = True
     evidence: dict = {"suite": suite}
     if suite == "rank":
-        lam0 = IndexSet2D.rect(*params["lambda0"])
-        lam1 = IndexSet2D.rect(*params["filter"])
-        gamma = IndexSet2D.rect(*params["grid"])
-        expected = predicted_rank(lam1, lam0)
+        cfg = LiftingConfig.make(gamma, lam1, "gradient")
         rows = []
         for seed in range(params["seeds"]):
             edge = random_edge_polynomial(lam0, seed=seed)
             ks = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=params["oversample"]), gamma)
-            cfg = LiftingConfig.make(gamma, lam1, "gradient")
             r = numerical_rank(lift_dense(ks, cfg), 1e-2)
-            rows.append({"seed": seed, "numerical_rank": r, "predicted": expected,
-                         "match": r == expected})
-            ok &= r == expected
+            rows.append({"seed": seed, "numerical_rank": r, "predicted": rank,
+                         "match": r == rank})
+            ok &= r == rank
         fileio.write_csv_rows(out / "rank.csv", rows)
         evidence["agreements"] = sum(r["match"] for r in rows)
         evidence["total"] = len(rows)
-        print(f"validate rank: {evidence['agreements']}/{evidence['total']} match rank {expected}")
+        print(f"validate rank: {evidence['agreements']}/{evidence['total']} match rank {rank}")
     elif suite == "phase":
-        gamma = IndexSet2D.rect(*params["grid"])
-        lam0 = IndexSet2D.rect(*params["lambda0"])
-        lam1 = IndexSet2D.rect(*params["filter"])
-        edge = random_edge_polynomial(lam0, seed=params["seed"])
-        r = predicted_rank(lam1, lam0)
         m = len(gamma)
-        levels = params.get("levels") or [max(1, r // 2), m // 4, m // 2, 3 * m // 4, m]
+        levels = params.get("levels") or [max(1, rank // 2), m // 4, m // 2, 3 * m // 4, m]
         res = phase_transition(edge, lam1, gamma, levels, trials=params["trials"],
                                seed=params["seed"], oversample=params["oversample"])
         rows = [
@@ -213,11 +210,8 @@ def cmd_validate(params: dict) -> int:
         evidence["fractions"] = res.success_fractions
         print("validate phase:", rows)
     elif suite == "lemmas":
-        lam0 = IndexSet2D.rect(*params["lambda0"])
-        edge = random_edge_polynomial(lam0, seed=params["seed"])
         ph = Phantom(edge, (1.0, 0.0), oversample=params["oversample"])
-        chk = subspace_check(ph, IndexSet2D.rect(*params["filter"]),
-                             IndexSet2D.rect(*params["grid"]), seed=params["seed"])
+        chk = subspace_check(ph, lam1, gamma, seed=params["seed"])
         evidence.update({
             "row_residual_median": float(np.median(chk.row_residuals)),
             "off_curve_median": float(np.median(chk.off_curve_residuals)),
@@ -232,20 +226,17 @@ def cmd_validate(params: dict) -> int:
         print(f"validate lemmas: contrast {chk.contrast:.0f}, "
               f"row residual {evidence['row_residual_median']:.2e}, span {chk.col_span_dim}/{chk.rank}")
     elif suite == "incoherence":
-        lam0 = IndexSet2D.rect(*params["lambda0"])
-        lam1 = IndexSet2D.rect(*params["filter"])
-        edge = random_edge_polynomial(lam0, seed=params["seed"])
-        r = predicted_rank(lam1, lam0)
-        est = incoherence(edge, lam1, R=r, seed=params["seed"])
+        rho1_upper, _ = rho1_estimate(edge, lam1, R=rank, seed=params["seed"])
+        rho2_eig = rho2(edge, lam1)
         search = rho2_rayleigh_search(edge, lam1, seed=params["seed"])
         evidence.update({
-            "rho1_upper": est.rho1_upper,
-            "rho2": est.rho2,
+            "rho1_upper": rho1_upper,
+            "rho2": rho2_eig,
             "rho2_rayleigh": search,
-            "rho2_rel_gap": abs(est.rho2 - search) / est.rho2,
+            "rho2_rel_gap": abs(rho2_eig - search) / rho2_eig,
         })
         ok &= evidence["rho2_rel_gap"] < 0.01
-        print(f"validate incoherence: rho1<={est.rho1_upper:.3f} rho2={est.rho2:.3f} "
+        print(f"validate incoherence: rho1<={rho1_upper:.3f} rho2={rho2_eig:.3f} "
               f"(rayleigh gap {evidence['rho2_rel_gap']:.2e})")
     else:
         raise ValueError(f"unknown validation suite {suite!r}")
@@ -281,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom")
-    p.add_argument("--lambda0", type=parse_extents, default=(3, 3))
-    p.add_argument("--grid", type=parse_extents, default=(65, 65))
+    p.add_argument("--lambda0", type=parse_extents, default=[3, 3])
+    p.add_argument("--grid", type=parse_extents, default=[65, 65])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--amps", type=lambda s: [float(v) for v in s.split(",")], default=[1.0, 0.0])
@@ -300,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--noise-seed", dest="noise_seed", type=int, default=0)
     r.add_argument("--p", type=float, default=0.0)
     r.add_argument("--lambda", dest="lam", type=float, default=1e8)
-    r.add_argument("--filter", type=parse_extents, default=(15, 15))
+    r.add_argument("--filter", type=parse_extents, default=[15, 15])
     r.add_argument("--weighting", choices=["identity", "gradient"], default="gradient")
     r.add_argument("--operator", choices=["approx", "exact"], default="approx")
     r.add_argument("--max-iter", dest="max_iter", type=int, default=20)
@@ -314,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="run a theory-validation suite")
     v.add_argument("suite", choices=["rank", "phase", "lemmas", "incoherence"])
-    v.add_argument("--grid", type=parse_extents, default=(65, 65))
-    v.add_argument("--lambda0", type=parse_extents, default=(3, 3))
-    v.add_argument("--filter", type=parse_extents, default=(5, 5))
+    v.add_argument("--grid", type=parse_extents, default=[65, 65])
+    v.add_argument("--lambda0", type=parse_extents, default=[3, 3])
+    v.add_argument("--filter", type=parse_extents, default=[5, 5])
     v.add_argument("--oversample", type=int, default=8)
     v.add_argument("--seeds", type=int, default=5)
     v.add_argument("--seed", type=int, default=4)
@@ -335,10 +326,6 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     params = vars(ns)
     command = params.pop("command")
-    # normalize tuple params (extents) to lists for JSON round-tripping
-    for key, val in list(params.items()):
-        if isinstance(val, tuple):
-            params[key] = list(val)
     try:
         return (cmd_rerun if command == "rerun" else DISPATCH[command])(params)
     except (ValueError, OSError) as exc:

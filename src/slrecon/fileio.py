@@ -57,21 +57,27 @@ def read_kspace(path) -> KSpaceArray:
     return KSpaceArray(IndexSet2D.rect(e1, e2), data[..., 0] + 1j * data[..., 1])
 
 
-def write_pgm(path, x: KSpaceArray, percentile: float = 99.5):
-    """16-bit PGM of the image magnitude, windowed to [0, percentile]."""
+def _windowed_magnitude(x: KSpaceArray) -> np.ndarray:
+    """Image magnitude scaled to [0, 1] by its 99.5th percentile (1 if that is
+    zero), the values above it clipped."""
     img = np.abs(x.image())
-    hi = np.percentile(img, percentile)
+    hi = np.percentile(img, 99.5)
     if hi <= 0:
         hi = 1.0
-    scaled = np.clip(img / hi, 0.0, 1.0)
-    pixels = (scaled * 65535).astype(">u2")
+    return np.clip(img / hi, 0.0, 1.0)
+
+
+def write_pgm(path, x: KSpaceArray):
+    """16-bit PGM of the image magnitude, windowed to its 99.5th percentile."""
+    pixels = (_windowed_magnitude(x) * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode())
         fh.write(pixels.tobytes())
 
 
-def maybe_write_png(path, x: KSpaceArray, percentile: float = 99.5) -> bool:
-    """PNG export when matplotlib is importable; returns whether it wrote."""
+def maybe_write_png(path, x: KSpaceArray) -> bool:
+    """PNG of the image magnitude, windowed to its 99.5th percentile, when
+    matplotlib is importable; returns whether it wrote."""
     try:
         import matplotlib
 
@@ -79,9 +85,7 @@ def maybe_write_png(path, x: KSpaceArray, percentile: float = 99.5) -> bool:
         import matplotlib.pyplot as plt
     except ImportError:
         return False
-    img = np.abs(x.image())
-    hi = np.percentile(img, percentile) or 1.0
-    plt.imsave(path, np.clip(img / hi, 0, 1), cmap="gray")
+    plt.imsave(path, _windowed_magnitude(x), cmap="gray")
     return True
 
 

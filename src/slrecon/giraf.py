@@ -236,12 +236,6 @@ def giraf_solve(
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if b.size != len(mask.theta):
-        raise ValueError(f"expected {len(mask.theta)} samples, got {b.size}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("measured samples must be finite")
-
     theta_ind = mask.indicator()
     b_fill = zero_fill(b, mask).values
     x = b_fill

@@ -31,8 +31,8 @@ class GridShape:
     n2: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"grid dimensions must be positive, got {self}")
+        if not (is_int(self.n1) and is_int(self.n2) and self.n1 >= 1 and self.n2 >= 1):
+            raise ValueError(f"grid dimensions must be integers >= 1, got {self}")
 
     @property
     def size(self) -> int:
@@ -154,11 +154,15 @@ def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
     return d[key]
 
 
+def is_int(value) -> bool:
+    """A Python or numpy integer, booleans excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def int_pair(value, key: str) -> tuple[int, int]:
     """A JSON pair of integers (booleans excluded); ValueError naming the
     index-set field otherwise."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2 and all(is_int(v) for v in value)):
         raise ValueError(f"index set field {key!r} must hold pairs of integers, got {value!r}")
     return (value[0], value[1])
 

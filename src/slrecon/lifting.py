@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, valid_output_set
+from .grid import GridShape, IndexSet2D, is_int, valid_output_set
 
 IDENTITY = "identity"
 GRADIENT = "gradient"
@@ -62,31 +62,23 @@ class KSpaceArray:
             raise ValueError("k-space values must be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def grid(self) -> GridShape:
-        return GridShape(*self.gamma.extents)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def image(self, shape: GridShape | None = None) -> np.ndarray:
-        """Spatial-domain view: inverse FFT of the grid-embedded samples."""
-        shape = shape or self.grid
-        g = embed(self.values, self.gamma, shape)
-        return ifft2(g) * shape.size
+    def image(self) -> np.ndarray:
+        """Spatial-domain view on the gamma-sized grid: inverse FFT of the
+        grid-embedded samples."""
+        shape = GridShape(*self.gamma.extents)
+        return ifft2(embed(self.values, self.gamma, shape)) * shape.size
 
 
 def embed(values: np.ndarray, iset: IndexSet2D, shape: GridShape) -> np.ndarray:
-    """Scatter rectangle-aligned values onto an FFT grid at signed indices mod n.
-
-    Leading axes of ``values`` are kept (a stack is embedded in one assignment).
-    """
+    """Scatter rectangle-aligned values onto an FFT grid at signed indices mod n."""
     r1, r2 = iset.axis_ranges()
     if r1.size > shape.n1 or r2.size > shape.n2:
         raise ValueError(f"index set extents {iset.extents} exceed grid {shape}")
-    values = np.asarray(values)
-    g = np.zeros(values.shape[:-2] + shape.as_tuple(), dtype=np.complex128)
-    g[(..., *np.ix_(r1 % shape.n1, r2 % shape.n2))] = values
+    g = np.zeros(shape.as_tuple(), dtype=np.complex128)
+    g[np.ix_(r1 % shape.n1, r2 % shape.n2)] = values
     return g
 
 
@@ -132,8 +124,8 @@ class LiftingConfig:
     def __post_init__(self):
         if self.weighting not in (IDENTITY, GRADIENT):
             raise ValueError(f"unknown weighting kind {self.weighting!r}")
-        if self.pad < 0:
-            raise ValueError(f"pad must be non-negative, got {self.pad}")
+        if not is_int(self.pad) or self.pad < 0:
+            raise ValueError(f"pad must be a non-negative integer, got {self.pad!r}")
         lambda2 = valid_output_set(self.gamma, self.lambda1)
         e1, e2 = _alias_free_extents(self.gamma, self.lambda1, lambda2)
         object.__setattr__(self, "lambda2", lambda2)
@@ -242,11 +234,12 @@ def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     return out
 
 
-def filter_spectra(filters: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """FFT-grid spectra of a filter bank (one filter per column, aligned with
-    cfg.lambda1), shape (n_filters, n1, n2)."""
-    bank = np.asarray(filters, dtype=np.complex128).T.reshape(-1, *cfg.lambda1.extents)
-    return fft2(embed(bank, cfg.lambda1, cfg.fft_grid))
+def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """FFT-grid spectrum of one filter aligned with cfg.lambda1.indices."""
+    h = np.asarray(h, dtype=np.complex128).reshape(-1)
+    if h.size != cfg.n_filter:
+        raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
+    return fft2(embed(h.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.fft_grid))
 
 
 def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -257,10 +250,7 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
     lift_dense(x, cfg) @ h up to rounding.
     """
     _check_input(x, cfg)
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if h.size != cfg.n_filter:
-        raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
-    hhat = filter_spectra(h[:, None], cfg)[0]
+    hhat = _filter_spectrum(h, cfg)
     out = []
     for w in cfg.multipliers:
         g = embed(w * x.values, cfg.gamma, cfg.fft_grid)
@@ -275,8 +265,7 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     nb = len(cfg.multipliers)
     if v.size != nb * cfg.n_out:
         raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    hhat_conj = np.conj(filter_spectra(h[:, None], cfg)[0])
+    hhat_conj = np.conj(_filter_spectrum(h, cfg))
     acc = np.zeros(cfg.gamma.extents, dtype=np.complex128)
     for b, w in enumerate(cfg.multipliers):
         vb = v[b * cfg.n_out : (b + 1) * cfg.n_out].reshape(cfg.lambda2.extents)

@@ -158,25 +158,24 @@ def random_edge_polynomial(
     lambda0: IndexSet2D,
     seed: int,
     min_region_area: float = 0.02,
-    raster: int = 256,
-    max_tries: int = 200,
 ) -> EdgePolynomial:
     """Random conjugate-symmetric coefficients, rejected until the zero
-    level-set is non-empty and both sign regions cover the minimum area."""
+    level-set is non-empty and both sign regions cover the minimum area on a
+    256 x 256 raster; at most 200 draws."""
     rng = np.random.default_rng(np.random.Philox(key=seed))
     e1, e2 = lambda0.extents
-    for _ in range(max_tries):
+    for _ in range(200):
         raw = rng.standard_normal((e1, e2)) + 1j * rng.standard_normal((e1, e2))
         sym = _conj_reflect(lambda0, raw)
         if sym is None:
             raise ValueError("lambda0 is not symmetric; cannot impose conjugate symmetry")
         c = 0.5 * (raw + sym)
         edge = EdgePolynomial(lambda0, c)
-        mu = rasterize_mu(edge, GridShape(raster, raster))
+        mu = rasterize_mu(edge, GridShape(256, 256))
         frac_pos = float((mu > 0).mean())
         if min_region_area <= frac_pos <= 1.0 - min_region_area:
             return edge
-    raise RuntimeError(f"no admissible edge polynomial found in {max_tries} draws")
+    raise RuntimeError("no admissible edge polynomial found in 200 draws")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from slrecon.phantom import (
 )
 from slrecon.analysis import (
     dirichlet_gram,
-    incoherence,
     numerical_rank,
     phase_transition,
     rho1_estimate,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig, lift_dense
 from slrecon.baselines import SVTConfig, delift, svt_solve, tv_solve, zero_fill
+from slrecon.giraf import IRLSConfig, giraf_solve
 from slrecon.phantom import (
     EdgePolynomial,
     Phantom,
@@ -39,6 +40,41 @@ class TestZeroFill:
         ind = mask.indicator()
         assert np.all(zf.values[ind == 0] == 0.0)
         assert np.allclose(zf.values[ind == 1], x.values[ind == 1])
+
+
+def _lifting_9x9():
+    return LiftingConfig.make(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3))
+
+
+# every solver reads its samples through zero_fill, which checks them
+SOLVERS = {
+    "zero_fill": zero_fill,
+    "svt_solve": lambda b, mask: svt_solve(b, mask, _lifting_9x9(), SVTConfig(max_iter=1)),
+    "tv_solve": lambda b, mask: tv_solve(b, mask, iters=1),
+    "giraf_solve": lambda b, mask: giraf_solve(b, mask, _lifting_9x9(),
+                                               IRLSConfig(p=1.0, lam=1.0, max_outer=1)),
+}
+
+
+class TestSampleCheck:
+    @pytest.fixture
+    def mask(self):
+        mask = make_mask(IndexSet2D.rect(9, 9), "uniform", 81 / 40, seed=0)
+        assert len(mask.theta) == 40
+        return mask
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("size", [1, 39])
+    def test_wrong_sample_count_raises(self, mask, solver, size):
+        with pytest.raises(ValueError, match=f"expected 40 samples, got {size}"):
+            SOLVERS[solver](np.ones(size, dtype=complex), mask)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_non_finite_samples_raise(self, mask, solver):
+        b = np.ones(40, dtype=complex)
+        b[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            SOLVERS[solver](b, mask)
 
 
 class TestDelift:

@@ -22,8 +22,8 @@ def phantom_dir(tmp_path_factory):
 
 class TestParse:
     def test_extents(self):
-        assert parse_extents("15x15") == (15, 15)
-        assert parse_extents("4X6") == (4, 6)
+        assert parse_extents("15x15") == [15, 15]
+        assert parse_extents("4X6") == [4, 6]
 
     def test_bad_extents(self):
         import argparse
@@ -111,6 +111,31 @@ class TestRecoverCmd:
         m2 = fileio.read_json(out2 / "mask.json")
         assert m1 == m2
 
+    def test_mask_file_replays_sampling(self, phantom_dir, tmp_path):
+        out1, out2 = tmp_path / "drawn", tmp_path / "from_file"
+        base = ["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill"]
+        assert run([*base, "--accel", "2", "--mask-seed", "6", "--out", out1]) == 0
+        assert run([*base, "--mask", out1 / "mask.json", "--out", out2]) == 0
+        assert (out2 / "recovered.ksar").read_bytes() == (out1 / "recovered.ksar").read_bytes()
+
+    def test_mask_for_another_grid_exits_two(self, phantom_dir, tmp_path, capsys):
+        from slrecon.grid import IndexSet2D
+        from slrecon.phantom import make_mask
+
+        path = tmp_path / "mask17.json"
+        fileio.write_json(path, make_mask(IndexSet2D.rect(17, 17), "uniform", 2.0).to_json_dict())
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
+                    "--mask", path, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
+
+    def test_svt_writes_one_record_per_iteration(self, phantom_dir, tmp_path):
+        out = tmp_path / "svt"
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "svt",
+                    "--filter", "5x5", "--accel", "1.5", "--max-iter", "4", "--out", out])
+        assert code == 0
+        assert len((out / "report.jsonl").read_text().strip().splitlines()) == 4
+
 
 class TestBadInput:
     """Malformed or missing input files exit 2 with a message naming the problem."""
@@ -171,6 +196,13 @@ class TestValidateCmd:
         assert code == 0
         evidence = fileio.read_json(out / "validate_incoherence.json")
         assert evidence["rho2_rel_gap"] < 0.01
+
+    def test_lemmas_suite(self, tmp_path):
+        out = tmp_path / "lemmas"
+        assert run(["validate", "lemmas", "--grid", "33x33", "--out", out]) == 0
+        evidence = fileio.read_json(out / "validate_lemmas.json")
+        assert evidence["passed"] is True
+        assert evidence["col_span_dim"] == evidence["rank"]
 
     def test_invariant_failure_exits_one(self, tmp_path):
         # a window too small for the rank hypothesis forces a mismatch

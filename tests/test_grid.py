@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slrecon.grid import (
+    GridShape,
     IndexSet2D,
     centered_range,
     count_shifts,
@@ -37,6 +38,17 @@ rects = st.builds(
 arbitrary_sets = st.lists(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=12
 ).map(IndexSet2D.from_indices)
+
+
+class TestGridShape:
+    def test_integer_dimensions_accepted(self):
+        assert GridShape(np.int64(3), 1).size == 3
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (3, 3.0), (True, 3), (0, 3), (3, -1)],
+                             ids=["fraction", "float", "bool", "zero", "negative"])
+    def test_non_integer_or_empty_dimensions_raise(self, dims):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            GridShape(*dims)
 
 
 class TestIndexSet2D:

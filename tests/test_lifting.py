@@ -199,6 +199,22 @@ class TestApply:
         with pytest.raises(ValueError, match="pad"):
             LiftingConfig.make(IndexSet2D.rect(12, 1), IndexSet2D.rect(4, 1), pad=-1)
 
+    @pytest.mark.parametrize("taps", [8, 18])
+    def test_wrong_filter_size_raises(self, taps):
+        # a multiple of the filter size must not be read as a filter bank
+        cfg = LiftingConfig.make(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3))
+        h = np.ones(taps)
+        with pytest.raises(ValueError, match=f"filter has {taps} taps, expected 9"):
+            apply_filter(random_kspace(cfg.gamma, 1), h, cfg)
+        with pytest.raises(ValueError, match=f"filter has {taps} taps, expected 9"):
+            adjoint_apply(np.ones(cfg.n_out), h, cfg)
+
+    @pytest.mark.parametrize("pad", [1.5, 1.0, True])
+    def test_non_integer_pad_raises(self, pad):
+        # a fractional pad would otherwise build a fractional grid
+        with pytest.raises(ValueError, match="pad must be a non-negative integer"):
+            LiftingConfig(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3), "identity", pad)
+
 
 class TestConfigInvariants:
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])

@@ -7,6 +7,7 @@ from slrecon.phantom import (
     EdgePolynomial,
     Phantom,
     SamplingMask,
+    add_noise,
     dirac_fourier,
     make_mask,
     phantom_fourier,
@@ -217,3 +218,21 @@ class TestMakeMask:
         rel = mask.theta.indices - gamma.kmin
         assert np.array_equal(rows, rel[:, 0]) and np.array_equal(cols, rel[:, 1])
         assert not rows.flags.writeable and not cols.flags.writeable
+
+
+class TestAddNoise:
+    def test_zero_sigma_returns_equal_copy(self):
+        b = np.arange(6.0) + 1j
+        out = add_noise(b, 0.0, seed=3)
+        assert out is not b and np.array_equal(out, b)
+
+    def test_seeded(self):
+        b = np.zeros(50, dtype=complex)
+        assert np.array_equal(add_noise(b, 0.1, seed=4), add_noise(b, 0.1, seed=4))
+        assert not np.array_equal(add_noise(b, 0.1, seed=4), add_noise(b, 0.1, seed=5))
+
+    def test_power_matches_sigma(self):
+        # complex noise with E|n|^2 = sigma^2, split evenly between re and im
+        sigma = 0.3
+        n = add_noise(np.zeros(100_000, dtype=complex), sigma, seed=0)
+        assert abs(np.mean(np.abs(n) ** 2) / sigma**2 - 1.0) < 0.05
