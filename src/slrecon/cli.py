@@ -249,6 +249,12 @@ def cmd_validate(params: dict) -> int:
     return 0
 
 
+def _command_params(command: str) -> set[str]:
+    """The params a sub-command reads: its parser's destinations."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
 def cmd_rerun(params: dict) -> int:
     manifest = fileio.read_json(params["manifest"])
     command = json_field(manifest, "command", str, "manifest")
@@ -256,6 +262,9 @@ def cmd_rerun(params: dict) -> int:
         raise ValueError(f"manifest names unknown command {command!r}")
     replay = dict(json_field(manifest, "params", dict, "manifest"))
     replay["out"] = params["out"]
+    missing = sorted(_command_params(command) - replay.keys())
+    if missing:
+        raise ValueError(f"manifest params for {command!r} lack {', '.join(map(repr, missing))}")
     return DISPATCH[command](replay)
 
 

@@ -9,6 +9,11 @@ the lag sums of W with one inverse FFT, and costs 2 FFTs per application.
 The exact operator is the definition, the gradient T^*(T(x) W) of
 (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept for validation
 and small grids, and holds the memory of ``lift_dense``.
+
+CG is Jacobi-preconditioned by the diagonal of the operator in use, which
+costs at most about one application to compute.  The stopping
+test stays on the unpreconditioned residual, so ``cg_tol`` bounds
+||rhs - A x|| / ||rhs|| whatever the preconditioner.
 """
 
 from __future__ import annotations
@@ -164,8 +169,29 @@ def normal_apply_exact(
     return lam * theta_ind * xv + lift_adjoint(tx @ wm, cfg)
 
 
-def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
-    """Conjugate gradients on a Hermitian PSD operator over complex arrays.
+def normal_diag_approx(mask: AnnihilatingMask, cfg: LiftingConfig, lam: float,
+                       theta_ind: np.ndarray) -> np.ndarray:
+    """Diagonal of ``normal_apply_approx``.  The circulant part has a
+    constant diagonal, the mask's mean over the whole (padded) FFT grid."""
+    return lam * theta_ind + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
+
+
+def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig, lam: float,
+                      theta_ind: np.ndarray) -> np.ndarray:
+    """Diagonal of ``normal_apply_exact``: entry i sums w_b(i)^2 W[k, k] over
+    the taps k whose window reads index i."""
+    ones = lift_dense(KSpaceArray(cfg.gamma, np.ones(cfg.gamma.extents)), cfg)
+    return lam * theta_ind + lift_adjoint(ones * np.diag(wm).real, cfg).real
+
+
+def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
+    """Jacobi-preconditioned conjugate gradients on a Hermitian PSD operator
+    over complex arrays.
+
+    ``diag`` is the operator's diagonal, shaped like ``rhs``; entries that
+    are not positive (rows the operator leaves empty) precondition by 1, and
+    all ones gives plain CG exactly.  The iteration stops once the
+    unpreconditioned residual satisfies ||rhs - A x|| <= tol ||rhs||.
 
     Returns (x, info) where info carries the iteration count, the final
     relative residual, why the iteration stopped (``stop_reason``:
@@ -173,6 +199,7 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
     p^H A p <= 0), and the quadratic objective 0.5<x,Ax> - Re<rhs,x> at
     entry and exit (monotone for exact arithmetic CG).
     """
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     x = x0.copy()
     r = rhs - op(x)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -187,7 +214,9 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
         return 0.5 * quad - np.vdot(rhs, xc).real
 
     phi_start = phi(x, r)
-    p = r.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = np.vdot(r, z).real
     rs = np.vdot(r, r).real
     converged = float(np.sqrt(rs)) <= tol * rhs_norm
     stop_reason = "converged" if converged else "max_iter"
@@ -198,17 +227,19 @@ def cg_solve(op, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
         if denom <= 0:
             stop_reason = "indefinite"  # numerically lost positive-definiteness
             break
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = np.vdot(r, r).real
+        rs = np.vdot(r, r).real
         it += 1
-        if np.sqrt(rs_new) <= tol * rhs_norm:
+        if np.sqrt(rs) <= tol * rhs_norm:
             converged = True
             stop_reason = "converged"
-        beta = rs_new / rs
-        rs = rs_new
-        p = r + beta * p
+        z = inv_diag * r
+        rz_new = np.vdot(r, z).real
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
     info = {
         "iterations": it,
         "relative_residual": float(np.sqrt(rs) / rhs_norm),
@@ -261,10 +292,12 @@ def giraf_solve(
         if cfg.operator == APPROXIMATE:
             mask_fn = mask_from_filters(wm, lifting)
             op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, theta_ind)
+            diag = normal_diag_approx(mask_fn, lifting, cfg.lam, theta_ind)
         else:
             op = lambda v: normal_apply_exact(v, wm, lifting, cfg.lam, theta_ind)
+            diag = normal_diag_exact(wm, lifting, cfg.lam, theta_ind)
         t3 = time.perf_counter()
-        x_new, cg_info = cg_solve(op, rhs, x, cfg.cg_tol, cfg.cg_max)
+        x_new, cg_info = cg_solve(op, diag, rhs, x, cfg.cg_tol, cfg.cg_max)
         t4 = time.perf_counter()
         if not np.all(np.isfinite(x_new)):
             raise ValueError("solver produced non-finite iterate")
@@ -289,6 +322,7 @@ def giraf_solve(
             cg_iters=cg_info["iterations"],
             cg_residual=cg_info["relative_residual"],
             cg_converged=cg_info["converged"],
+            cg_stop_reason=cg_info["stop_reason"],
             surrogate_start=cg_info["phi_start"],
             surrogate_end=cg_info["phi_end"],
             change=change,

@@ -19,6 +19,7 @@ class IterationRecord:
     cg_iters: int = 0
     cg_residual: float = float("nan")
     cg_converged: bool = True
+    cg_stop_reason: str = ""  # "converged", "max_iter" or "indefinite"; empty without CG
     surrogate_start: float = float("nan")
     surrogate_end: float = float("nan")
     change: float = float("nan")

@@ -179,6 +179,12 @@ class TestBadInput:
             assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
             assert needle in capsys.readouterr().err
 
+    def test_manifest_missing_a_param(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "validate", "params": {"suite": "rank"}}))
+        assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
+        assert "'lambda0'" in capsys.readouterr().err
+
 
 class TestValidateCmd:
     def test_rank_suite(self, tmp_path):

@@ -23,11 +23,13 @@ from slrecon.giraf import (
     mask_from_filters,
     normal_apply_approx,
     normal_apply_exact,
+    normal_diag_approx,
+    normal_diag_exact,
     schatten_penalty,
     weight_matrix,
     _spectral_weights,
 )
-from slrecon.phantom import dirac_fourier, make_mask, sample_kspace
+from slrecon.phantom import SamplingMask, dirac_fourier, make_mask, sample_kspace
 
 from conftest import lifting_configs, random_kspace
 
@@ -319,7 +321,7 @@ class TestCG:
         mat = a.conj().T @ a + 0.5 * np.eye(12)
         rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         op = lambda v: (mat @ v.ravel()).reshape(v.shape)
-        x, info = cg_solve(op, rhs, np.zeros_like(rhs), 1e-12, 200)
+        x, info = cg_solve(op, np.ones(12), rhs, np.zeros_like(rhs), 1e-12, 200)
         assert info["converged"]
         assert rel_err(x, np.linalg.solve(mat, rhs)) < 1e-10
 
@@ -352,22 +354,92 @@ class TestCG:
 
     def test_zero_rhs(self):
         op = lambda v: v
-        x, info = cg_solve(op, np.zeros(5), np.ones(5), 1e-10, 10)
+        x, info = cg_solve(op, np.ones(5), np.zeros(5), np.ones(5), 1e-10, 10)
         assert np.allclose(x, 0.0)
         assert info["converged"]
         assert info["stop_reason"] == "converged"
 
     def test_indefinite_operator_reports_stop_reason(self):
-        x, info = cg_solve(lambda v: -v, np.ones(5), np.zeros(5), 1e-10, 10)
+        x, info = cg_solve(lambda v: -v, np.ones(5), np.ones(5), np.zeros(5), 1e-10, 10)
         assert not info["converged"]
         assert info["stop_reason"] == "indefinite"
         assert info["iterations"] == 0
 
     def test_iteration_cap_reports_stop_reason(self):
         mat = np.diag(np.arange(1.0, 9.0))
-        _, info = cg_solve(lambda v: mat @ v, np.ones(8), np.zeros(8), 1e-14, 2)
+        _, info = cg_solve(lambda v: mat @ v, np.ones(8), np.ones(8), np.zeros(8), 1e-14, 2)
         assert info["stop_reason"] == "max_iter"
         assert info["iterations"] == 2
+
+    def test_stops_on_the_unpreconditioned_residual(self):
+        # a badly scaled diagonal makes the preconditioned residual D^-1 r
+        # far smaller than r, so stopping on it would stop early
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        scale = np.logspace(3, 5, 30)
+        mat = scale[:, None] * (a.conj().T @ a / 30 + np.eye(30)) * scale
+        rhs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        tol = 1e-6
+        x, info = cg_solve(lambda v: mat @ v, np.diag(mat).real, rhs, np.zeros(30), tol, 500)
+        true_rel = np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs)
+        assert info["converged"] and info["iterations"] > 1
+        assert true_rel <= tol
+        assert info["relative_residual"] == pytest.approx(true_rel, rel=1e-3)
+
+
+def dense_matrix(op, extents):
+    """The operator's matrix over gamma-shaped arrays, one basis vector a column."""
+    m = extents[0] * extents[1]
+    return np.stack([op(e.reshape(extents)).ravel() for e in np.eye(m)], axis=1)
+
+
+def random_normal_problem(cfg, seed, definite):
+    """Both normal operators, with their diagonals, for a random positive
+    definite weight matrix, lam and sampling pattern.  If ``definite``, the
+    pattern also samples every row the lifting leaves empty (DC under
+    gradient weighting, and the edge row an even filter's windows never
+    read), which makes both operators positive definite."""
+    rng = np.random.default_rng(seed)
+    n = cfg.n_filter
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    wm = f @ f.conj().T / n
+    theta = (rng.random(cfg.gamma.extents) < 0.5).astype(float)
+    if definite:
+        theta[normal_diag_exact(wm, cfg, 0.0, theta) == 0.0] = 1.0
+    lam = float(rng.uniform(0.1, 10.0))
+    mask = mask_from_filters(wm, cfg)
+    return {
+        "approximate": (lambda v: normal_apply_approx(v, mask, cfg, lam, theta),
+                        normal_diag_approx(mask, cfg, lam, theta)),
+        "exact": (lambda v: normal_apply_exact(v, wm, cfg, lam, theta),
+                  normal_diag_exact(wm, cfg, lam, theta)),
+    }
+
+
+class TestJacobiDiagonal:
+    @settings(max_examples=30, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_equals_dense_diagonal(self, cfg, seed):
+        for op, diag in random_normal_problem(cfg, seed, definite=False).values():
+            dense = np.diag(dense_matrix(op, cfg.gamma.extents))
+            assert np.abs(diag.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_preconditioned_and_plain_cg_agree(self, cfg, seed):
+        # both stop with ||rhs - A x|| <= tol ||rhs||, so their solutions
+        # differ by at most 2 tol ||rhs|| / lambda_min(A)
+        tol = 1e-8
+        rhs = random_kspace(cfg.gamma, seed + 1).values
+        for op, diag in random_normal_problem(cfg, seed, definite=True).values():
+            lam_min = np.linalg.eigvalsh(dense_matrix(op, cfg.gamma.extents))[0]
+            x0 = np.zeros_like(rhs)
+            maxiter = 20 * rhs.size
+            x_pcg, info_pcg = cg_solve(op, diag, rhs, x0, tol, maxiter)
+            x_cg, info_cg = cg_solve(op, np.ones(rhs.shape), rhs, x0, tol, maxiter)
+            assert info_pcg["converged"] and info_cg["converged"]
+            bound = 2 * tol * np.linalg.norm(rhs) / lam_min
+            assert np.linalg.norm(x_pcg - x_cg) <= 1.01 * bound
 
 
 def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
@@ -500,3 +572,19 @@ class TestGirafSolve:
         cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=1, cg_max=1)
         _, rep = giraf_solve(b, mask, lifting, cfg)
         assert rep.notes and "(max_iter)" in rep.notes[0]
+        assert rep.iterations[0].cg_stop_reason == "max_iter"
+
+    @pytest.mark.parametrize("operator", ["approximate", "exact"])
+    def test_unsampled_dc_with_gradient_weighting(self, operator):
+        # gradient weighting vanishes at DC, so with DC unsampled both
+        # operators have a zero diagonal entry there (an empty row)
+        gamma = IndexSet2D.rect(12, 12)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
+        drawn = make_mask(gamma, "uniform", 1.5, seed=13)
+        keep = np.any(drawn.theta.indices != 0, axis=1)
+        mask = SamplingMask(gamma, IndexSet2D.from_indices(drawn.theta.indices[keep]))
+        b = sample_kspace(random_kspace(gamma, 53), mask)
+        cfg = IRLSConfig(p=1.0, lam=1e4, operator=operator, max_outer=2, cg_max=2000)
+        rec, rep = giraf_solve(b, mask, lifting, cfg)
+        assert np.all(np.isfinite(rec.values))
+        assert all(r.cg_converged and r.cg_stop_reason == "converged" for r in rep.iterations)
