@@ -15,7 +15,8 @@ import numpy as np
 from ._fft import fft2, ifft2
 from .analysis import snr_db
 from .grid import GridShape
-from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
+from .lifting import (KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense,
+                      lift_normal_diag)
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -58,10 +59,7 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     are returned as zero and flagged.
     """
     numer = lift_adjoint(X, cfg)
-    refs = cfg.from_grid(np.bincount(cfg.lift_geometry.ravel(), minlength=cfg.fft_grid.size))
-    denom = refs * sum(w**2 for w in cfg.multipliers)
-    # zero weight sum: either all-zero weights (DC under gradient weighting)
-    # or an index the matrix never references (asymmetric filter supports)
+    denom = lift_normal_diag(np.ones(cfg.n_filter), cfg)
     undetermined = denom == 0.0
     vals = numer / np.where(undetermined, 1.0, denom)
     kmin = cfg.gamma.kmin

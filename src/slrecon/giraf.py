@@ -28,7 +28,8 @@ from ._fft import fft2, ifft2
 from .analysis import snr_db
 from .baselines import zero_fill
 from .grid import GridShape
-from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lag_sums, lift_adjoint, lift_dense
+from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lag_sums, lift_adjoint, lift_dense,
+                      lift_normal_diag)
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -172,16 +173,16 @@ def normal_apply_exact(
 def normal_diag_approx(mask: AnnihilatingMask, cfg: LiftingConfig, lam: float,
                        theta_ind: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``.  The circulant part has a
-    constant diagonal, the mask's mean over the whole (padded) FFT grid."""
+    constant diagonal, the mask's mean over the FFT grid."""
     return lam * theta_ind + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
 
 
 def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig, lam: float,
                       theta_ind: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_exact``: entry i sums w_b(i)^2 W[k, k] over
-    the taps k whose window reads index i."""
-    ones = lift_dense(KSpaceArray(cfg.gamma, np.ones(cfg.gamma.extents)), cfg)
-    return lam * theta_ind + lift_adjoint(ones * np.diag(wm).real, cfg).real
+    the taps k whose window reads index i.  Every index is read, so the
+    lifting part vanishes only at DC under gradient weighting."""
+    return lam * theta_ind + lift_normal_diag(np.diag(wm).real, cfg)
 
 
 def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
@@ -189,8 +190,9 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     over complex arrays.
 
     ``diag`` is the operator's diagonal, shaped like ``rhs``; entries that
-    are not positive (rows the operator leaves empty) precondition by 1, and
-    all ones gives plain CG exactly.  The iteration stops once the
+    are not positive (rows the operator leaves empty: for GIRAF, DC under
+    gradient weighting when DC is unsampled) precondition by 1, and all
+    ones gives plain CG exactly.  The iteration stops once the
     unpreconditioned residual satisfies ||rhs - A x|| <= tol ||rhs||.
 
     Returns (x, info) where info carries the iteration count, the final

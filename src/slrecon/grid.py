@@ -186,7 +186,10 @@ def dilate(a: IndexSet2D, b: IndexSet2D) -> IndexSet2D:
 
 
 def valid_output_set(gamma: IndexSet2D, lambda1: IndexSet2D) -> IndexSet2D:
-    """Output support of valid convolutions, positioned so dilate(lambda1, result) == gamma."""
+    """Output support of valid convolutions: the outputs l whose windows
+    l - lambda1 lie inside gamma.  Together the windows read exactly gamma
+    (``dilate`` of the result with -lambda1 is gamma), for any filter extent
+    or offset."""
     if not (gamma.rectangular and lambda1.rectangular):
         raise ValueError("valid_output_set requires rectangular gamma and lambda1")
     ge, fe = gamma.extents, lambda1.extents
@@ -194,7 +197,7 @@ def valid_output_set(gamma: IndexSet2D, lambda1: IndexSet2D) -> IndexSet2D:
         raise ValueError(
             f"filter support {fe} exceeds grid extents {ge}; filter larger than grid"
         )
-    return _box(gamma.kmin - lambda1.kmin, gamma.kmax - lambda1.kmax)
+    return _box(gamma.kmin + lambda1.kmax, gamma.kmax + lambda1.kmin)
 
 
 def count_shifts(lambda1: IndexSet2D, lambda0: IndexSet2D) -> int:

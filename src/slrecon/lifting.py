@@ -3,26 +3,22 @@
 A filter ``h`` supported on ``lambda1`` maps through the lifting as
 ``T(x) h = restrict(weight(x) conv h, lambda2)`` where the convolution is the
 plain (non-circular) discrete convolution of the gamma-supported data with
-the filter, and ``lambda2`` is the valid output set.  With gradient weighting
-the matrix stacks the k1-weighted block on top of the k2-weighted block.
+the filter, and ``lambda2`` is the valid output set: the outputs l whose
+windows l - lambda1 lie inside gamma.  Together the windows read exactly
+gamma, so every matrix entry is an actual weighted sample, for any filter
+extent or offset.  With gradient weighting the matrix stacks the
+k1-weighted block on top of the k2-weighted block.
 
 The read rule, entry (l, k) holds the sample at index l - k, is written once,
-as a sliding-window view of the data on an FFT grid just large enough that
-the restricted outputs are alias-free: ``lift_dense``, its adjoint
-``lift_adjoint`` and ``gram_matrix`` read through it.  ``apply_filter`` /
-``adjoint_apply`` evaluate the same maps with circular FFTs on that grid and
-are the view's independent oracle.  A ``LiftingConfig`` is a function of
-gamma, lambda1, the weighting and the grid padding: lambda2 and the grid are
+as a sliding-window view of the gamma-shaped data: ``lift_dense``, its
+adjoint ``lift_adjoint``, ``gram_matrix`` and ``lift_normal_diag`` read
+through it.  ``apply_filter`` / ``adjoint_apply`` evaluate the same maps
+with circular FFTs on a gamma-sized grid, where the valid outputs are
+alias-free, and are the view's independent oracle.  A ``LiftingConfig`` is
+a function of gamma, lambda1 and the weighting: lambda2 and the grid are
 derived from them at construction, not accepted and checked.  The arrays
 derived from its geometry are computed on first use and cached read-only, so
 no per-call map re-derives them.
-
-For symmetric (odd-extent) filter supports every matrix entry is an actual
-weighted sample.  Asymmetric supports are allowed, but lambda2, placed so
-that dilate(lambda1, lambda2) == gamma, then makes one boundary output row
-read a single index just outside gamma, which counts as zero;
-sliding-window identities (e.g. exact annihilation of a restricted infinite
-sequence) hold only in the symmetric case.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, is_int, valid_output_set
+from .grid import GridShape, IndexSet2D, valid_output_set
 
 IDENTITY = "identity"
 GRADIENT = "gradient"
@@ -89,53 +85,37 @@ def gather(g: np.ndarray, iset: IndexSet2D) -> np.ndarray:
     return g[np.ix_(r1 % n1, r2 % n2)]
 
 
-def _alias_free_extents(gamma: IndexSet2D, lambda1: IndexSet2D, lambda2: IndexSet2D) -> tuple[int, int]:
-    """Minimal per-axis grid so lambda2-restricted circular convolution is exact.
-
-    Outputs on lambda2 read data indices in [min(l2)-max(l1), max(l2)-min(l1)];
-    the grid must hold the union of that window and gamma injectively.
-    """
-    lo = np.minimum(gamma.kmin, lambda2.kmin - lambda1.kmax)
-    hi = np.maximum(gamma.kmax, lambda2.kmax - lambda1.kmin)
-    return (int(hi[0] - lo[0] + 1), int(hi[1] - lo[1] + 1))
-
-
 @dataclass(frozen=True)
 class LiftingConfig:
-    """Geometry of one lifting, a function of the supports, the weighting and
-    the grid padding; lambda2 and the FFT work grid are derived from them,
-    and derived arrays are cached read-only.
+    """Geometry of one lifting, a function of the supports and the weighting;
+    lambda2 (the valid output set) and the FFT work grid (the gamma extents)
+    are derived from them, and derived arrays are cached read-only.
 
     ``weighting`` is ``identity`` (the data untouched) or ``gradient`` (the
     data multiplied by the integer frequencies k1 and k2, one block each, the
     constant -j*2*pi being dropped since it only rescales all singular values
-    uniformly).  The grid is the minimal alias-free one plus ``pad`` samples
-    per axis; for symmetric (odd-extent) filters the minimal grid equals the
-    gamma extents, asymmetric supports need one extra sample per axis.
+    uniformly).  Every index of gamma is read by some window, so the only
+    index the lifting leaves out is DC under gradient weighting, where both
+    multipliers vanish.
     """
 
     gamma: IndexSet2D
     lambda1: IndexSet2D
     weighting: str = IDENTITY
-    pad: int = 0
     lambda2: IndexSet2D = field(init=False)
     fft_grid: GridShape = field(init=False)
 
     def __post_init__(self):
         if self.weighting not in (IDENTITY, GRADIENT):
             raise ValueError(f"unknown weighting kind {self.weighting!r}")
-        if not is_int(self.pad) or self.pad < 0:
-            raise ValueError(f"pad must be a non-negative integer, got {self.pad!r}")
-        lambda2 = valid_output_set(self.gamma, self.lambda1)
-        e1, e2 = _alias_free_extents(self.gamma, self.lambda1, lambda2)
-        object.__setattr__(self, "lambda2", lambda2)
-        object.__setattr__(self, "fft_grid", GridShape(e1 + self.pad, e2 + self.pad))
+        object.__setattr__(self, "lambda2", valid_output_set(self.gamma, self.lambda1))
+        object.__setattr__(self, "fft_grid", GridShape(*self.gamma.extents))
 
     @classmethod
-    def make(cls, gamma: IndexSet2D, lambda1: IndexSet2D, weighting: str = IDENTITY,
-             pad: int = 0) -> "LiftingConfig":
+    def make(cls, gamma: IndexSet2D, lambda1: IndexSet2D,
+             weighting: str = IDENTITY) -> "LiftingConfig":
         """The named constructor existing callers use; the same as ``cls(...)``."""
-        return cls(gamma, lambda1, weighting, pad)
+        return cls(gamma, lambda1, weighting)
 
     @property
     def n_filter(self) -> int:
@@ -167,13 +147,13 @@ class LiftingConfig:
 
     @cached_property
     def lift_geometry(self) -> np.ndarray:
-        """(|lambda2|, N) flat FFT-grid offsets: position (l, k) of every block
-        reads index l - k, a cell ``to_grid`` leaves zero if outside gamma."""
-        cells = np.arange(self.fft_grid.size).reshape(self.fft_grid.as_tuple())
+        """(|lambda2|, N) flat row-major offsets into gamma: position (l, k)
+        of every block reads index l - k."""
+        cells = np.arange(len(self.gamma)).reshape(self.gamma.extents)
         return _read_only(_windows(cells, self).reshape(self.n_out, -1).copy())
 
     def to_grid(self, v: np.ndarray) -> np.ndarray:
-        """Gamma-shaped values placed on a zeroed FFT grid (``embed`` on gamma)."""
+        """Gamma-shaped values placed on the FFT grid (``embed`` on gamma)."""
         g = np.zeros(self.fft_grid.size, dtype=np.complex128)
         g[self.cells] = np.ravel(v)
         return g.reshape(self.fft_grid.as_tuple())
@@ -184,12 +164,10 @@ class LiftingConfig:
 
 
 def _windows(g: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """View of FFT-grid arrays with [..., m1, m2, k1, k2] at index lambda2[m] -
-    lambda1[k]; the roll makes every index read contiguous, and the alias-free
-    grid holds them injectively.  Leading axes are kept."""
-    g = np.roll(g, cfg.lambda1.kmax - cfg.lambda2.kmin, axis=(-2, -1))
+    """View of gamma-shaped arrays with [..., m1, m2, k1, k2] at index
+    lambda2[m] - lambda1[k].  Leading axes are kept."""
     view = np.lib.stride_tricks.sliding_window_view(g, cfg.lambda1.extents, axis=(-2, -1))
-    return view[..., : cfg.lambda2.extents[0], : cfg.lambda2.extents[1], ::-1, ::-1]
+    return view[..., ::-1, ::-1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -205,11 +183,10 @@ def _check_input(x: KSpaceArray, cfg: LiftingConfig):
 def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Materialize the lifted matrix (rows = blocks x lambda2, cols = lambda1).
 
-    Entry ((b, l), k) holds the block-b weighted sample at index l - k, or
-    zero when l - k falls outside gamma.
+    Entry ((b, l), k) holds the block-b weighted sample at index l - k.
     """
     _check_input(x, cfg)
-    g = np.stack([cfg.to_grid(w * x.values) for w in cfg.multipliers])
+    g = cfg.multipliers * x.values
     lifted = np.take(g.reshape(len(g), -1), cfg.lift_geometry, axis=1)
     return lifted.reshape(cfg.lifted_shape)
 
@@ -217,21 +194,33 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
 def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
 
-    Every lifted entry is summed onto the grid cell it reads (one bincount
-    per real/imaginary part and block), read back onto gamma, then weighted
-    by that block's real multiplier.
+    Every lifted entry is summed onto the index it reads (one bincount per
+    real/imaginary part and block), then weighted by that block's real
+    multiplier.
     """
     X = np.asarray(X)
     if X.shape != cfg.lifted_shape:
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
     flat = cfg.lift_geometry.ravel()
-    size = cfg.fft_grid.size
+    size = len(cfg.gamma)
     out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
     for xb, w in zip(X.reshape(len(cfg.multipliers), -1), cfg.multipliers):
         re = np.bincount(flat, weights=xb.real, minlength=size)
         im = np.bincount(flat, weights=xb.imag, minlength=size)
-        out += w * cfg.from_grid(re + 1j * im)
+        out += w * (re + 1j * im).reshape(cfg.gamma.extents)
     return out
+
+
+def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Diagonal of x -> T^*(T(x) W) for a weight matrix with diagonal ``d``
+    (aligned with cfg.lambda1), as a real gamma-shaped array.
+
+    Entry i is sum_b w_b(i)^2 times the sum of d[k] over the taps k whose
+    window reads i; zero only where every multiplier vanishes.
+    """
+    reads = np.bincount(cfg.lift_geometry.ravel(), weights=np.tile(d, cfg.n_out),
+                        minlength=len(cfg.gamma))
+    return reads.reshape(cfg.gamma.extents) * (cfg.multipliers**2).sum(axis=0)
 
 
 def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -285,7 +274,7 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     _check_input(x, cfg)
     gram = np.zeros((cfg.n_filter, cfg.n_filter), dtype=np.complex128)
     for w in cfg.multipliers:
-        for row in _windows(cfg.to_grid(w * x.values), cfg):  # one lambda2 row of T(x): (o2, N)
+        for row in _windows(w * x.values, cfg):  # one lambda2 row of T(x): (o2, N)
             t = row.reshape(-1, cfg.n_filter)
             gram += t.conj().T @ t
     return 0.5 * (gram + gram.conj().T)

@@ -15,14 +15,14 @@ def random_kspace(gamma: IndexSet2D, seed: int) -> KSpaceArray:
 
 @st.composite
 def lifting_configs(draw):
-    """Liftings over odd/even filter extents, 1-D grids, padded grids and
-    both weightings."""
+    """Liftings over odd/even filter extents, 1-D grids and both
+    weightings."""
     g1 = draw(st.integers(2, 14))
     g2 = draw(st.sampled_from([1, draw(st.integers(2, 14))]))
     f1, f2 = draw(st.integers(1, g1)), draw(st.integers(1, g2))
     weighting = draw(st.sampled_from(["identity", "gradient"]))
     gamma = IndexSet2D.rect(g1, g2)
-    return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2), weighting, pad=draw(st.integers(0, 3)))
+    return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2), weighting)
 
 
 def conv_oracle(x: KSpaceArray, h: np.ndarray, lambda1: IndexSet2D, out_set: IndexSet2D) -> np.ndarray:

@@ -108,11 +108,12 @@ class TestLagDomainMask:
         oracle = per_filter_mask(filters, cfg)
         assert np.abs(mask.values - oracle).max() <= 1e-13 * oracle.max()
 
-    @pytest.mark.parametrize("grid,filt,pad", [((8, 1), (2, 1), 0), ((9, 6), (3, 2), 2)])
-    def test_zero_response_filters_are_clamped(self, grid, filt, pad):
+    @pytest.mark.parametrize("grid,filt,shift", [((8, 1), (2, 1), 0), ((9, 6), (3, 2), 2)])
+    def test_zero_response_filters_are_clamped(self, grid, filt, shift):
         # [1, -1] and zero-sum filters vanish at u = 0; negative rounding there
-        # must be clamped, not rejected
-        cfg = LiftingConfig.make(IndexSet2D.rect(*grid), IndexSet2D.rect(*filt), pad=pad)
+        # must be clamped, not rejected, also for a filter shifted off-centre
+        lambda1 = IndexSet2D.rect(*filt, offset=(shift, 0))
+        cfg = LiftingConfig.make(IndexSet2D.rect(*grid), lambda1)
         pair = np.zeros((cfg.n_filter, 1))
         pair[0], pair[-1] = 1.0, -1.0
         for filters in [pair] + [zero_sum_filter(cfg.n_filter, seed) for seed in range(20)]:
@@ -397,8 +398,7 @@ def random_normal_problem(cfg, seed, definite):
     """Both normal operators, with their diagonals, for a random positive
     definite weight matrix, lam and sampling pattern.  If ``definite``, the
     pattern also samples every row the lifting leaves empty (DC under
-    gradient weighting, and the edge row an even filter's windows never
-    read), which makes both operators positive definite."""
+    gradient weighting), which makes both operators positive definite."""
     rng = np.random.default_rng(seed)
     n = cfg.n_filter
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -417,6 +417,21 @@ def random_normal_problem(cfg, seed, definite):
 
 
 class TestJacobiDiagonal:
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_lifting_reads_all_of_gamma(self, cfg, seed):
+        # the windows read every index of gamma and nothing outside it, so
+        # the exact diagonal is positive except at DC under gradient weighting
+        reads = cfg.lift_geometry.ravel()
+        assert reads.min() >= 0 and reads.max() < len(cfg.gamma)
+        assert np.all(np.bincount(reads, minlength=len(cfg.gamma)) > 0)
+        rng = np.random.default_rng(seed)
+        n = cfg.n_filter
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        diag = normal_diag_exact(f @ f.conj().T, cfg, 1.0, np.zeros(cfg.gamma.extents))
+        empty = np.argwhere(diag <= 0) + cfg.gamma.kmin
+        assert empty.tolist() == ([] if cfg.weighting == "identity" else [[0, 0]])
+
     @settings(max_examples=30, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_equals_dense_diagonal(self, cfg, seed):
@@ -462,6 +477,22 @@ def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
     r_dense += basis.conj().reshape(m, -1) @ (basis @ wm).reshape(m, -1).T
     rhs = lam * x0.ravel()
     return np.linalg.solve(r_dense, rhs).reshape(gamma.extents)
+
+
+def dirac_stream_recovery(seed):
+    """Five well separated Diracs on a 64x1 grid, recovered by the exact
+    operator with an 8x1 filter from a uniform mask drawn with ``seed``;
+    returns the mask and the relative error."""
+    locs = [0.08, 0.31, 0.52, 0.74, 0.9]
+    amps = np.array([1.0, -0.7 + 0.3j, 0.9, 1.2j, -0.5])
+    gamma = IndexSet2D.rect(64, 1)
+    truth = dirac_fourier([(x, 0.0) for x in locs], amps, gamma)
+    mask = make_mask(gamma, "uniform", acceleration=2.0, seed=seed)
+    lifting = LiftingConfig.make(gamma, IndexSet2D.rect(8, 1), "identity")
+    cfg = IRLSConfig(p=0.0, lam=1e8, operator="exact", max_outer=40,
+                     eps_decay=1.5, cg_tol=1e-13, cg_max=3000, convergence_tol=1e-10)
+    rec, _ = giraf_solve(sample_kspace(truth, mask), mask, lifting, cfg)
+    return mask, rel_err(rec.values, truth.values)
 
 
 class TestGirafSolve:
@@ -528,17 +559,16 @@ class TestGirafSolve:
     def test_dirac_stream_recovery(self):
         # compact version of the exact-recovery criterion: well separated
         # Diracs, corner index sampled (uniqueness), exact operator
-        locs = [0.08, 0.31, 0.52, 0.74, 0.9]
-        amps = np.array([1.0, -0.7 + 0.3j, 0.9, 1.2j, -0.5])
-        gamma = IndexSet2D.rect(64, 1)
-        truth = dirac_fourier([(x, 0.0) for x in locs], amps, gamma)
-        mask = make_mask(gamma, "uniform", acceleration=2.0, seed=1)
-        b = sample_kspace(truth, mask)
-        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(8, 1), "identity")
-        cfg = IRLSConfig(p=0.0, lam=1e8, operator="exact", max_outer=40,
-                         eps_decay=1.5, cg_tol=1e-13, cg_max=3000, convergence_tol=1e-10)
-        rec, rep = giraf_solve(b, mask, lifting, cfg, reference=truth)
-        assert rel_err(rec.values, truth.values) < 1e-6
+        _, err = dirac_stream_recovery(seed=1)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_dirac_stream_recovery_with_unsampled_edge(self, seed):
+        # masks that leave gamma's first index unsampled: the 8-tap filter's
+        # windows read it too, so it is recovered as well
+        mask, err = dirac_stream_recovery(seed)
+        assert not mask.theta.contains(IndexSet2D.from_indices([(-32, 0)]))
+        assert err < 1e-6
 
     def test_nan_input_rejected(self):
         gamma = IndexSet2D.rect(8, 8)

@@ -195,8 +195,9 @@ class TestValidOutputSet:
             with pytest.raises(ValueError):
                 valid_output_set(gamma, lambda1)
             return
+        # every window l - lambda1 lies in gamma, and together they read it all
         l2 = valid_output_set(gamma, lambda1)
-        assert dilate(lambda1, l2) == gamma
+        assert dilate(l2, IndexSet2D(-lambda1.indices)) == gamma
 
 
 class TestShiftCounting:

@@ -100,15 +100,14 @@ class TestLiftDense:
 
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
     def test_off_centre_filter_matches_conv_oracle(self, weighting):
-        # lambda1 shifted off the origin: lambda2 and the grid shift with it,
-        # and the boundary rows read indices outside gamma
+        # lambda1 shifted off the origin: lambda2 shifts with it, and the
+        # windows still read only gamma, so the grid stays gamma-sized
         gamma = IndexSet2D.rect(9, 8)
         lam1 = IndexSet2D.rect(4, 3, offset=(2, -1))
         lam2 = valid_output_set(gamma, lam1)
-        # reads span k1 in -7..4 and k2 in -4..5; one extra sample of padding
-        cfg = LiftingConfig.make(gamma, lam1, weighting, pad=1)
+        cfg = LiftingConfig.make(gamma, lam1, weighting)
         assert cfg.lambda2 == lam2
-        assert cfg.fft_grid == GridShape(13, 11)
+        assert cfg.fft_grid == GridShape(9, 8)
         x = random_kspace(gamma, 61)
         t = lift_dense(x, cfg)
         blocks = [KSpaceArray(gamma, w * x.values) for w in cfg.multipliers]
@@ -173,14 +172,34 @@ class TestApply:
         assert rel_err(apply_filter(x, h, cfg), t @ h) < 1e-12
 
     def test_even_extent_filter_matches_dense(self):
-        # asymmetric support needs the one-sample grid padding chosen by make()
+        # an asymmetric support needs no grid padding: the valid outputs are
+        # alias-free on the gamma-sized grid
         gamma = IndexSet2D.rect(12, 1)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(4, 1))
-        assert cfg.fft_grid.n1 == 13
+        assert cfg.fft_grid.n1 == 12
         x = random_kspace(gamma, 29)
         t = lift_dense(x, cfg)
         h = np.random.default_rng(31).standard_normal(4) + 0j
         assert rel_err(apply_filter(x, h, cfg), t @ h) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2**16))
+    def test_gamma_sized_grid_is_alias_free(self, cfg, s1, s2, seed):
+        # the circular FFT maps on the gamma-sized grid equal the dense
+        # lifting and its adjoint, also for filters shifted off-centre
+        lam1 = IndexSet2D.rect(*cfg.lambda1.extents, offset=(s1, s2))
+        cfg = LiftingConfig.make(cfg.gamma, lam1, cfg.weighting)
+        rng = np.random.default_rng(seed)
+        x = random_kspace(cfg.gamma, seed)
+        h = rng.standard_normal(cfg.n_filter) + 1j * rng.standard_normal(cfg.n_filter)
+        t = lift_dense(x, cfg)
+        scale = np.linalg.norm(t) * np.linalg.norm(h)
+        assert np.linalg.norm(apply_filter(x, h, cfg) - t @ h) <= 1e-12 * max(scale, 1e-300)
+        v = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
+        dense = lift_adjoint(np.outer(v, h.conj()), cfg)
+        fft = adjoint_apply(v, h, cfg).values
+        bound = np.abs(cfg.multipliers).max() * cfg.n_filter * np.linalg.norm(v) * np.linalg.norm(h)
+        assert np.linalg.norm(fft - dense) <= 1e-12 * max(bound, 1e-300)
 
     def test_gradient_blocks_expose_frequencies(self):
         gamma = IndexSet2D.rect(7, 7)
@@ -194,11 +213,6 @@ class TestApply:
         assert rel_err(out[:n], k1) < 1e-12
         assert rel_err(out[n:], k2) < 1e-12
 
-    def test_too_small_grid_raises(self):
-        # the grid is derived, so only a negative pad could shrink it
-        with pytest.raises(ValueError, match="pad"):
-            LiftingConfig.make(IndexSet2D.rect(12, 1), IndexSet2D.rect(4, 1), pad=-1)
-
     @pytest.mark.parametrize("taps", [8, 18])
     def test_wrong_filter_size_raises(self, taps):
         # a multiple of the filter size must not be read as a filter bank
@@ -209,19 +223,13 @@ class TestApply:
         with pytest.raises(ValueError, match=f"filter has {taps} taps, expected 9"):
             adjoint_apply(np.ones(cfg.n_out), h, cfg)
 
-    @pytest.mark.parametrize("pad", [1.5, 1.0, True])
-    def test_non_integer_pad_raises(self, pad):
-        # a fractional pad would otherwise build a fractional grid
-        with pytest.raises(ValueError, match="pad must be a non-negative integer"):
-            LiftingConfig(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3), "identity", pad)
-
 
 class TestConfigInvariants:
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
-    @pytest.mark.parametrize("filt,pad", [((3, 3), 0), ((4, 1), 2)])
-    def test_derived_arrays_cached_read_only(self, weighting, filt, pad):
+    @pytest.mark.parametrize("filt,shift", [((3, 3), 0), ((4, 1), 2)])
+    def test_derived_arrays_cached_read_only(self, weighting, filt, shift):
         gamma = IndexSet2D.rect(9, 8)
-        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting, pad=pad)
+        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt, offset=(shift, 0)), weighting)
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         assert cfg.cells is cfg.cells
@@ -233,12 +241,9 @@ class TestConfigInvariants:
     @given(lifting_configs())
     def test_lambda2_and_grid_are_derived(self, cfg):
         assert cfg.lambda2 == valid_output_set(cfg.gamma, cfg.lambda1)
-        assert dilate(cfg.lambda1, cfg.lambda2) == cfg.gamma
-        # reads span [min(l2) - max(l1), max(l2) - min(l1)], which must share
-        # the grid injectively with gamma
-        lo = np.minimum(cfg.gamma.kmin, cfg.lambda2.kmin - cfg.lambda1.kmax)
-        hi = np.maximum(cfg.gamma.kmax, cfg.lambda2.kmax - cfg.lambda1.kmin)
-        assert cfg.fft_grid.as_tuple() == tuple(int(e) + cfg.pad for e in hi - lo + 1)
+        # the windows l - lambda1 together read exactly gamma
+        assert dilate(cfg.lambda2, IndexSet2D(-cfg.lambda1.indices)) == cfg.gamma
+        assert cfg.fft_grid.as_tuple() == cfg.gamma.extents
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
@@ -251,7 +256,7 @@ class TestConfigInvariants:
 
     def test_only_the_four_inputs_are_settable(self):
         settable = [f.name for f in dataclasses.fields(LiftingConfig) if f.init]
-        assert settable == ["gamma", "lambda1", "weighting", "pad"]
+        assert settable == ["gamma", "lambda1", "weighting"]
 
     def test_unknown_weighting_raises(self):
         with pytest.raises(ValueError, match="laplacian"):
@@ -343,13 +348,6 @@ class TestGram:
         assert np.allclose(g, g.conj().T)
         w = np.linalg.eigvalsh(g)
         assert w.min() >= -1e-10 * max(w.max(), 1.0)
-
-    def test_padded_grid_agrees(self):
-        gamma = IndexSet2D.rect(10, 10)
-        x = random_kspace(gamma, 53)
-        base = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
-        padded = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient", pad=9)
-        assert rel_err(gram_matrix(x, base), gram_matrix(x, padded)) < 1e-11
 
 
 class TestToeplitzStructure:
