@@ -10,6 +10,7 @@ aside).  Exit codes: 0 success, 1 invariant failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import platform
 import sys
 import time
@@ -58,6 +59,31 @@ def _outdir(params) -> Path:
     return out
 
 
+def _package_version() -> str:
+    try:
+        return importlib.metadata.version("slrecon")
+    except importlib.metadata.PackageNotFoundError:
+        return "unknown"
+
+
+def _git_revision(git_dir: Path) -> str:
+    """The commit HEAD names in a ``.git`` directory, read without running git
+    (a loose ref file, else ``packed-refs``); "unknown" outside a clone."""
+    try:
+        head = (git_dir / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD holds the commit itself
+        ref = head.removeprefix("ref: ")
+        if (git_dir / ref).is_file():
+            return (git_dir / ref).read_text().strip()
+        for line in (git_dir / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
 def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
     fileio.write_json(out / "manifest.json", {
         "command": command,
@@ -66,7 +92,8 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
         # provenance only: rerun replays params and ignores this
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "platform": platform.platform(),
-                        "SLRECON_THREADS": _fft.WORKERS},
+                        "SLRECON_THREADS": _fft.WORKERS, "slrecon": _package_version(),
+                        "git": _git_revision(Path(__file__).resolve().parents[2] / ".git")},
     })
 
 

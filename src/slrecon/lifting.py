@@ -11,8 +11,12 @@ k1-weighted block on top of the k2-weighted block.
 
 The read rule, entry (l, k) holds the sample at index l - k, is written once,
 as a sliding-window view of the gamma-shaped data: ``lift_dense``, its
-adjoint ``lift_adjoint``, ``gram_matrix`` and ``lift_normal_diag`` read
-through it.  ``apply_filter`` / ``adjoint_apply`` evaluate the same maps
+adjoint ``lift_adjoint`` and ``lift_normal_diag`` read through it.
+``gram_matrix`` uses that the valid lifting is the circular lifting on
+gamma's array minus its wrapped frame rows: the circular Gram is Toeplitz in
+the circular autocorrelation, one forward FFT per block and one inverse FFT
+in all, and the frame is subtracted one strip of the wrap-padded window view
+at a time.  ``apply_filter`` / ``adjoint_apply`` evaluate the same maps
 with circular FFTs on a gamma-sized grid, where the valid outputs are
 alias-free, and are the view's independent oracle.  A ``LiftingConfig`` is
 a function of gamma, lambda1 and the weighting: lambda2 and the grid are
@@ -152,6 +156,16 @@ class LiftingConfig:
         cells = np.arange(len(self.gamma)).reshape(self.gamma.extents)
         return _read_only(_windows(cells, self).reshape(self.n_out, -1).copy())
 
+    @cached_property
+    def circular_lags(self) -> np.ndarray:
+        """(N, N) flat offsets into gamma's array of the lag k - l, mod gamma's
+        extents, between taps k and l of lambda1."""
+        (f1, f2), (e1, e2) = self.lambda1.extents, self.gamma.extents
+        d1 = np.subtract.outer(np.arange(f1), np.arange(f1)) % e1
+        d2 = np.subtract.outer(np.arange(f2), np.arange(f2)) % e2
+        lags = d1[:, None, :, None] * e2 + d2[None, :, None, :]
+        return _read_only(lags.reshape(self.n_filter, self.n_filter))
+
     def to_grid(self, v: np.ndarray) -> np.ndarray:
         """Gamma-shaped values placed on the FFT grid (``embed`` on gamma)."""
         g = np.zeros(self.fft_grid.size, dtype=np.complex128)
@@ -267,17 +281,28 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
 def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Hermitian N x N Gram of the lifting, T(x)^H T(x).
 
-    Summed one lambda2 row at a time over the window view of the weighted
-    data, so the lifted matrix is never held whole.  The result is
-    symmetrised, so it is exactly Hermitian.
+    The valid lifting is the circular lifting on gamma's array (windows
+    wrapping mod gamma's extents) minus its wrapped frame rows.  The circular
+    Gram is Toeplitz in the circular autocorrelation
+    ``r = ifft2(sum_b |fft2(w_b x)|^2)``, read through
+    ``cfg.circular_lags``; each frame strip's product is then subtracted,
+    walking the wrap-padded window view one strip at a time so the lifted
+    matrix is never held whole.  The result is symmetrised, so it is exactly
+    Hermitian.
     """
     _check_input(x, cfg)
-    gram = np.zeros((cfg.n_filter, cfg.n_filter), dtype=np.complex128)
-    for w in cfg.multipliers:
-        for row in _windows(w * x.values, cfg):  # one lambda2 row of T(x): (o2, N)
-            t = row.reshape(-1, cfg.n_filter)
-            gram += t.conj().T @ t
-    return 0.5 * (gram + gram.conj().T)
+    ys = cfg.multipliers * x.values
+    gram = np.take(ifft2((np.abs(fft2(ys)) ** 2).sum(axis=0)), cfg.circular_lags)
+    f1, f2 = cfg.lambda1.extents
+    wrapped = np.pad(ys, ((0, 0), (f1 - 1, 0), (f2 - 1, 0)), mode="wrap")
+    for view in _windows(wrapped, cfg):  # one block of the circular lifting: (e1, e2, f1, f2)
+        # the frame: the first f1-1 output rows, then the first f2-1 columns of the rest
+        for strip in (*view[: f1 - 1], *view[f1 - 1 :, : f2 - 1].swapaxes(0, 1)):
+            t = strip.reshape(-1, cfg.n_filter)
+            gram -= t.conj().T @ t
+    gram += gram.conj().T
+    gram *= 0.5
+    return gram
 
 
 def lag_sums(m: np.ndarray, iset: IndexSet2D) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slrecon.cli import main, parse_extents
+from slrecon.cli import _git_revision, main, parse_extents
 from slrecon import fileio
 
 
@@ -45,9 +45,29 @@ class TestPhantomCmd:
 
     def test_manifest_records_environment(self, phantom_dir):
         env = fileio.read_json(phantom_dir / "manifest.json")["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "platform", "SLRECON_THREADS"}
+        assert set(env) == {"python", "numpy", "scipy", "platform", "SLRECON_THREADS",
+                            "slrecon", "git"}
         assert env["numpy"] == np.__version__
         assert isinstance(env["SLRECON_THREADS"], int) and env["SLRECON_THREADS"] >= 1
+
+    def test_manifest_records_version_and_revision(self, phantom_dir):
+        env = fileio.read_json(phantom_dir / "manifest.json")["environment"]
+        assert isinstance(env["slrecon"], str) and env["slrecon"]
+        assert isinstance(env["git"], str) and env["git"]
+
+    def test_git_revision_read_from_git_dir(self, tmp_path):
+        sha = "0123456789abcdef0123456789abcdef01234567"
+        git = tmp_path / ".git"
+        assert _git_revision(git) == "unknown"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text(sha + "\n")
+        assert _git_revision(git) == sha
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        assert _git_revision(git) == "unknown"
+        (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+        assert _git_revision(git) == sha
+        (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+        assert _git_revision(git) == sha[::-1]
 
     def test_same_seed_same_bytes(self, phantom_dir, tmp_path):
         out2 = tmp_path / "again"

@@ -233,8 +233,11 @@ class TestConfigInvariants:
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         assert cfg.cells is cfg.cells
+        # built on first use, not when the config is made
+        assert "circular_lags" not in vars(cfg)
+        assert cfg.circular_lags is cfg.circular_lags
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
-        for a in (cfg.multipliers, cfg.lift_geometry, cfg.cells):
+        for a in (cfg.multipliers, cfg.lift_geometry, cfg.cells, cfg.circular_lags):
             assert not a.flags.writeable
 
     @settings(max_examples=60, deadline=None)
@@ -299,6 +302,15 @@ class TestAdjoint:
         assert np.isclose(total, np.abs(inner).sum())
 
 
+def gram_peak_bytes(x, cfg):
+    tracemalloc.start()
+    try:
+        gram_matrix(x, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGram:
     def test_zero_data(self):
         gamma = IndexSet2D.rect(8, 8)
@@ -317,6 +329,23 @@ class TestGram:
         dense = t.conj().T @ t
         assert rel_err(fast, dense) < 1e-9
 
+    @pytest.mark.parametrize("weighting", ["identity", "gradient"])
+    @pytest.mark.parametrize("gamma,lam1", [
+        # an off-centre lambda1
+        (IndexSet2D.rect(12, 9), IndexSet2D.rect(3, 2, offset=(1, -1))),
+        # lag ranges that wrap gamma (2f - 1 > e)
+        (IndexSet2D.rect(9, 9), IndexSet2D.rect(5, 5)),
+        (IndexSet2D.rect(8, 8), IndexSet2D.rect(8, 8)),
+        (IndexSet2D.rect(5, 1), IndexSet2D.rect(4, 1)),
+        # f = 1: the wrapped frame is empty
+        (IndexSet2D.rect(7, 6), IndexSet2D.rect(1, 1)),
+    ])
+    def test_circular_minus_frame_matches_dense(self, weighting, gamma, lam1):
+        cfg = LiftingConfig.make(gamma, lam1, weighting)
+        x = random_kspace(gamma, 53)
+        t = lift_dense(x, cfg)
+        assert rel_err(gram_matrix(x, cfg), t.conj().T @ t) < 1e-9
+
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_matches_fft_oracle(self, cfg, seed):
@@ -333,13 +362,15 @@ class TestGram:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
         x = random_kspace(gamma, 71)
         lifted_bytes = cfg.lifted_shape[0] * cfg.lifted_shape[1] * 16
-        tracemalloc.start()
-        try:
-            gram_matrix(x, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < lifted_bytes / 4
+        assert gram_peak_bytes(x, cfg) < lifted_bytes / 4
+
+    def test_never_holds_the_lifted_matrix_129(self):
+        # the frame is walked one strip at a time at the design size too
+        gamma = IndexSet2D.rect(129, 129)
+        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
+        x = random_kspace(gamma, 73)
+        lifted_bytes = cfg.lifted_shape[0] * cfg.lifted_shape[1] * 16
+        assert gram_peak_bytes(x, cfg) < lifted_bytes / 4
 
     def test_hermitian_psd(self):
         gamma = IndexSet2D.rect(12, 12)
