@@ -17,9 +17,11 @@ if not _RAW_WORKERS.strip().isdecimal() or int(_RAW_WORKERS) < 1:
 WORKERS = int(_RAW_WORKERS)
 
 
-def fft2(a):
-    return scipy.fft.fft2(a, workers=WORKERS)
+def fft2(a, axes=(-2, -1)):
+    """FFT over ``axes`` (the last two by default; one axis gives a 1-D FFT)."""
+    return scipy.fft.fft2(a, axes=axes, workers=WORKERS)
 
 
-def ifft2(a):
-    return scipy.fft.ifft2(a, workers=WORKERS)
+def ifft2(a, axes=(-2, -1)):
+    """Inverse FFT over ``axes``, as ``fft2``."""
+    return scipy.fft.ifft2(a, axes=axes, workers=WORKERS)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import os
 import platform
 import sys
 import time
@@ -42,6 +43,10 @@ from .phantom import (
     random_edge_polynomial,
     sample_kspace,
 )
+
+# the thread-count variables of the BLAS builds numpy ships with; the manifest
+# records each as set, or null
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_extents(text: str) -> list[int]:
@@ -84,6 +89,16 @@ def _git_revision(git_dir: Path) -> str:
     return "unknown"
 
 
+def _blas_name() -> str:
+    """The BLAS numpy was built against, as "name version"; "unknown" if the
+    build configuration does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # older numpy, or a build that does not record it
+        return "unknown"
+
+
 def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
     fileio.write_json(out / "manifest.json", {
         "command": command,
@@ -93,7 +108,9 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "platform": platform.platform(),
                         "SLRECON_THREADS": _fft.WORKERS, "slrecon": _package_version(),
-                        "git": _git_revision(Path(__file__).resolve().parents[2] / ".git")},
+                        "git": _git_revision(Path(__file__).resolve().parents[2] / ".git"),
+                        "blas": _blas_name(),
+                        "blas_threads": {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}},
     })
 
 

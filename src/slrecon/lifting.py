@@ -13,16 +13,20 @@ The read rule, entry (l, k) holds the sample at index l - k, is written once,
 as a sliding-window view of the gamma-shaped data: ``lift_dense``, its
 adjoint ``lift_adjoint`` and ``lift_normal_diag`` read through it.
 ``gram_matrix`` uses that the valid lifting is the circular lifting on
-gamma's array minus its wrapped frame rows: the circular Gram is Toeplitz in
-the circular autocorrelation, one forward FFT per block and one inverse FFT
-in all, and the frame is subtracted one strip of the wrap-padded window view
-at a time.  ``apply_filter`` / ``adjoint_apply`` evaluate the same maps
-with circular FFTs on a gamma-sized grid, where the valid outputs are
-alias-free, and are the view's independent oracle.  A ``LiftingConfig`` is
-a function of gamma, lambda1 and the weighting: lambda2 and the grid are
-derived from them at construction, not accepted and checked.  The arrays
-derived from its geometry are computed on first use and cached read-only, so
-no per-call map re-derives them.
+gamma's array restricted to the outputs m with m1 >= f1 - 1 and
+m2 >= f2 - 1, an indicator that factors as
+(1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular Gram
+(Toeplitz in the circular autocorrelation: one forward FFT per block, one
+inverse in all) minus the row strips' and the column strips' Grams (each
+circular along the other axis, so 1-D FFTs and one small product per
+frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share, the
+only ones still multiplied out.  ``apply_filter`` / ``adjoint_apply``
+evaluate the same maps with circular FFTs on a gamma-sized grid, where the
+valid outputs are alias-free, and are the view's independent oracle.  A
+``LiftingConfig`` is a function of gamma, lambda1 and the weighting: lambda2
+and the grid are derived from them at construction, not accepted and
+checked.  The arrays derived from its geometry are computed on first use and
+cached read-only, so no per-call map re-derives them.
 """
 
 from __future__ import annotations
@@ -278,28 +282,63 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     return KSpaceArray(cfg.gamma, acc)
 
 
+def _frame_rows(f: int, e: int) -> np.ndarray:
+    """(f - 1, f) wrapped indices (i - k) mod e along one axis: the reads of
+    the circular lifting's first f - 1 outputs i, tap k."""
+    return np.subtract.outer(np.arange(f - 1), np.arange(f)) % e
+
+
+def _strip_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:
+    """(f1, f2, f1, f2) Gram of the circular lifting's row strips, the
+    outputs m1 < f1 - 1 at every m2, of the weighted blocks ``ys``.
+
+    The strips are circular along axis 2, so entry ((k1, k2), (l1, l2)) is
+    ``rho[(k2 - l2) mod e2, k1, l1]``, where ``rho`` is the inverse FFT over
+    the axis-2 frequency w of ``A_w^H A_w`` and
+    ``A_w[(b, i), k1] = yhat_b[(i - k1) mod e1, w]`` for i < f1 - 1, with
+    ``yhat_b`` the FFT of block b along axis 2: one f1 x f1 product per
+    frequency.
+    """
+    e1, e2 = ys.shape[1:]
+    a = fft2(ys, axes=(-1,))[:, _frame_rows(f1, e1)]  # (b, i, k1, w)
+    a = a.transpose(3, 0, 1, 2).reshape(e2, -1, f1)
+    rho = ifft2(a.conj().swapaxes(1, 2) @ a, axes=(0,))
+    d2 = np.subtract.outer(np.arange(f2), np.arange(f2)) % e2
+    return rho[d2].transpose(2, 0, 3, 1)
+
+
 def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     """Hermitian N x N Gram of the lifting, T(x)^H T(x).
 
     The valid lifting is the circular lifting on gamma's array (windows
-    wrapping mod gamma's extents) minus its wrapped frame rows.  The circular
-    Gram is Toeplitz in the circular autocorrelation
-    ``r = ifft2(sum_b |fft2(w_b x)|^2)``, read through
-    ``cfg.circular_lags``; each frame strip's product is then subtracted,
-    walking the wrap-padded window view one strip at a time so the lifted
-    matrix is never held whole.  The result is symmetrised, so it is exactly
-    Hermitian.
+    wrapping mod gamma's extents) restricted to the outputs m with
+    m1 >= f1 - 1 and m2 >= f2 - 1.  That indicator factors as
+    (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]), so the Gram is
+    ``G_c - G_R - G_C + G_corner``:
+
+    - ``G_c``, the circular Gram, is Toeplitz in the circular autocorrelation
+      ``r = ifft2(sum_b |fft2(w_b x)|^2)``, read through
+      ``cfg.circular_lags``;
+    - ``G_R`` (the row strips m1 < f1 - 1) and ``G_C`` (the column strips
+      m2 < f2 - 1) are each circular along the other axis: 1-D FFTs and one
+      f x f product per frequency (``_strip_gram``);
+    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips, is added
+      back by gathering their windows one block at a time, so the lifted
+      matrix is never held whole.
+
+    The result is symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
     ys = cfg.multipliers * x.values
+    (f1, f2), (e1, e2), n = cfg.lambda1.extents, cfg.gamma.extents, cfg.n_filter
     gram = np.take(ifft2((np.abs(fft2(ys)) ** 2).sum(axis=0)), cfg.circular_lags)
-    f1, f2 = cfg.lambda1.extents
-    wrapped = np.pad(ys, ((0, 0), (f1 - 1, 0), (f2 - 1, 0)), mode="wrap")
-    for view in _windows(wrapped, cfg):  # one block of the circular lifting: (e1, e2, f1, f2)
-        # the frame: the first f1-1 output rows, then the first f2-1 columns of the rest
-        for strip in (*view[: f1 - 1], *view[f1 - 1 :, : f2 - 1].swapaxes(0, 1)):
-            t = strip.reshape(-1, cfg.n_filter)
-            gram -= t.conj().T @ t
+    taps = gram.reshape(f1, f2, f1, f2)  # a view: gram[(k1, k2), (l1, l2)]
+    taps -= _strip_gram(ys, f1, f2)
+    taps -= _strip_gram(ys.swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
+    r1, r2 = _frame_rows(f1, e1), _frame_rows(f2, e2)
+    for y in ys:
+        t = y[r1[:, None, :, None], r2[None, :, None, :]].reshape(-1, n)
+        gram += t.conj().T @ t
     gram += gram.conj().T
     gram *= 0.5
     return gram

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -46,9 +47,13 @@ class TestPhantomCmd:
     def test_manifest_records_environment(self, phantom_dir):
         env = fileio.read_json(phantom_dir / "manifest.json")["environment"]
         assert set(env) == {"python", "numpy", "scipy", "platform", "SLRECON_THREADS",
-                            "slrecon", "git"}
+                            "slrecon", "git", "blas", "blas_threads"}
         assert env["numpy"] == np.__version__
         assert isinstance(env["SLRECON_THREADS"], int) and env["SLRECON_THREADS"] >= 1
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        assert env["blas_threads"] == {k: os.environ.get(k) for k in env["blas_threads"]}
 
     def test_manifest_records_version_and_revision(self, phantom_dir):
         env = fileio.read_json(phantom_dir / "manifest.json")["environment"]

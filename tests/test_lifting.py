@@ -339,6 +339,11 @@ class TestGram:
         (IndexSet2D.rect(5, 1), IndexSet2D.rect(4, 1)),
         # f = 1: the wrapped frame is empty
         (IndexSet2D.rect(7, 6), IndexSet2D.rect(1, 1)),
+        # one strip set and no corner: column strips only, then row strips only
+        (IndexSet2D.rect(9, 8), IndexSet2D.rect(1, 4)),
+        (IndexSet2D.rect(9, 8), IndexSet2D.rect(4, 1)),
+        # a lag range that wraps axis 1 only
+        (IndexSet2D.rect(7, 12), IndexSet2D.rect(6, 3)),
     ])
     def test_circular_minus_frame_matches_dense(self, weighting, gamma, lam1):
         cfg = LiftingConfig.make(gamma, lam1, weighting)
@@ -365,7 +370,7 @@ class TestGram:
         assert gram_peak_bytes(x, cfg) < lifted_bytes / 4
 
     def test_never_holds_the_lifted_matrix_129(self):
-        # the frame is walked one strip at a time at the design size too
+        # the corner windows are gathered one block at a time at the design size too
         gamma = IndexSet2D.rect(129, 129)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
         x = random_kspace(gamma, 73)
