@@ -1,6 +1,9 @@
 """Reference solvers: singular value thresholding on the dense lifting,
 zero-filled recovery, and a minimal primal-dual total-variation solver.
 
+Each SVT step decomposes the R factor of the lifted matrix, not the matrix
+itself, and rebuilds the thresholded matrix from the kept rank only.
+
 These exist for comparison and oracle duty, not performance; SVT refuses
 problems whose dense lifted matrix would be unreasonably large.
 """
@@ -67,6 +70,33 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     return KSpaceArray(cfg.gamma, vals), flagged
 
 
+def _svd_from_r(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of ``y`` from its R factor.
+
+    ``y = QR``, so ``y`` and ``R`` share ``s`` and ``Vᴴ``; ``U`` is never
+    formed.  ``R`` is wide when ``y`` is; ``full_matrices=False`` keeps one
+    row of ``Vᴴ`` per singular value there.
+    """
+    _, s, vh = np.linalg.svd(np.linalg.qr(y, mode="r"), full_matrices=False)
+    return s, vh
+
+
+def _shrink(y: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> np.ndarray:
+    """``U diag(max(s - tau, 0)) Vᴴ`` rebuilt from the ``r`` values above tau.
+
+    ``U_r diag(s_r) = y V_r``, so the result is ``y V_r diag(1 - tau/s_r) V_rᴴ``;
+    the factor lies in (0, 1], so no small singular value is divided by.  The
+    product is grouped by whichever is cheaper: ``(y V_r)(…)`` for ``2r < n``,
+    else ``y (V_r …)``, one ``n × n`` factor.
+    """
+    r = int(np.count_nonzero(s > tau))
+    v_r = vh[:r].conj().T
+    shrunk = (1.0 - tau / s[:r])[:, None] * vh[:r]
+    if 2 * r < y.shape[1]:
+        return (y @ v_r) @ shrunk
+    return y @ (v_r @ shrunk)
+
+
 def svt_solve(
     b: np.ndarray,
     mask: SamplingMask,
@@ -83,6 +113,11 @@ def svt_solve(
     data-consistent nuclear norm minimizer for any positive threshold; the
     threshold (relative to sigma_1 of the zero-filled lifting) only sets the
     convergence speed.
+
+    Each step takes ``s`` and ``Vᴴ`` from the SVD of the lifted matrix's R
+    factor (QR, then an SVD the size of the filter) and rebuilds the
+    thresholded matrix from the kept rank; ``decomp_time`` covers the QR and
+    that SVD.
     """
     rows, cols = lifting.lifted_shape
     if rows * cols > DENSE_ENTRY_CAP:
@@ -96,24 +131,26 @@ def svt_solve(
     theta_ind = mask.indicator()
     x = bfill.copy()
     tx = lift_dense(KSpaceArray(lifting.gamma, x), lifting)
-    s0 = np.linalg.svd(tx, compute_uv=False)
+    s0, _ = _svd_from_r(tx)
     tau_abs = cfg.threshold * float(s0[0])
     multiplier = np.zeros_like(tx)
     report = SolverReport(solver="svt")
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        u, s, vh = np.linalg.svd(tx + multiplier, full_matrices=False)
+        y = tx + multiplier
+        s, vh = _svd_from_r(y)
         t1 = time.perf_counter()
         s_shrunk = np.maximum(s - tau_abs, 0.0)
-        z = (u * s_shrunk[None, :]) @ vh
+        z = _shrink(y, s, vh, tau_abs)
         x_new, _flagged = delift(z - multiplier, lifting)
         x_new = x_new.values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
         x_new = x_new - (theta_ind * x_new - bfill)
         tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
-        multiplier = multiplier + tx - z
+        multiplier += tx
+        multiplier -= z
         t2 = time.perf_counter()
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
         data_fit = float(np.linalg.norm(theta_ind * x_new - bfill) ** 2)
@@ -168,6 +205,8 @@ def tv_solve(
     """
     if weight <= 0:
         raise ValueError("weight must be positive")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     gamma = mask.gamma
     shape = GridShape(*gamma.extents)
     ntot = shape.size

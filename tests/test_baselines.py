@@ -170,6 +170,36 @@ class TestSVT:
         tail = objs[3:]
         assert all(b2 <= a2 * (1 + 1e-9) for a2, b2 in zip(tail, tail[1:]))
 
+    @pytest.mark.parametrize("grid,filt,weighting", [
+        ((16, 16), (3, 3), "gradient"),  # tall: 392 x 9
+        ((64, 1), (21, 1), "identity"),
+        ((5, 5), (4, 4), "gradient"),  # wide: 8 x 16, R is wide too
+    ], ids=["tall-16-3", "identity-64x1-21x1", "wide-5-4"])
+    @pytest.mark.parametrize("threshold", [0.0, 3e-2, 0.7, 2.0])
+    def test_one_step_matches_full_svd_threshold(self, grid, filt, weighting, threshold):
+        # one step against the thresholded thin SVD of the zero-filled
+        # lifting; 0.7 keeps fewer than half the columns of the 64x1 and
+        # wide cases (the other grouping of the rebuild), 2.0 keeps none
+        gamma = IndexSet2D.rect(*grid)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting)
+        mask = make_mask(gamma, "uniform", 1.5, seed=4)
+        b = sample_kspace(random_kspace(gamma, 9), mask)
+        rec, rep = svt_solve(b, mask, lifting, SVTConfig(threshold=threshold, max_iter=1))
+
+        zf = zero_fill(b, mask)
+        u, s, vh = np.linalg.svd(lift_dense(zf, lifting), full_matrices=False)
+        s_shrunk = np.maximum(s - threshold * s[0], 0.0)
+        expect, _ = delift((u * s_shrunk) @ vh, lifting)
+        expect = expect.values - (mask.indicator() * expect.values - zf.values)
+
+        (it,) = rep.iterations
+        assert rel_err(rec.values, expect) < 1e-12
+        assert it.sigma_max == pytest.approx(s[0], rel=1e-12)
+        assert it.sigma_min == pytest.approx(s[-1], rel=1e-12)
+        assert it.penalty == pytest.approx(s_shrunk.sum(), rel=1e-12)
+        if threshold == 2.0:
+            assert it.penalty == 0.0
+
     def test_dense_cap_refuses_large_problems(self):
         gamma = IndexSet2D.rect(513, 513)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(45, 45), "gradient")
@@ -225,6 +255,13 @@ class TestTV:
         rec = tv_solve(b, mask, weight=1e3, iters=300)
         zf = zero_fill(b, mask)
         assert snr_db(rec, self.truth) > snr_db(zf, self.truth) + 3.0
+
+    @pytest.mark.parametrize("iters", [0, -4])
+    def test_no_iterations_refused(self, iters):
+        mask = make_mask(self.gamma, "uniform", 2.0, seed=3)
+        b = sample_kspace(self.truth, mask)
+        with pytest.raises(ValueError, match="iters"):
+            tv_solve(b, mask, iters=iters)
 
     def test_deterministic(self):
         mask = make_mask(self.gamma, "uniform", 2.0, seed=3)

@@ -109,6 +109,12 @@ class TestRecoverCmd:
         assert (out / "recovered.ksar").exists()
         assert (out / "mask.json").exists()
 
+    def test_tv_without_iterations_exits_two(self, phantom_dir, tmp_path, capsys):
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
+                    "--tv-iters", "0", "--out", tmp_path / "tv0"])
+        assert code == 2
+        assert "iters" in capsys.readouterr().err
+
     def test_giraf_writes_report(self, phantom_dir, tmp_path):
         out = tmp_path / "giraf"
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar",
