@@ -18,8 +18,7 @@ import numpy as np
 from ._fft import fft2, ifft2
 from .analysis import snr_db
 from .grid import GridShape
-from .lifting import (KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense,
-                      lift_normal_diag)
+from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -62,7 +61,7 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     are returned as zero and flagged.
     """
     numer = lift_adjoint(X, cfg)
-    denom = lift_normal_diag(np.ones(cfg.n_filter), cfg)
+    denom = cfg.normal_diag
     undetermined = denom == 0.0
     vals = numer / np.where(undetermined, 1.0, denom)
     kmin = cfg.gamma.kmin

@@ -5,7 +5,8 @@ IRLS weight matrix W = V diag(alpha) V^H, then solves a weighted
 least-squares annihilation problem by conjugate gradients.  W is the only
 weight representation and both normal operators read it.  The default
 operator condenses W into a single spatial sum-of-squares mask, built from
-the lag sums of W with one inverse FFT, and costs 2 FFTs per application.
+the lag sums of W with one inverse FFT, and costs 2 FFTs per application
+and weighting block; both work on gamma's array, the lifting's only grid.
 The exact operator is the definition, the gradient T^*(T(x) W) of
 (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept for validation
 and small grids, and holds the memory of ``lift_dense``.
@@ -27,8 +28,7 @@ import numpy as np
 from ._fft import fft2, ifft2
 from .analysis import snr_db
 from .baselines import zero_fill
-from .grid import GridShape
-from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lag_sums, lift_adjoint, lift_dense,
+from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense,
                       lift_normal_diag)
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
@@ -74,15 +74,12 @@ class IRLSConfig:
 
 @dataclass(frozen=True)
 class AnnihilatingMask:
-    """Gridded samples of the sum-of-squares annihilating function."""
+    """Samples of the sum-of-squares annihilating function on gamma's array."""
 
     values: np.ndarray
-    grid: GridShape
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.as_tuple():
-            raise ValueError("mask shape does not match grid")
         if v.min() < 0.0:
             raise ValueError("annihilating mask must be non-negative")
         object.__setattr__(self, "values", v)
@@ -120,22 +117,21 @@ def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
 
     Rows and columns of ``wm`` are aligned with cfg.lambda1.  The mask is the
     trigonometric polynomial whose coefficient at lag d is the lag sum of W,
-    so it is built in the lag domain (lags wrapped onto the FFT grid, one
-    inverse FFT).  Negative rounding within 1e-12 of the maximum is clamped
-    to zero; anything below that is rejected.
+    so it is built in the lag domain: the lag sums wrapped onto gamma's array
+    through ``cfg.circular_lags``, the Gram's lag map, then one inverse FFT.
+    Negative rounding within 1e-12 of the maximum is clamped to zero;
+    anything below that is rejected.
     """
     wm = np.asarray(wm, dtype=np.complex128)
     if wm.shape != (cfg.n_filter, cfg.n_filter):
         raise ValueError(f"weight matrix must be {cfg.n_filter} x {cfg.n_filter}")
-    shape = cfg.fft_grid
-    c = lag_sums(wm, cfg.lambda1)
-    e1, e2 = cfg.lambda1.extents
-    wrapped = np.zeros(shape.as_tuple(), dtype=np.complex128)
-    np.add.at(wrapped, np.ix_(np.arange(1 - e1, e1) % shape.n1, np.arange(1 - e2, e2) % shape.n2), c)
-    values = (ifft2(wrapped) * shape.size).real
+    lags, size = cfg.circular_lags.ravel(), len(cfg.gamma)
+    re = np.bincount(lags, weights=wm.real.ravel(), minlength=size)
+    im = np.bincount(lags, weights=wm.imag.ravel(), minlength=size)
+    values = (ifft2((re + 1j * im).reshape(cfg.gamma.extents)) * size).real
     tiny = 1e-12 * max(float(values.max()), 0.0)
     values[(values < 0.0) & (values >= -tiny)] = 0.0
-    return AnnihilatingMask(values, shape)
+    return AnnihilatingMask(values)
 
 
 def normal_apply_approx(
@@ -145,11 +141,15 @@ def normal_apply_approx(
     lam: float,
     theta_ind: np.ndarray,
 ) -> np.ndarray:
-    """Mask-condensed normal operator: 2 FFTs per weighting block."""
+    """Mask-condensed normal operator: 2 FFTs per weighting block.
+
+    The mask multiplies in the image domain of gamma's array; where gamma
+    sits among the signed indices only modulates that domain, which commutes
+    with the multiply, so no placement is needed.
+    """
     out = lam * theta_ind * xv
     for w in cfg.multipliers:
-        s = fft2(mask.values * ifft2(cfg.to_grid(w * xv)))
-        out = out + w * cfg.from_grid(s)
+        out = out + w * fft2(mask.values * ifft2(w * xv))
     return out
 
 
@@ -173,7 +173,7 @@ def normal_apply_exact(
 def normal_diag_approx(mask: AnnihilatingMask, cfg: LiftingConfig, lam: float,
                        theta_ind: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``.  The circulant part has a
-    constant diagonal, the mask's mean over the FFT grid."""
+    constant diagonal, the mask's mean over gamma's array."""
     return lam * theta_ind + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
 
 

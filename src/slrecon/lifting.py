@@ -21,12 +21,15 @@ inverse in all) minus the row strips' and the column strips' Grams (each
 circular along the other axis, so 1-D FFTs and one small product per
 frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share, the
 only ones still multiplied out.  ``apply_filter`` / ``adjoint_apply``
-evaluate the same maps with circular FFTs on a gamma-sized grid, where the
-valid outputs are alias-free, and are the view's independent oracle.  A
-``LiftingConfig`` is a function of gamma, lambda1 and the weighting: lambda2
-and the grid are derived from them at construction, not accepted and
-checked.  The arrays derived from its geometry are computed on first use and
-cached read-only, so no per-call map re-derives them.
+evaluate the same maps by circular FFT convolution on gamma's array, the
+filter at its first f1 x f2 entries, where the valid outputs are the slice
+[f1 - 1:, f2 - 1:] and read no wrapped sample; they are the view's
+independent oracle.  Gamma's array is the only grid: the solver's mask and
+condensed operator work on it too.  A ``LiftingConfig`` is a function of
+gamma, lambda1 and the weighting: lambda2 is derived from them at
+construction, not accepted and checked.  The arrays derived from its
+geometry are computed on first use and cached read-only, so no per-call map
+re-derives them.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ def gather(g: np.ndarray, iset: IndexSet2D) -> np.ndarray:
 @dataclass(frozen=True)
 class LiftingConfig:
     """Geometry of one lifting, a function of the supports and the weighting;
-    lambda2 (the valid output set) and the FFT work grid (the gamma extents)
-    are derived from them, and derived arrays are cached read-only.
+    lambda2 (the valid output set) is derived from them, and derived arrays
+    are cached read-only.
 
     ``weighting`` is ``identity`` (the data untouched) or ``gradient`` (the
     data multiplied by the integer frequencies k1 and k2, one block each, the
@@ -111,13 +114,11 @@ class LiftingConfig:
     lambda1: IndexSet2D
     weighting: str = IDENTITY
     lambda2: IndexSet2D = field(init=False)
-    fft_grid: GridShape = field(init=False)
 
     def __post_init__(self):
         if self.weighting not in (IDENTITY, GRADIENT):
             raise ValueError(f"unknown weighting kind {self.weighting!r}")
         object.__setattr__(self, "lambda2", valid_output_set(self.gamma, self.lambda1))
-        object.__setattr__(self, "fft_grid", GridShape(*self.gamma.extents))
 
     @classmethod
     def make(cls, gamma: IndexSet2D, lambda1: IndexSet2D,
@@ -146,14 +147,6 @@ class LiftingConfig:
         return _read_only(np.stack(np.meshgrid(r1.astype(float), r2.astype(float), indexing="ij")))
 
     @cached_property
-    def cells(self) -> np.ndarray:
-        """Flat FFT-grid offsets of gamma's indices (signed indices mod n),
-        aligned row-major with gamma."""
-        r1, r2 = self.gamma.axis_ranges()
-        n1, n2 = self.fft_grid.as_tuple()
-        return _read_only(((r1 % n1)[:, None] * n2 + r2 % n2).ravel())
-
-    @cached_property
     def lift_geometry(self) -> np.ndarray:
         """(|lambda2|, N) flat row-major offsets into gamma: position (l, k)
         of every block reads index l - k."""
@@ -170,15 +163,11 @@ class LiftingConfig:
         lags = d1[:, None, :, None] * e2 + d2[None, :, None, :]
         return _read_only(lags.reshape(self.n_filter, self.n_filter))
 
-    def to_grid(self, v: np.ndarray) -> np.ndarray:
-        """Gamma-shaped values placed on the FFT grid (``embed`` on gamma)."""
-        g = np.zeros(self.fft_grid.size, dtype=np.complex128)
-        g[self.cells] = np.ravel(v)
-        return g.reshape(self.fft_grid.as_tuple())
-
-    def from_grid(self, g: np.ndarray) -> np.ndarray:
-        """Gamma-shaped values read off an FFT grid (``gather`` on gamma)."""
-        return np.take(g, self.cells).reshape(self.gamma.extents)
+    @cached_property
+    def normal_diag(self) -> np.ndarray:
+        """Diagonal of T^*T as a gamma-shaped array: each index's reference
+        count times its summed squared multipliers."""
+        return _read_only(lift_normal_diag(np.ones(self.n_filter), self))
 
 
 def _windows(g: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -242,11 +231,15 @@ def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
 
 
 def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """FFT-grid spectrum of one filter aligned with cfg.lambda1.indices."""
+    """Spectrum of one filter aligned with cfg.lambda1.indices, its taps at
+    the first f1 x f2 entries of gamma's array."""
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
     if h.size != cfg.n_filter:
         raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
-    return fft2(embed(h.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.fft_grid))
+    f1, f2 = cfg.lambda1.extents
+    g = np.zeros(cfg.gamma.extents, dtype=np.complex128)
+    g[:f1, :f2] = h.reshape(f1, f2)
+    return fft2(g)
 
 
 def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -254,32 +247,28 @@ def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarra
 
     ``h`` is aligned with cfg.lambda1.indices; the result stacks the per-block
     outputs on lambda2 (aligned with cfg.lambda2.indices) and equals
-    lift_dense(x, cfg) @ h up to rounding.
+    lift_dense(x, cfg) @ h up to rounding.  On gamma's array the valid
+    outputs are the slice [f1 - 1:, f2 - 1:], in lambda2's row-major order.
     """
     _check_input(x, cfg)
-    hhat = _filter_spectrum(h, cfg)
-    out = []
-    for w in cfg.multipliers:
-        g = embed(w * x.values, cfg.gamma, cfg.fft_grid)
-        conv = ifft2(fft2(g) * hhat)
-        out.append(gather(conv, cfg.lambda2).ravel())
-    return np.concatenate(out)
+    f1, f2 = cfg.lambda1.extents
+    conv = ifft2(fft2(cfg.multipliers * x.values) * _filter_spectrum(h, cfg))
+    return conv[:, f1 - 1:, f2 - 1:].ravel()
 
 
 def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
-    """Adjoint of apply_filter for a fixed filter: scatter, correlate, weight."""
+    """Adjoint of apply_filter for a fixed filter: scatter into the valid
+    slice, correlate, weight."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     nb = len(cfg.multipliers)
     if v.size != nb * cfg.n_out:
         raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
     hhat_conj = np.conj(_filter_spectrum(h, cfg))
-    acc = np.zeros(cfg.gamma.extents, dtype=np.complex128)
-    for b, w in enumerate(cfg.multipliers):
-        vb = v[b * cfg.n_out : (b + 1) * cfg.n_out].reshape(cfg.lambda2.extents)
-        g = embed(vb, cfg.lambda2, cfg.fft_grid)
-        corr = ifft2(fft2(g) * hhat_conj)
-        acc += w * gather(corr, cfg.gamma)
-    return KSpaceArray(cfg.gamma, acc)
+    f1, f2 = cfg.lambda1.extents
+    g = np.zeros(cfg.multipliers.shape, dtype=np.complex128)
+    g[:, f1 - 1:, f2 - 1:] = v.reshape(nb, *cfg.lambda2.extents)
+    corr = ifft2(fft2(g) * hhat_conj)
+    return KSpaceArray(cfg.gamma, (cfg.multipliers * corr).sum(axis=0))
 
 
 def _frame_rows(f: int, e: int) -> np.ndarray:

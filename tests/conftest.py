@@ -15,14 +15,15 @@ def random_kspace(gamma: IndexSet2D, seed: int) -> KSpaceArray:
 
 @st.composite
 def lifting_configs(draw):
-    """Liftings over odd/even filter extents, 1-D grids and both
-    weightings."""
+    """Liftings over odd/even filter extents, 1-D grids, both weightings,
+    and gamma and lambda1 shifted off the origin."""
     g1 = draw(st.integers(2, 14))
     g2 = draw(st.sampled_from([1, draw(st.integers(2, 14))]))
     f1, f2 = draw(st.integers(1, g1)), draw(st.integers(1, g2))
     weighting = draw(st.sampled_from(["identity", "gradient"]))
-    gamma = IndexSet2D.rect(g1, g2)
-    return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2), weighting)
+    shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    gamma = IndexSet2D.rect(g1, g2, offset=draw(shift))
+    return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2, offset=draw(shift)), weighting)
 
 
 def conv_oracle(x: KSpaceArray, h: np.ndarray, lambda1: IndexSet2D, out_set: IndexSet2D) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrecon.grid import IndexSet2D
+from slrecon.grid import GridShape, IndexSet2D
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
@@ -61,7 +61,7 @@ def weight_mask(gram, eps, p, cfg):
 
 def per_filter_mask(filters, cfg):
     """Oracle: sum_j |size * ifft2(embed f_j)|^2, one filter at a time."""
-    shape = cfg.fft_grid
+    shape = GridShape(*cfg.gamma.extents)
     acc = np.zeros(shape.as_tuple())
     for f in np.asarray(filters).T:
         g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, shape)
@@ -156,7 +156,7 @@ class TestWeightUpdate:
         mask = weight_mask(g, eps, 0.0, cfg)
         w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
         alpha = (np.maximum(w, 0) + eps) ** (-1.0)
-        n1, n2 = cfg.fft_grid.as_tuple()
+        n1, n2 = gamma.extents
         u1 = np.arange(n1)
         u2 = np.arange(n2)
         direct = np.zeros((n1, n2))
@@ -218,7 +218,7 @@ class TestNormalOperators:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         from slrecon.giraf import AnnihilatingMask
 
-        ones = AnnihilatingMask(np.ones(cfg.fft_grid.as_tuple()), cfg.fft_grid)
+        ones = AnnihilatingMask(np.ones(gamma.extents))
         x = random_kspace(gamma, 11)
         out = normal_apply_approx(x.values, ones, cfg, 0.0, np.zeros(gamma.extents))
         assert rel_err(out, x.values) < 1e-12
@@ -228,7 +228,7 @@ class TestNormalOperators:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         from slrecon.giraf import AnnihilatingMask
 
-        zero = AnnihilatingMask(np.zeros(cfg.fft_grid.as_tuple()), cfg.fft_grid)
+        zero = AnnihilatingMask(np.zeros(gamma.extents))
         mask = make_mask(gamma, "uniform", 3.0, seed=1)
         x = random_kspace(gamma, 13)
         out = normal_apply_approx(x.values, zero, cfg, 1.0, mask.indicator())
@@ -236,27 +236,32 @@ class TestNormalOperators:
 
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
     def test_approx_matches_dense_dft_assembly(self, weighting):
-        gamma = IndexSet2D.rect(16, 16)
-        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), weighting)
-        x = random_kspace(gamma, 17)
-        g = gram_matrix(x, cfg)
-        eps = 1e-2 * np.linalg.eigvalsh(g)[-1]
-        mask = weight_mask(g, eps, 0.0, cfg)
-        smask = make_mask(gamma, "uniform", 2.0, seed=3)
-        lam = 2.5
-        theta = smask.indicator()
-        out = normal_apply_approx(x.values, mask, cfg, lam, theta)
-        # independent dense route: explicit DFT matrices
-        n1, n2 = cfg.fft_grid.as_tuple()
-        f1, f2 = dft_matrix(n1), dft_matrix(n2)
-        f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2
-        acc = lam * theta * x.values
-        for w in cfg.multipliers:
-            grid = embed(w * x.values, gamma, cfg.fft_grid)
-            spatial = f1i @ grid @ f2i.T
-            back = f1 @ (mask.values * spatial) @ f2.T
-            acc = acc + w * gather(back, gamma)
-        assert rel_err(out, acc) < 1e-10
+        # the oracle places gamma at its signed indices mod n; the operator
+        # works unplaced on gamma's array, so off-centre and odd-by-even
+        # gammas check that the placement drops out
+        for gamma in (IndexSet2D.rect(16, 16), IndexSet2D.rect(12, 9, offset=(3, -2)),
+                      IndexSet2D.rect(16, 15)):
+            cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), weighting)
+            x = random_kspace(gamma, 17)
+            g = gram_matrix(x, cfg)
+            eps = 1e-2 * np.linalg.eigvalsh(g)[-1]
+            mask = weight_mask(g, eps, 0.0, cfg)
+            smask = make_mask(gamma, "uniform", 2.0, seed=3)
+            lam = 2.5
+            theta = smask.indicator()
+            out = normal_apply_approx(x.values, mask, cfg, lam, theta)
+            # independent dense route: explicit DFT matrices
+            shape = GridShape(*gamma.extents)
+            n1, n2 = shape.as_tuple()
+            f1, f2 = dft_matrix(n1), dft_matrix(n2)
+            f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2
+            acc = lam * theta * x.values
+            for w in cfg.multipliers:
+                grid = embed(w * x.values, gamma, shape)
+                spatial = f1i @ grid @ f2i.T
+                back = f1 @ (mask.values * spatial) @ f2.T
+                acc = acc + w * gather(back, gamma)
+            assert rel_err(out, acc) < 1e-10
 
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
     def test_exact_matches_dense_lift_assembly(self, weighting):
@@ -421,7 +426,8 @@ class TestJacobiDiagonal:
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_lifting_reads_all_of_gamma(self, cfg, seed):
         # the windows read every index of gamma and nothing outside it, so
-        # the exact diagonal is positive except at DC under gradient weighting
+        # the exact diagonal is positive except at DC, if gamma holds it,
+        # under gradient weighting
         reads = cfg.lift_geometry.ravel()
         assert reads.min() >= 0 and reads.max() < len(cfg.gamma)
         assert np.all(np.bincount(reads, minlength=len(cfg.gamma)) > 0)
@@ -430,7 +436,8 @@ class TestJacobiDiagonal:
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         diag = normal_diag_exact(f @ f.conj().T, cfg, 1.0, np.zeros(cfg.gamma.extents))
         empty = np.argwhere(diag <= 0) + cfg.gamma.kmin
-        assert empty.tolist() == ([] if cfg.weighting == "identity" else [[0, 0]])
+        has_dc = cfg.gamma.contains(IndexSet2D.rect(1, 1))
+        assert empty.tolist() == ([[0, 0]] if cfg.weighting == "gradient" and has_dc else [])
 
     @settings(max_examples=30, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))

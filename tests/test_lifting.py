@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrecon.grid import GridShape, IndexSet2D, dilate, valid_output_set
+from slrecon.grid import IndexSet2D, dilate, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
     adjoint_apply,
     apply_filter,
-    embed,
-    gather,
     gram_matrix,
     lift_adjoint,
     lift_dense,
+    lift_normal_diag,
 )
 
 from conftest import conv_oracle, lifting_configs, random_kspace
@@ -101,13 +100,12 @@ class TestLiftDense:
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
     def test_off_centre_filter_matches_conv_oracle(self, weighting):
         # lambda1 shifted off the origin: lambda2 shifts with it, and the
-        # windows still read only gamma, so the grid stays gamma-sized
+        # windows still read only gamma
         gamma = IndexSet2D.rect(9, 8)
         lam1 = IndexSet2D.rect(4, 3, offset=(2, -1))
         lam2 = valid_output_set(gamma, lam1)
         cfg = LiftingConfig.make(gamma, lam1, weighting)
         assert cfg.lambda2 == lam2
-        assert cfg.fft_grid == GridShape(9, 8)
         x = random_kspace(gamma, 61)
         t = lift_dense(x, cfg)
         blocks = [KSpaceArray(gamma, w * x.values) for w in cfg.multipliers]
@@ -176,7 +174,6 @@ class TestApply:
         # alias-free on the gamma-sized grid
         gamma = IndexSet2D.rect(12, 1)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(4, 1))
-        assert cfg.fft_grid.n1 == 12
         x = random_kspace(gamma, 29)
         t = lift_dense(x, cfg)
         h = np.random.default_rng(31).standard_normal(4) + 0j
@@ -232,12 +229,13 @@ class TestConfigInvariants:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt, offset=(shift, 0)), weighting)
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
-        assert cfg.cells is cfg.cells
         # built on first use, not when the config is made
-        assert "circular_lags" not in vars(cfg)
+        assert "circular_lags" not in vars(cfg) and "normal_diag" not in vars(cfg)
         assert cfg.circular_lags is cfg.circular_lags
+        assert cfg.normal_diag is cfg.normal_diag
+        assert np.array_equal(cfg.normal_diag, lift_normal_diag(np.ones(cfg.n_filter), cfg))
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
-        for a in (cfg.multipliers, cfg.lift_geometry, cfg.cells, cfg.circular_lags):
+        for a in (cfg.multipliers, cfg.lift_geometry, cfg.circular_lags, cfg.normal_diag):
             assert not a.flags.writeable
 
     @settings(max_examples=60, deadline=None)
@@ -246,16 +244,6 @@ class TestConfigInvariants:
         assert cfg.lambda2 == valid_output_set(cfg.gamma, cfg.lambda1)
         # the windows l - lambda1 together read exactly gamma
         assert dilate(cfg.lambda2, IndexSet2D(-cfg.lambda1.indices)) == cfg.gamma
-        assert cfg.fft_grid.as_tuple() == cfg.gamma.extents
-
-    @settings(max_examples=60, deadline=None)
-    @given(lifting_configs(), st.integers(0, 2**16))
-    def test_grid_placement_matches_embed_gather(self, cfg, seed):
-        v = random_kspace(cfg.gamma, seed).values
-        g = cfg.to_grid(v)
-        assert np.array_equal(g, embed(v, cfg.gamma, cfg.fft_grid))
-        g = g + np.random.default_rng(seed).standard_normal(g.shape)
-        assert np.array_equal(cfg.from_grid(g), gather(g, cfg.gamma))
 
     def test_only_the_four_inputs_are_settable(self):
         settable = [f.name for f in dataclasses.fields(LiftingConfig) if f.init]
