@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridShape, IndexSet2D, predicted_rank
-from .lifting import KSpaceArray, LiftingConfig, lag_sums, lift_dense, toeplitz_from_lags
+from .lifting import KSpaceArray, LiftingConfig, lift_dense, read_offsets, scatter_sum
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
 
@@ -76,9 +76,14 @@ def gradient_sq_coefficients(edge: EdgePolynomial) -> tuple[IndexSet2D, np.ndarr
 
 
 def _autocorrelate(c: np.ndarray) -> np.ndarray:
-    """a[m] = sum_k conj(c[k]) c[k+m], lags m in -(e-1)..(e-1) per axis."""
-    v = c.ravel()
-    return lag_sums(np.outer(v, np.conj(v)), IndexSet2D.rect(*c.shape))
+    """a[m] = sum_k conj(c[k]) c[k+m], lags m in -(e-1)..(e-1) per axis: the
+    products c[k] conj(c[l]) summed onto their lag k - l, wrapped on extents
+    2e - 1 where no two lags alias, then rolled by e - 1 to centre lag 0."""
+    (e1, e2), v = c.shape, c.ravel()
+    lags = (2 * e1 - 1, 2 * e2 - 1)
+    reads = read_offsets((range(e1), range(e2)), c.shape, lags)
+    a = scatter_sum(reads, np.outer(v, np.conj(v)), lags)
+    return np.roll(a, (e1 - 1, e2 - 1), axis=(0, 1))
 
 
 def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
@@ -100,9 +105,15 @@ def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
 
 def rho2_quadratic_form(edge: EdgePolynomial, lambda1: IndexSet2D) -> np.ndarray:
     """Hermitian matrix Q with Q[k, l] = Fourier coefficient of |grad mu0|^2
-    at k - l, for k, l in lambda1 (a Toeplitz-structured form)."""
+    at k - l, for k, l in lambda1 (a Toeplitz-structured form).  The centred
+    coefficients (half-width h) are wrapped onto extents max(2h + 1, f + h),
+    f = lambda1's extents, so each lag reads its own coefficient or a zero."""
     _, coeffs = gradient_sq_coefficients(edge)
-    q = toeplitz_from_lags(coeffs, lambda1)
+    f, half = lambda1.extents, [s // 2 for s in coeffs.shape]
+    extents = tuple(max(2 * h + 1, fi + h) for fi, h in zip(f, half))
+    wrapped = np.zeros(extents, dtype=coeffs.dtype)
+    wrapped[np.ix_(*(np.arange(-h, h + 1) % e for h, e in zip(half, extents)))] = coeffs
+    q = np.take(wrapped, read_offsets((range(f[0]), range(f[1])), f, extents))
     return 0.5 * (q + q.conj().T)
 
 
@@ -366,6 +377,8 @@ def phase_transition(
     """
     from .giraf import IRLSConfig, giraf_solve
 
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     # the exact operator matters here: phase-transition grids are small, so
     # the mask-condensed approximation is at its least accurate
     defaults = dict(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-11, cg_max=400,

@@ -154,9 +154,7 @@ def cmd_recover(params: dict) -> int:
     truth = fileio.read_kspace(params["kspace"])
     gamma = truth.gamma
     mask = _resolve_mask(params, gamma)
-    b = sample_kspace(truth, mask)
-    if params["noise"] > 0:
-        b = add_noise(b, params["noise"], params["noise_seed"])
+    b = add_noise(sample_kspace(truth, mask), params["noise"], params["noise_seed"])
 
     solver = params["solver"]
     t0 = time.perf_counter()
@@ -225,6 +223,8 @@ def cmd_validate(params: dict) -> int:
     ok = True
     evidence: dict = {"suite": suite}
     if suite == "rank":
+        if params["seeds"] < 1:
+            raise ValueError(f"seeds must be at least 1, got {params['seeds']}")
         cfg = LiftingConfig.make(gamma, lam1, "gradient")
         rows = []
         for seed in range(params["seeds"]):

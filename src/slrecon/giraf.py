@@ -29,7 +29,7 @@ from ._fft import fft2, ifft2
 from .analysis import snr_db
 from .baselines import zero_fill
 from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense,
-                      lift_normal_diag)
+                      lift_normal_diag, scatter_sum)
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -125,10 +125,8 @@ def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
     wm = np.asarray(wm, dtype=np.complex128)
     if wm.shape != (cfg.n_filter, cfg.n_filter):
         raise ValueError(f"weight matrix must be {cfg.n_filter} x {cfg.n_filter}")
-    lags, size = cfg.circular_lags.ravel(), len(cfg.gamma)
-    re = np.bincount(lags, weights=wm.real.ravel(), minlength=size)
-    im = np.bincount(lags, weights=wm.imag.ravel(), minlength=size)
-    values = (ifft2((re + 1j * im).reshape(cfg.gamma.extents)) * size).real
+    wrapped = scatter_sum(cfg.circular_lags, wm, cfg.gamma.extents)
+    values = (ifft2(wrapped) * len(cfg.gamma)).real
     tiny = 1e-12 * max(float(values.max()), 0.0)
     values[(values < 0.0) & (values >= -tiny)] = 0.0
     return AnnihilatingMask(values)

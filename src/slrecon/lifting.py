@@ -9,27 +9,30 @@ gamma, so every matrix entry is an actual weighted sample, for any filter
 extent or offset.  With gradient weighting the matrix stacks the
 k1-weighted block on top of the k2-weighted block.
 
-The read rule, entry (l, k) holds the sample at index l - k, is written once,
-as a sliding-window view of the gamma-shaped data: ``lift_dense``, its
-adjoint ``lift_adjoint`` and ``lift_normal_diag`` read through it.
-``gram_matrix`` uses that the valid lifting is the circular lifting on
-gamma's array restricted to the outputs m with m1 >= f1 - 1 and
-m2 >= f2 - 1, an indicator that factors as
-(1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular Gram
-(Toeplitz in the circular autocorrelation: one forward FFT per block, one
-inverse in all) minus the row strips' and the column strips' Grams (each
-circular along the other axis, so 1-D FFTs and one small product per
+The read rule, output i and tap k read index (i - k) mod e on an array of
+extents e, is written once, in ``read_offsets`` (``_axis_reads`` is its 1-D
+form); ``scatter_sum`` sums values back onto what they read.
+``lift_geometry`` is the rule on gamma's array at the valid rows [f - 1, e),
+which never wrap: ``lift_dense`` gathers through it, ``lift_adjoint`` and
+``lift_normal_diag`` scatter back.  ``circular_lags`` is the rule on the
+rows [0, f), the lag k - l of each pair of taps.  ``gram_matrix`` uses that
+the valid lifting is the circular lifting on gamma's array restricted to
+the outputs m with m1 >= f1 - 1 and m2 >= f2 - 1, an indicator that factors
+as (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular
+Gram (Toeplitz in the circular autocorrelation: one forward FFT per block,
+one inverse in all) minus the row strips' and the column strips' Grams
+(each circular along the other axis, so 1-D FFTs and one small product per
 frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share, the
-only ones still multiplied out.  ``apply_filter`` / ``adjoint_apply``
-evaluate the same maps by circular FFT convolution on gamma's array, the
-filter at its first f1 x f2 entries, where the valid outputs are the slice
-[f1 - 1:, f2 - 1:] and read no wrapped sample; they are the view's
-independent oracle.  Gamma's array is the only grid: the solver's mask and
-condensed operator work on it too.  A ``LiftingConfig`` is a function of
-gamma, lambda1 and the weighting: lambda2 is derived from them at
-construction, not accepted and checked.  The arrays derived from its
-geometry are computed on first use and cached read-only, so no per-call map
-re-derives them.
+rule on the rows [0, f - 1) and the only ones still multiplied out.
+``apply_filter`` / ``adjoint_apply`` evaluate the same maps by circular FFT
+convolution on gamma's array, the filter at its first f1 x f2 entries,
+where the valid outputs are the slice [f1 - 1:, f2 - 1:] and read no
+wrapped sample; they are the rule's independent oracle.  Gamma's array is
+the only grid: the solver's mask and condensed operator work on it too.
+A ``LiftingConfig`` is a function of gamma, lambda1 and the weighting:
+lambda2 is derived from them at construction, not accepted and checked.
+The arrays derived from its geometry are computed on first use and cached
+read-only, so no per-call map re-derives them.
 """
 
 from __future__ import annotations
@@ -149,19 +152,16 @@ class LiftingConfig:
     @cached_property
     def lift_geometry(self) -> np.ndarray:
         """(|lambda2|, N) flat row-major offsets into gamma: position (l, k)
-        of every block reads index l - k."""
-        cells = np.arange(len(self.gamma)).reshape(self.gamma.extents)
-        return _read_only(_windows(cells, self).reshape(self.n_out, -1).copy())
+        of every block reads index l - k (the rule on the rows [f - 1, e))."""
+        (f1, f2), (e1, e2) = self.lambda1.extents, self.gamma.extents
+        return _read_only(read_offsets((range(f1 - 1, e1), range(f2 - 1, e2)), (f1, f2), (e1, e2)))
 
     @cached_property
     def circular_lags(self) -> np.ndarray:
         """(N, N) flat offsets into gamma's array of the lag k - l, mod gamma's
-        extents, between taps k and l of lambda1."""
-        (f1, f2), (e1, e2) = self.lambda1.extents, self.gamma.extents
-        d1 = np.subtract.outer(np.arange(f1), np.arange(f1)) % e1
-        d2 = np.subtract.outer(np.arange(f2), np.arange(f2)) % e2
-        lags = d1[:, None, :, None] * e2 + d2[None, :, None, :]
-        return _read_only(lags.reshape(self.n_filter, self.n_filter))
+        extents, between taps k and l of lambda1 (the rule on the rows [0, f))."""
+        f1, f2 = self.lambda1.extents
+        return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.gamma.extents))
 
     @cached_property
     def normal_diag(self) -> np.ndarray:
@@ -170,11 +170,36 @@ class LiftingConfig:
         return _read_only(lift_normal_diag(np.ones(self.n_filter), self))
 
 
-def _windows(g: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """View of gamma-shaped arrays with [..., m1, m2, k1, k2] at index
-    lambda2[m] - lambda1[k].  Leading axes are kept."""
-    view = np.lib.stride_tricks.sliding_window_view(g, cfg.lambda1.extents, axis=(-2, -1))
-    return view[..., ::-1, ::-1]
+def _axis_reads(rows: range, f: int, e: int) -> np.ndarray:
+    """The read rule along one axis: (len(rows), f) indices (i - k) mod e of
+    output i in ``rows`` and tap k < f on an axis of extent e."""
+    return np.subtract.outer(np.arange(rows.start, rows.stop), np.arange(f)) % e
+
+
+def read_offsets(rows: tuple[range, range], taps: tuple[int, int],
+                 extents: tuple[int, int]) -> np.ndarray:
+    """The read rule: output i reads index i - k at tap k, wrapped onto an
+    array of the given extents.
+
+    ``rows`` holds the output rows per axis, ``taps`` the filter extents.
+    Returns the (outputs, N) flat row-major offsets
+    ((i1 - k1) mod e1) e2 + (i2 - k2) mod e2, outputs and taps row-major.
+    """
+    (f1, f2), (e1, e2) = taps, extents
+    d1, d2 = _axis_reads(rows[0], f1, e1), _axis_reads(rows[1], f2, e2)
+    return (d1[:, None, :, None] * e2 + d2[None, :, None, :]).reshape(-1, f1 * f2)
+
+
+def scatter_sum(offsets: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Each value summed onto the entry of a ``shape`` array at its flat
+    offset (the adjoint of reading through ``offsets``): a bincount of the
+    real parts, then one of the imaginary parts when the values are complex."""
+    # array methods, not np.ravel/np.iscomplexobj: this runs per block on every CG step
+    flat, values, size = offsets.ravel(), values.ravel(), shape[0] * shape[1]
+    out = np.bincount(flat, weights=values.real, minlength=size)
+    if values.dtype.kind == "c":
+        out = out + 1j * np.bincount(flat, weights=values.imag, minlength=size)
+    return out.reshape(shape)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -201,20 +226,15 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
 def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
 
-    Every lifted entry is summed onto the index it reads (one bincount per
-    real/imaginary part and block), then weighted by that block's real
-    multiplier.
+    Every lifted entry is summed onto the index it reads (``scatter_sum``
+    per block), then weighted by that block's real multiplier.
     """
     X = np.asarray(X)
     if X.shape != cfg.lifted_shape:
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
-    flat = cfg.lift_geometry.ravel()
-    size = len(cfg.gamma)
     out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
     for xb, w in zip(X.reshape(len(cfg.multipliers), -1), cfg.multipliers):
-        re = np.bincount(flat, weights=xb.real, minlength=size)
-        im = np.bincount(flat, weights=xb.imag, minlength=size)
-        out += w * (re + 1j * im).reshape(cfg.gamma.extents)
+        out += w * scatter_sum(cfg.lift_geometry, xb, cfg.gamma.extents)
     return out
 
 
@@ -225,9 +245,8 @@ def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     Entry i is sum_b w_b(i)^2 times the sum of d[k] over the taps k whose
     window reads i; zero only where every multiplier vanishes.
     """
-    reads = np.bincount(cfg.lift_geometry.ravel(), weights=np.tile(d, cfg.n_out),
-                        minlength=len(cfg.gamma))
-    return reads.reshape(cfg.gamma.extents) * (cfg.multipliers**2).sum(axis=0)
+    reads = scatter_sum(cfg.lift_geometry, np.tile(d, cfg.n_out), cfg.gamma.extents)
+    return reads * (cfg.multipliers**2).sum(axis=0)
 
 
 def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -271,12 +290,6 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     return KSpaceArray(cfg.gamma, (cfg.multipliers * corr).sum(axis=0))
 
 
-def _frame_rows(f: int, e: int) -> np.ndarray:
-    """(f - 1, f) wrapped indices (i - k) mod e along one axis: the reads of
-    the circular lifting's first f - 1 outputs i, tap k."""
-    return np.subtract.outer(np.arange(f - 1), np.arange(f)) % e
-
-
 def _strip_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:
     """(f1, f2, f1, f2) Gram of the circular lifting's row strips, the
     outputs m1 < f1 - 1 at every m2, of the weighted blocks ``ys``.
@@ -289,11 +302,10 @@ def _strip_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:
     frequency.
     """
     e1, e2 = ys.shape[1:]
-    a = fft2(ys, axes=(-1,))[:, _frame_rows(f1, e1)]  # (b, i, k1, w)
+    a = fft2(ys, axes=(-1,))[:, _axis_reads(range(f1 - 1), f1, e1)]  # (b, i, k1, w)
     a = a.transpose(3, 0, 1, 2).reshape(e2, -1, f1)
     rho = ifft2(a.conj().swapaxes(1, 2) @ a, axes=(0,))
-    d2 = np.subtract.outer(np.arange(f2), np.arange(f2)) % e2
-    return rho[d2].transpose(2, 0, 3, 1)
+    return rho[_axis_reads(range(f2), f2, e2)].transpose(2, 0, 3, 1)
 
 
 def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
@@ -311,56 +323,23 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     - ``G_R`` (the row strips m1 < f1 - 1) and ``G_C`` (the column strips
       m2 < f2 - 1) are each circular along the other axis: 1-D FFTs and one
       f x f product per frequency (``_strip_gram``);
-    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips, is added
-      back by gathering their windows one block at a time, so the lifted
-      matrix is never held whole.
+    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips (the read
+      rule on the rows [0, f - 1)), is added back one block at a time, so
+      the lifted matrix is never held whole.
 
     The result is symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
     ys = cfg.multipliers * x.values
-    (f1, f2), (e1, e2), n = cfg.lambda1.extents, cfg.gamma.extents, cfg.n_filter
+    (f1, f2), (e1, e2) = cfg.lambda1.extents, cfg.gamma.extents
     gram = np.take(ifft2((np.abs(fft2(ys)) ** 2).sum(axis=0)), cfg.circular_lags)
     taps = gram.reshape(f1, f2, f1, f2)  # a view: gram[(k1, k2), (l1, l2)]
     taps -= _strip_gram(ys, f1, f2)
     taps -= _strip_gram(ys.swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
-    r1, r2 = _frame_rows(f1, e1), _frame_rows(f2, e2)
+    corner = read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2), (e1, e2))
     for y in ys:
-        t = y[r1[:, None, :, None], r2[None, :, None, :]].reshape(-1, n)
+        t = np.take(y, corner)
         gram += t.conj().T @ t
     gram += gram.conj().T
     gram *= 0.5
     return gram
-
-
-def lag_sums(m: np.ndarray, iset: IndexSet2D) -> np.ndarray:
-    """Sums of an N x N matrix along its 2-D lags: c[d] = sum_{k-l=d} M[k, l].
-
-    Rows and columns of ``m`` are aligned with iset.indices.  The result is
-    a centred lag array: with bounding-box extents e, lag d sits at index
-    d + (e - 1), for d in -(e-1)..(e-1) per axis.
-    """
-    e1, e2 = iset.extents
-    d = iset.indices[:, None, :] - iset.indices[None, :, :]
-    lag_shape = (2 * e1 - 1, 2 * e2 - 1)
-    flat = ((d[..., 0] + e1 - 1) * lag_shape[1] + d[..., 1] + e2 - 1).ravel()
-    m = np.asarray(m, dtype=np.complex128).ravel()
-    size = lag_shape[0] * lag_shape[1]
-    re = np.bincount(flat, weights=m.real, minlength=size)
-    im = np.bincount(flat, weights=m.imag, minlength=size)
-    return (re + 1j * im).reshape(lag_shape)
-
-
-def toeplitz_from_lags(c: np.ndarray, iset: IndexSet2D) -> np.ndarray:
-    """Toeplitz expansion M[k, l] = c[k - l] over iset (the adjoint of lag_sums).
-
-    ``c`` is a centred lag array of any odd extents (lag d at index
-    d + extent // 2); lags it does not cover read as zero.
-    """
-    c = np.asarray(c)
-    h1, h2 = c.shape[0] // 2, c.shape[1] // 2
-    d = iset.indices[:, None, :] - iset.indices[None, :, :]
-    inside = (np.abs(d[..., 0]) <= h1) & (np.abs(d[..., 1]) <= h2)
-    i1 = np.where(inside, d[..., 0] + h1, 0)
-    i2 = np.where(inside, d[..., 1] + h2, 0)
-    return np.where(inside, c[i1, i2], 0.0)

@@ -105,6 +105,8 @@ class Phantom:
     def __post_init__(self):
         if self.oversample < 4:
             raise ValueError("oversample must be at least 4")
+        if len(self.region_values) != 2:
+            raise ValueError(f"region_values must hold two amplitudes, got {len(self.region_values)}")
         if not all(np.isfinite(self.region_values)):
             raise ValueError("region amplitudes must be finite")
 
@@ -278,6 +280,8 @@ def sample_kspace(x: KSpaceArray, mask: SamplingMask) -> np.ndarray:
 
 def add_noise(b: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
     """Additive complex white Gaussian noise on the samples (the one knob)."""
+    if not sigma >= 0.0:
+        raise ValueError(f"noise sigma must be non-negative, got {sigma}")
     if sigma == 0.0:
         return b.copy()
     rng = np.random.default_rng(np.random.Philox(key=seed))

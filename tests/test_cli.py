@@ -79,6 +79,11 @@ class TestPhantomCmd:
         run(["phantom", "--lambda0", "3x3", "--grid", "33x33", "--seed", "7", "--out", out2])
         assert (out2 / "phantom.ksar").read_bytes() == (phantom_dir / "phantom.ksar").read_bytes()
 
+    def test_one_amplitude_exits_two(self, tmp_path, capsys):
+        code = run(["phantom", "--grid", "9x9", "--amps", "1", "--out", tmp_path / "ph"])
+        assert code == 2
+        assert "region_values" in capsys.readouterr().err
+
     def test_oversample_improves_rank_residual(self, tmp_path):
         # doubling the oversampling shrinks the rank-test tail by >= 1.5x
         from slrecon.grid import IndexSet2D
@@ -114,6 +119,14 @@ class TestRecoverCmd:
                     "--tv-iters", "0", "--out", tmp_path / "tv0"])
         assert code == 2
         assert "iters" in capsys.readouterr().err
+
+    def test_negative_noise_exits_two(self, phantom_dir, tmp_path, capsys):
+        out = tmp_path / "noisy"
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
+                    "--noise", "-5", "--out", out])
+        assert code == 2
+        assert "noise" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_giraf_writes_report(self, phantom_dir, tmp_path):
         out = tmp_path / "giraf"
@@ -248,6 +261,20 @@ class TestValidateCmd:
                     "--filter", "7x7", "--out", out])
         assert code == 1
         assert not fileio.read_json(out / "validate_rank.json")["passed"]
+
+    def test_phase_without_trials_exits_two(self, tmp_path, capsys):
+        code = run(["validate", "phase", "--grid", "9x9", "--filter", "3x3", "--trials", "0",
+                    "--out", tmp_path / "phase"])
+        assert code == 2
+        assert "trials" in capsys.readouterr().err
+
+    def test_rank_without_seeds_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "rank"
+        code = run(["validate", "rank", "--grid", "9x9", "--filter", "3x3", "--seeds", "0",
+                    "--out", out])
+        assert code == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (out / "validate_rank.json").exists()
 
     def test_phase_suite_passes_oversample(self, tmp_path, monkeypatch):
         from slrecon import cli

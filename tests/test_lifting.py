@@ -245,6 +245,20 @@ class TestConfigInvariants:
         # the windows l - lambda1 together read exactly gamma
         assert dilate(cfg.lambda2, IndexSet2D(-cfg.lambda1.indices)) == cfg.gamma
 
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs())
+    def test_cached_maps_match_index_definition(self, cfg):
+        # entry by entry from the signed indices, not through the read rule
+        position = {tuple(k): i for i, k in enumerate(cfg.gamma.indices)}
+        for m, l in enumerate(cfg.lambda2.indices):
+            for k, tap in enumerate(cfg.lambda1.indices):
+                assert cfg.lift_geometry[m, k] == position[tuple(l - tap)]
+        e = cfg.gamma.extents
+        for k, tap_k in enumerate(cfg.lambda1.indices):
+            for l, tap_l in enumerate(cfg.lambda1.indices):
+                lag = np.ravel_multi_index(tuple((tap_k - tap_l) % e), e)
+                assert cfg.circular_lags[k, l] == lag
+
     def test_only_the_four_inputs_are_settable(self):
         settable = [f.name for f in dataclasses.fields(LiftingConfig) if f.init]
         assert settable == ["gamma", "lambda1", "weighting"]

@@ -80,6 +80,11 @@ class TestPhantomFourier:
         rest[4, 4] = 0.0
         assert np.abs(rest).max() < 1e-10
 
+    @pytest.mark.parametrize("values", [(1.0,), (1.0, 0.0, 2.0)])
+    def test_region_values_need_two(self, values):
+        with pytest.raises(ValueError, match="region_values"):
+            Phantom(sin_x_edge(), region_values=values)
+
     def test_half_plane_matches_analytic_integral(self):
         ph = Phantom(sin_x_edge(), region_values=(1.0, 0.0), oversample=8)
         gamma = IndexSet2D.rect(17, 1)
@@ -225,6 +230,11 @@ class TestAddNoise:
         b = np.arange(6.0) + 1j
         out = add_noise(b, 0.0, seed=3)
         assert out is not b and np.array_equal(out, b)
+
+    @pytest.mark.parametrize("sigma", [-5.0, np.nan])
+    def test_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="non-negative"):
+            add_noise(np.zeros(4, dtype=complex), sigma)
 
     def test_seeded(self):
         b = np.zeros(50, dtype=complex)
