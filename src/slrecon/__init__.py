@@ -1,6 +1,6 @@
 """Structured low-rank k-space completion toolkit."""
 
-from .grid import GridShape, IndexSet2D, count_shifts, dilate, predicted_rank, valid_output_set
+from .grid import IndexSet2D, count_shifts, dilate, predicted_rank, valid_output_set
 from .lifting import (
     KSpaceArray,
     LiftingConfig,
@@ -25,7 +25,6 @@ from .analysis import numerical_rank, phase_transition, rho1_estimate, rho2, snr
 from .report import IterationRecord, SolverReport
 
 __all__ = [
-    "GridShape",
     "IndexSet2D",
     "count_shifts",
     "dilate",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridShape, IndexSet2D, predicted_rank
+from .grid import IndexSet2D, predicted_rank
 from .lifting import KSpaceArray, LiftingConfig, lift_dense, read_offsets, scatter_sum
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
@@ -121,7 +121,9 @@ def rho2_rayleigh_search(
     edge: EdgePolynomial, lambda1: IndexSet2D, n_starts: int = 50, refine_steps: int = 200, seed: int = 0
 ) -> float:
     """Independent check of the eigen route: random unit coefficient vectors
-    plus projected-gradient refinement of the Rayleigh quotient."""
+    plus projected-gradient refinement of the Rayleigh quotient.  A start
+    whose step vanishes (a top eigenvector, as every start of a 1 x 1 form
+    is) keeps its quotient."""
     q = rho2_quadratic_form(edge, lambda1)
     n = q.shape[0]
     rng = np.random.default_rng(np.random.Philox(key=seed))
@@ -132,8 +134,11 @@ def rho2_rayleigh_search(
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g /= np.linalg.norm(g)
         for _ in range(refine_steps):
-            g = g - step * (q @ g)
-            g /= np.linalg.norm(g)
+            nxt = g - step * (q @ g)
+            norm = np.linalg.norm(nxt)
+            if norm == 0.0:
+                break
+            g = nxt / norm
         best = min(best, float(np.vdot(g, q @ g).real))
     gx, gy = _normalized_gradient_coeffs(edge)
     ell1 = float((np.abs(gx) + np.abs(gy)).sum())
@@ -156,7 +161,7 @@ def dirichlet_gram(points: np.ndarray, lambda1: IndexSet2D) -> np.ndarray:
 def zero_set_points(edge: EdgePolynomial, raster: int = 512) -> np.ndarray:
     """Points on the zero level-set, from sign changes on a fine raster with
     linear interpolation along grid edges."""
-    mu = rasterize_mu(edge, GridShape(raster, raster))
+    mu = rasterize_mu(edge, (raster, raster))
     pts = []
     for axis in (0, 1):
         a = mu
@@ -292,7 +297,7 @@ def subspace_check(
     row_res = np.linalg.norm(filt - vr @ (vr.conj().T @ filt), axis=0)
 
     # off-curve contrast: points where |mu0| is large
-    mu = rasterize_mu(edge, GridShape(raster, raster))
+    mu = rasterize_mu(edge, (raster, raster))
     flat = np.abs(mu).ravel()
     order = np.argsort(flat)[::-1][: 20 * n_points]
     pick_off = rng.choice(order.size, size=n_points, replace=False)

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._fft import fft2, ifft2
 from .analysis import snr_db
-from .grid import GridShape
 from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
@@ -38,16 +37,18 @@ class SVTConfig:
 
 
 def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
-    """Samples placed on theta, zeros elsewhere in gamma.
+    """Samples placed on their sampled indices, zeros elsewhere in gamma.
 
     Every solver reads its samples through here, so this is where they are
-    checked: one finite value per sampled index, aligned with mask.theta.
+    checked: one finite value per sampled index, in the row-major order of
+    mask.sampled.
     """
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if b.size != len(mask.theta):
-        raise ValueError(f"expected {len(mask.theta)} samples, got {b.size}")
+    count = int(np.count_nonzero(mask.sampled))
+    if b.size != count:
+        raise ValueError(f"expected {count} samples, got {b.size}")
     out = np.zeros(mask.gamma.extents, dtype=np.complex128)
-    out[mask.positions] = b
+    out[mask.sampled] = b
     return KSpaceArray(mask.gamma, out)
 
 
@@ -127,7 +128,7 @@ def svt_solve(
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
     bfill = zero_fill(b, mask).values
-    theta_ind = mask.indicator()
+    sampled = mask.indicator()
     x = bfill.copy()
     tx = lift_dense(KSpaceArray(lifting.gamma, x), lifting)
     s0, _ = _svd_from_r(tx)
@@ -146,13 +147,13 @@ def svt_solve(
         x_new = x_new.values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
-        x_new = x_new - (theta_ind * x_new - bfill)
+        x_new = x_new - (sampled * x_new - bfill)
         tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
         multiplier += tx
         multiplier -= z
         t2 = time.perf_counter()
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
-        data_fit = float(np.linalg.norm(theta_ind * x_new - bfill) ** 2)
+        data_fit = float(np.linalg.norm(sampled * x_new - bfill) ** 2)
         nuclear = float(s_shrunk.sum())  # nuclear norm of the thresholded matrix
         rec = IterationRecord(
             iteration=n,
@@ -207,17 +208,16 @@ def tv_solve(
     if iters < 1:
         raise ValueError("iters must be at least 1")
     gamma = mask.gamma
-    shape = GridShape(*gamma.extents)
-    ntot = shape.size
+    ntot = len(gamma)
     # k-space arrays store coefficients of the trig-polynomial image
     # (image = ifft * ntot); the unitary-scale data is b * sqrt(ntot)
     bu = np.asarray(b, dtype=np.complex128).reshape(-1) * np.sqrt(ntot)
 
     def forward(u):
-        return gather(fft2(u) / np.sqrt(ntot), gamma)[mask.positions]
+        return gather(fft2(u) / np.sqrt(ntot), gamma)[mask.sampled]
 
     def adjoint(v):
-        return ifft2(embed(zero_fill(v, mask).values, gamma, shape)) * np.sqrt(ntot)
+        return ifft2(embed(zero_fill(v, mask).values, gamma, gamma.extents)) * np.sqrt(ntot)
 
     L = np.sqrt(8.0 + 1.0)
     sigma = tau = 1.0 / L

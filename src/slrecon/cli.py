@@ -199,7 +199,7 @@ def cmd_recover(params: dict) -> int:
         "mse": float(np.linalg.norm(rec.values - truth.values) ** 2
                      / np.linalg.norm(truth.values) ** 2),
         "wall_time_s": wall,
-        "samples": len(mask.theta),
+        "samples": int(np.count_nonzero(mask.sampled)),
     }
     fileio.write_json(out / "summary.json", summary)
     _write_manifest(out, "recover", params, outputs)

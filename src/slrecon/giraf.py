@@ -137,7 +137,7 @@ def normal_apply_approx(
     mask: AnnihilatingMask,
     cfg: LiftingConfig,
     lam: float,
-    theta_ind: np.ndarray,
+    sampled: np.ndarray,
 ) -> np.ndarray:
     """Mask-condensed normal operator: 2 FFTs per weighting block.
 
@@ -145,7 +145,7 @@ def normal_apply_approx(
     sits among the signed indices only modulates that domain, which commutes
     with the multiply, so no placement is needed.
     """
-    out = lam * theta_ind * xv
+    out = lam * sampled * xv
     for w in cfg.multipliers:
         out = out + w * fft2(mask.values * ifft2(w * xv))
     return out
@@ -156,31 +156,32 @@ def normal_apply_exact(
     wm: np.ndarray,
     cfg: LiftingConfig,
     lam: float,
-    theta_ind: np.ndarray,
+    sampled: np.ndarray,
 ) -> np.ndarray:
-    """Unapproximated normal operator, lam theta x + T^*(T(x) W).
+    """Unapproximated normal operator, lam P x + T^*(T(x) W), with P the
+    sampling indicator.
 
     The gradient of (1/2) tr(T(x) W T(x)^H) on the dense lifting, with the
     restriction to the valid output set kept; for W = F F^H it equals the
     sum over the bank's filters of adjoint_apply(apply_filter(x, f), f).
     """
     tx = lift_dense(KSpaceArray(cfg.gamma, xv), cfg)
-    return lam * theta_ind * xv + lift_adjoint(tx @ wm, cfg)
+    return lam * sampled * xv + lift_adjoint(tx @ wm, cfg)
 
 
 def normal_diag_approx(mask: AnnihilatingMask, cfg: LiftingConfig, lam: float,
-                       theta_ind: np.ndarray) -> np.ndarray:
+                       sampled: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``.  The circulant part has a
     constant diagonal, the mask's mean over gamma's array."""
-    return lam * theta_ind + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
+    return lam * sampled + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
 
 
 def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig, lam: float,
-                      theta_ind: np.ndarray) -> np.ndarray:
+                      sampled: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_exact``: entry i sums w_b(i)^2 W[k, k] over
     the taps k whose window reads index i.  Every index is read, so the
     lifting part vanishes only at DC under gradient weighting."""
-    return lam * theta_ind + lift_normal_diag(np.diag(wm).real, cfg)
+    return lam * sampled + lift_normal_diag(np.diag(wm).real, cfg)
 
 
 def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
@@ -258,16 +259,18 @@ def giraf_solve(
     cfg: IRLSConfig,
     reference: KSpaceArray | None = None,
 ) -> tuple[KSpaceArray, SolverReport]:
-    """Recover k-space data on gamma from samples on theta.
+    """Recover k-space data on gamma from samples on the mask's sampled indices.
 
     Alternates the Gram eigen-decomposition / mask update with a CG solve of
     the (approximate or exact) normal equations, on a geometrically decaying
     smoothing schedule.  CG non-convergence is recorded and iteration
-    continues from the last iterate; any NaN is a hard error.
+    continues from the last iterate; any NaN is a hard error.  A solve that
+    takes no CG iteration (its start already within ``cg_tol``) changes
+    nothing, so it is noted and never counted as convergence.
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    theta_ind = mask.indicator()
+    sampled = mask.indicator()
     b_fill = zero_fill(b, mask).values
     x = b_fill
     rhs = cfg.lam * b_fill  # lam * adjoint-sampled data
@@ -291,11 +294,11 @@ def giraf_solve(
         wm = weight_matrix(eigenvalues, vectors, eps, cfg.p)
         if cfg.operator == APPROXIMATE:
             mask_fn = mask_from_filters(wm, lifting)
-            op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, theta_ind)
-            diag = normal_diag_approx(mask_fn, lifting, cfg.lam, theta_ind)
+            op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, sampled)
+            diag = normal_diag_approx(mask_fn, lifting, cfg.lam, sampled)
         else:
-            op = lambda v: normal_apply_exact(v, wm, lifting, cfg.lam, theta_ind)
-            diag = normal_diag_exact(wm, lifting, cfg.lam, theta_ind)
+            op = lambda v: normal_apply_exact(v, wm, lifting, cfg.lam, sampled)
+            diag = normal_diag_exact(wm, lifting, cfg.lam, sampled)
         t3 = time.perf_counter()
         x_new, cg_info = cg_solve(op, diag, rhs, x, cfg.cg_tol, cfg.cg_max)
         t4 = time.perf_counter()
@@ -305,7 +308,7 @@ def giraf_solve(
         # objective fields describe the iterate entering the solve (its
         # spectrum is what the decomposition just produced); change and MSE
         # below describe the iterate it returns
-        data_res = theta_ind * x - b_fill
+        data_res = sampled * x - b_fill
         sigmas = np.sqrt(np.maximum(eigenvalues, 0.0) + eps)
         penalty = schatten_penalty(sigmas, cfg.p)
         data_fit = 0.5 * cfg.lam * float(np.linalg.norm(data_res) ** 2)
@@ -334,13 +337,16 @@ def giraf_solve(
         if not cg_info["converged"]:
             report.notes.append(f"iteration {n}: CG stopped ({cg_info['stop_reason']}) at "
                                 f"relative residual {cg_info['relative_residual']:.2e}")
+        if cg_info["iterations"] == 0:
+            report.notes.append(f"iteration {n}: CG took 0 iterations (start within cg_tol), "
+                                "so its zero change is not convergence")
         if reference is not None:
             num = np.linalg.norm(x_new - reference.values) ** 2
             rec.mse_vs_reference = float(num / np.linalg.norm(reference.values) ** 2)
         report.iterations.append(rec)
         x = x_new
         eps = max(eps / cfg.eps_decay, eps_min)
-        if change < cfg.convergence_tol:
+        if change < cfg.convergence_tol and cg_info["iterations"] > 0:
             report.converged = True
             break
 

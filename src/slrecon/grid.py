@@ -1,147 +1,86 @@
 """Index-set algebra on the 2-D integer grid.
 
-All Fourier-domain supports used by the liftings (sampling window, filter
-support, valid-convolution output set, edge-polynomial support) are finite
-subsets of Z^2.  Rectangular sets are centered at the origin by convention:
-an extent ``e`` spans ``-(e//2) .. (e-1)//2`` per axis, so odd extents are
-symmetric and even extents lean one step to the negative side.
+Every Fourier-domain support the liftings use (sampling window, filter
+support, valid-convolution output set, edge-polynomial support) is a box of
+integer pairs.  Boxes are centered at the origin by convention: an extent
+``e`` spans ``-(e//2) .. (e-1)//2`` per axis, so odd extents are symmetric
+and even extents lean one step to the negative side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
-def centered_range(extent: int, offset: int = 0) -> np.ndarray:
-    """Signed indices of a centered 1-D window of the given extent."""
-    if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
-    lo = -(extent // 2) + offset
-    return np.arange(lo, lo + extent, dtype=np.int64)
-
-
 @dataclass(frozen=True)
-class GridShape:
-    """Dimensions of the FFT grid used for circular convolutions."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if not (is_int(self.n1) and is_int(self.n2) and self.n1 >= 1 and self.n2 >= 1):
-            raise ValueError(f"grid dimensions must be integers >= 1, got {self}")
-
-    @property
-    def size(self) -> int:
-        return self.n1 * self.n2
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.n1, self.n2)
-
-
-@dataclass(frozen=True, eq=False)
 class IndexSet2D:
-    """A finite set of integer pairs (k1, k2).
+    """The box of integer pairs (k1, k2) with kmin <= k < kmin + extents per axis.
 
-    ``indices`` is canonical: unique rows, lexicographically sorted, shape
-    (m, 2), dtype int64.  ``rectangular`` is true iff the set contains every
-    integer pair inside its bounding box.  The bounding box (``kmin``,
-    ``kmax``, ``extents``) and, for rectangles, the per-axis ranges are
-    computed once at construction; every array is read-only.
+    ``kmin`` and ``extents`` are pairs of Python ints, so equality and hashing
+    are the dataclass's.  ``indices`` lists the pairs row-major (k1, then
+    k2: lexicographic order), which is how every gamma-shaped array is laid
+    out.
     """
 
-    indices: np.ndarray
-    kmin: np.ndarray = field(init=False, repr=False)
-    kmax: np.ndarray = field(init=False, repr=False)
-    extents: tuple[int, int] = field(init=False, repr=False)
-    rectangular: bool = field(init=False, repr=False)
-    _ranges: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    kmin: tuple[int, int]
+    extents: tuple[int, int]
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 2 or idx.shape[1] != 2 or idx.shape[0] == 0:
-            raise ValueError("indices must be a non-empty (m, 2) integer array")
-        idx = np.unique(idx, axis=0)  # sorts lexicographically
-        lo, hi = idx.min(axis=0), idx.max(axis=0)
-        extents = (int(hi[0] - lo[0] + 1), int(hi[1] - lo[1] + 1))
-        rectangular = idx.shape[0] == extents[0] * extents[1]
-        ranges = None
-        if rectangular:
-            ranges = (np.arange(lo[0], hi[0] + 1, dtype=np.int64),
-                      np.arange(lo[1], hi[1] + 1, dtype=np.int64))
-        for a in (idx, lo, hi, *(ranges or ())):
-            a.setflags(write=False)
-        for name, value in (("indices", idx), ("kmin", lo), ("kmax", hi), ("extents", extents),
-                            ("rectangular", rectangular), ("_ranges", ranges)):
-            object.__setattr__(self, name, value)
-
-    # -- constructors ------------------------------------------------------
+        kmin, extents = tuple(self.kmin), tuple(self.extents)
+        if not (len(kmin) == 2 and all(is_int(k) for k in kmin)):
+            raise ValueError(f"kmin must be a pair of integers, got {self.kmin!r}")
+        if not (len(extents) == 2 and all(is_int(e) and e >= 1 for e in extents)):
+            raise ValueError(f"extents must be integers >= 1, got {self.extents!r}")
+        object.__setattr__(self, "kmin", (int(kmin[0]), int(kmin[1])))
+        object.__setattr__(self, "extents", (int(extents[0]), int(extents[1])))
 
     @classmethod
     def rect(cls, extent1: int, extent2: int, offset: tuple[int, int] = (0, 0)) -> "IndexSet2D":
-        """Centered rectangle with given per-axis extents (optionally shifted)."""
-        r1 = centered_range(extent1, offset[0])
-        r2 = centered_range(extent2, offset[1])
-        return _box((r1[0], r2[0]), (r1[-1], r2[-1]))
+        """Centered box with the given per-axis extents (optionally shifted)."""
+        return cls((-(extent1 // 2) + offset[0], -(extent2 // 2) + offset[1]), (extent1, extent2))
 
-    @classmethod
-    def from_indices(cls, pairs: Iterable[Sequence[int]]) -> "IndexSet2D":
-        return cls(np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2))
-
-    # -- basic queries -----------------------------------------------------
+    @property
+    def kmax(self) -> tuple[int, int]:
+        return (self.kmin[0] + self.extents[0] - 1, self.kmin[1] + self.extents[1] - 1)
 
     def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (tuple(row) for row in self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IndexSet2D):
-            return NotImplemented
-        return self.indices.shape == other.indices.shape and bool(
-            np.array_equal(self.indices, other.indices)
-        )
-
-    def contains(self, other: "IndexSet2D") -> bool:
-        # a linear key over the joint bounding box keeps the lexicographic
-        # order, so the canonical rows are sorted keys to search
-        lo = np.minimum(self.kmin, other.kmin)
-        key = np.array([max(self.kmax[1], other.kmax[1]) - lo[1] + 1, 1])
-        mine, want = (self.indices - lo) @ key, (other.indices - lo) @ key
-        pos = np.minimum(np.searchsorted(mine, want), mine.size - 1)
-        return bool(np.array_equal(mine[pos], want))
+        return self.extents[0] * self.extents[1]
 
     def axis_ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis index ranges; only meaningful for rectangular sets."""
-        if self._ranges is None:
-            raise ValueError("axis_ranges requires a rectangular set")
-        return self._ranges
+        """The box's index range along each axis."""
+        return tuple(np.arange(k, k + e, dtype=np.int64) for k, e in zip(self.kmin, self.extents))
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """(len, 2) int64 pairs in row-major order, read-only."""
+        k1, k2 = np.meshgrid(*self.axis_ranges(), indexing="ij")
+        idx = np.stack([k1.ravel(), k2.ravel()], axis=1)
+        idx.setflags(write=False)
+        return idx
+
+    def contains(self, other: "IndexSet2D") -> bool:
+        """Whether ``other``'s box lies inside this one."""
+        return all(lo <= olo and olo + oe <= lo + e for lo, e, olo, oe
+                   in zip(self.kmin, self.extents, other.kmin, other.extents))
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.rectangular:
-            e1, e2 = self.extents
-            # offset relative to the centered position of the same extents
-            canon = (-(e1 // 2), -(e2 // 2))
-            off = (int(self.kmin[0]) - canon[0], int(self.kmin[1]) - canon[1])
-            return {"kind": "rect", "extents": [e1, e2], "offset": list(off)}
-        return {"kind": "list", "elements": self.indices.tolist(), "offset": [0, 0]}
+        e1, e2 = self.extents
+        # offset relative to the centered position of the same extents
+        off = (self.kmin[0] + e1 // 2, self.kmin[1] + e2 // 2)
+        return {"kind": "rect", "extents": [e1, e2], "offset": list(off)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IndexSet2D":
         kind = json_field(d, "kind", str, "index set")
-        if kind == "rect":
-            e1, e2 = int_pair(d.get("extents"), "extents")
-            return cls.rect(e1, e2, offset=int_pair(d.get("offset", [0, 0]), "offset"))
-        if kind == "list":
-            elements = json_field(d, "elements", list, "index set")
-            return cls.from_indices([int_pair(e, "elements") for e in elements])
-        raise ValueError(f"unknown index-set kind {kind!r}")
+        if kind != "rect":
+            raise ValueError(f"unknown index-set kind {kind!r}")
+        e1, e2 = int_pair(d.get("extents"), "extents")
+        return cls.rect(e1, e2, offset=int_pair(d.get("offset", [0, 0]), "offset"))
 
 
 def json_field(d, key: str, kind: type | tuple[type, ...], owner: str):
@@ -167,22 +106,11 @@ def int_pair(value, key: str) -> tuple[int, int]:
     return (value[0], value[1])
 
 
-def _box(lo, hi) -> IndexSet2D:
-    """Every integer pair (k1, k2) with lo <= (k1, k2) <= hi per axis."""
-    k1, k2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
-    return IndexSet2D(np.stack([k1.ravel(), k2.ravel()], axis=1))
-
-
 def dilate(a: IndexSet2D, b: IndexSet2D) -> IndexSet2D:
-    """Set of all pairwise sums {x + y : x in a, y in b}.
-
-    For rectangular inputs with extents (p, q) and (r, s) the result is
-    rectangular with extents (p + r - 1, q + s - 1).
-    """
-    if a.rectangular and b.rectangular:
-        return _box(a.kmin + b.kmin, a.kmax + b.kmax)
-    sums = a.indices[:, None, :] + b.indices[None, :, :]
-    return IndexSet2D(sums.reshape(-1, 2))
+    """Set of all pairwise sums {x + y : x in a, y in b}: boxes with extents
+    (p, q) and (r, s) sum to the box with extents (p + r - 1, q + s - 1)."""
+    return IndexSet2D((a.kmin[0] + b.kmin[0], a.kmin[1] + b.kmin[1]),
+                      (a.extents[0] + b.extents[0] - 1, a.extents[1] + b.extents[1] - 1))
 
 
 def valid_output_set(gamma: IndexSet2D, lambda1: IndexSet2D) -> IndexSet2D:
@@ -190,24 +118,19 @@ def valid_output_set(gamma: IndexSet2D, lambda1: IndexSet2D) -> IndexSet2D:
     l - lambda1 lie inside gamma.  Together the windows read exactly gamma
     (``dilate`` of the result with -lambda1 is gamma), for any filter extent
     or offset."""
-    if not (gamma.rectangular and lambda1.rectangular):
-        raise ValueError("valid_output_set requires rectangular gamma and lambda1")
     ge, fe = gamma.extents, lambda1.extents
     if fe[0] > ge[0] or fe[1] > ge[1]:
         raise ValueError(
             f"filter support {fe} exceeds grid extents {ge}; filter larger than grid"
         )
-    return _box(gamma.kmin + lambda1.kmax, gamma.kmax + lambda1.kmin)
+    return IndexSet2D((gamma.kmin[0] + lambda1.kmax[0], gamma.kmin[1] + lambda1.kmax[1]),
+                      (ge[0] - fe[0] + 1, ge[1] - fe[1] + 1))
 
 
 def count_shifts(lambda1: IndexSet2D, lambda0: IndexSet2D) -> int:
-    """Number of integer shifts of lambda0 that fit inside lambda1.
-
-    For rectangular sets this is the product of (extent1_i - extent0_i + 1)
-    over the axes; zero when lambda0 is larger than lambda1 on any axis.
-    """
-    if not (lambda1.rectangular and lambda0.rectangular):
-        raise ValueError("count_shifts requires rectangular sets")
+    """Number of integer shifts of lambda0 that fit inside lambda1: the
+    product of (extent1_i - extent0_i + 1) over the axes, zero when lambda0
+    is larger than lambda1 on any axis."""
     e1, e0 = lambda1.extents, lambda0.extents
     per_axis = (e1[0] - e0[0] + 1, e1[1] - e0[1] + 1)
     if per_axis[0] <= 0 or per_axis[1] <= 0:

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, valid_output_set
+from .grid import IndexSet2D, valid_output_set
 
 IDENTITY = "identity"
 GRADIENT = "gradient"
@@ -51,18 +51,16 @@ GRADIENT = "gradient"
 
 @dataclass(frozen=True)
 class KSpaceArray:
-    """Complex Fourier samples on a rectangular index set.
+    """Complex Fourier samples on a box of indices.
 
-    ``values`` is a 2-D complex array aligned row-major with the rectangle's
-    index ranges (axis 0 = k1, axis 1 = k2).
+    ``values`` is a 2-D complex array aligned row-major with the box's index
+    ranges (axis 0 = k1, axis 1 = k2).
     """
 
     gamma: IndexSet2D
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.gamma.rectangular:
-            raise ValueError("KSpaceArray requires a rectangular index set")
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != self.gamma.extents:
             raise ValueError(
@@ -78,22 +76,22 @@ class KSpaceArray:
     def image(self) -> np.ndarray:
         """Spatial-domain view on the gamma-sized grid: inverse FFT of the
         grid-embedded samples."""
-        shape = GridShape(*self.gamma.extents)
-        return ifft2(embed(self.values, self.gamma, shape)) * shape.size
+        return ifft2(embed(self.values, self.gamma, self.gamma.extents)) * len(self.gamma)
 
 
-def embed(values: np.ndarray, iset: IndexSet2D, shape: GridShape) -> np.ndarray:
-    """Scatter rectangle-aligned values onto an FFT grid at signed indices mod n."""
-    r1, r2 = iset.axis_ranges()
-    if r1.size > shape.n1 or r2.size > shape.n2:
+def embed(values: np.ndarray, iset: IndexSet2D, shape: tuple[int, int]) -> np.ndarray:
+    """Scatter box-aligned values onto an (n1, n2) FFT grid at signed indices mod n."""
+    n1, n2 = shape
+    if iset.extents[0] > n1 or iset.extents[1] > n2:
         raise ValueError(f"index set extents {iset.extents} exceed grid {shape}")
-    g = np.zeros(shape.as_tuple(), dtype=np.complex128)
-    g[np.ix_(r1 % shape.n1, r2 % shape.n2)] = values
+    r1, r2 = iset.axis_ranges()
+    g = np.zeros((n1, n2), dtype=np.complex128)
+    g[np.ix_(r1 % n1, r2 % n2)] = values
     return g
 
 
 def gather(g: np.ndarray, iset: IndexSet2D) -> np.ndarray:
-    """Read rectangle-aligned values back off an FFT grid."""
+    """Read box-aligned values back off an FFT grid."""
     n1, n2 = g.shape
     r1, r2 = iset.axis_ranges()
     return g[np.ix_(r1 % n1, r2 % n2)]

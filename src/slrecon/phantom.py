@@ -10,12 +10,12 @@ generators so results are independent of thread placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import GridShape, IndexSet2D, int_pair, json_field
+from .grid import IndexSet2D, int_pair, is_int, json_field
 from .lifting import KSpaceArray, embed, gather
 
 
@@ -31,8 +31,6 @@ class EdgePolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.lambda0.rectangular:
-            raise ValueError("edge-polynomial support must be rectangular")
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != self.lambda0.extents:
             raise ValueError("coefficient shape does not match support extents")
@@ -62,24 +60,25 @@ class EdgePolynomial:
 
 
 def _conj_reflect(iset: IndexSet2D, c: np.ndarray) -> np.ndarray | None:
-    """conj(c[-k]) aligned like c over a rectangle, or None if -k leaves it."""
-    if not np.array_equal(iset.kmin, -iset.kmax):
+    """conj(c[-k]) aligned like c over a box, or None if -k leaves it."""
+    if iset.kmin != (-iset.kmax[0], -iset.kmax[1]):
         return None
     return np.conj(c[::-1, ::-1])
 
 
-def rasterize_mu(edge: EdgePolynomial, shape: GridShape, offset: float = 0.0) -> np.ndarray:
-    """Sample the polynomial on the uniform grid over [0,1)^2 via zero-padded
-    inverse FFT.  ``offset`` shifts the sample points by a fraction of a pixel
-    per axis (0.5 = midpoints)."""
+def rasterize_mu(edge: EdgePolynomial, shape: tuple[int, int], offset: float = 0.0) -> np.ndarray:
+    """Sample the polynomial on the uniform (n1, n2) grid over [0,1)^2 via
+    zero-padded inverse FFT.  ``offset`` shifts the sample points by a
+    fraction of a pixel per axis (0.5 = midpoints)."""
+    n1, n2 = shape
     c = edge.coeffs
     if offset != 0.0:
         r1, r2 = edge.lambda0.axis_ranges()
-        tw1 = np.exp(2j * np.pi * r1 * offset / shape.n1)
-        tw2 = np.exp(2j * np.pi * r2 * offset / shape.n2)
+        tw1 = np.exp(2j * np.pi * r1 * offset / n1)
+        tw2 = np.exp(2j * np.pi * r2 * offset / n2)
         c = c * tw1[:, None] * tw2[None, :]
     g = embed(c, edge.lambda0, shape)
-    vals = ifft2(g) * shape.size
+    vals = ifft2(g) * (n1 * n2)
     scale = max(np.abs(vals).max(), 1e-300)
     if np.abs(vals.imag).max() > 1e-10 * scale:
         raise ValueError("edge polynomial raster has non-negligible imaginary part")
@@ -103,8 +102,8 @@ class Phantom:
     oversample: int = 8
 
     def __post_init__(self):
-        if self.oversample < 4:
-            raise ValueError("oversample must be at least 4")
+        if not (is_int(self.oversample) and self.oversample >= 4):
+            raise ValueError(f"oversample must be an integer >= 4, got {self.oversample!r}")
         if len(self.region_values) != 2:
             raise ValueError(f"region_values must hold two amplitudes, got {len(self.region_values)}")
         if not all(np.isfinite(self.region_values)):
@@ -112,7 +111,7 @@ class Phantom:
 
     def rasterize(self, gamma_extents: tuple[int, int]) -> np.ndarray:
         """Indicator raster on the oversampled midpoint grid."""
-        shape = GridShape(self.oversample * gamma_extents[0], self.oversample * gamma_extents[1])
+        shape = (self.oversample * gamma_extents[0], self.oversample * gamma_extents[1])
         mu = rasterize_mu(self.edge, shape, offset=0.5)
         a_pos, a_neg = self.region_values
         return np.where(mu > 0, a_pos, a_neg)
@@ -163,7 +162,10 @@ def random_edge_polynomial(
 ) -> EdgePolynomial:
     """Random conjugate-symmetric coefficients, rejected until the zero
     level-set is non-empty and both sign regions cover the minimum area on a
-    256 x 256 raster; at most 200 draws."""
+    256 x 256 raster; at most 200 draws.  ``min_region_area`` lies in
+    (0, 0.5], since both regions must reach it."""
+    if not 0.0 < min_region_area <= 0.5:
+        raise ValueError(f"min_region_area must lie in (0, 0.5], got {min_region_area}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     e1, e2 = lambda0.extents
     for _ in range(200):
@@ -173,39 +175,38 @@ def random_edge_polynomial(
             raise ValueError("lambda0 is not symmetric; cannot impose conjugate symmetry")
         c = 0.5 * (raw + sym)
         edge = EdgePolynomial(lambda0, c)
-        mu = rasterize_mu(edge, GridShape(256, 256))
+        mu = rasterize_mu(edge, (256, 256))
         frac_pos = float((mu > 0).mean())
         if min_region_area <= frac_pos <= 1.0 - min_region_area:
             return edge
     raise RuntimeError("no admissible edge polynomial found in 200 draws")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingMask:
-    """Sampled k-space locations theta inside gamma."""
+    """The sampled k-space locations: ``sampled`` is a read-only boolean array
+    shaped like gamma.  Its row-major order, the lexicographic order of the
+    sampled indices, is the order of the measurements b."""
 
     gamma: IndexSet2D
-    theta: IndexSet2D
+    sampled: np.ndarray
     scheme: str = "uniform"
     seed: int = 0
     acceleration: float = 1.0
     sigma: float | None = None  # variable-density Gaussian width, recorded for replay
-    # theta's (row, column) positions in the gamma rectangle, aligned with
-    # theta.indices; index a gamma-shaped array with it
-    positions: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.gamma.contains(self.theta):
-            raise ValueError("theta must be a subset of gamma")
-        rel = self.theta.indices - self.gamma.kmin
-        rel.setflags(write=False)
-        object.__setattr__(self, "positions", (rel[:, 0], rel[:, 1]))
+        sampled = np.array(self.sampled)
+        if sampled.dtype != bool or sampled.shape != self.gamma.extents:
+            raise ValueError(f"sampled must be a boolean array of gamma's shape {self.gamma.extents}")
+        if not sampled.any():
+            raise ValueError("mask samples no index")
+        sampled.setflags(write=False)
+        object.__setattr__(self, "sampled", sampled)
 
     def indicator(self) -> np.ndarray:
-        """0/1 array aligned with the gamma rectangle."""
-        out = np.zeros(self.gamma.extents)
-        out[self.positions] = 1.0
-        return out
+        """0/1 array aligned with the gamma box."""
+        return self.sampled.astype(float)
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,15 +215,24 @@ class SamplingMask:
             "acceleration": self.acceleration,
             "sigma": self.sigma,
             "gamma": self.gamma.to_json_dict(),
-            "indices": self.theta.indices.tolist(),
+            "indices": self.gamma.indices[self.sampled.ravel()].tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SamplingMask":
+        gamma = IndexSet2D.from_json_dict(json_field(d, "gamma", dict, "mask"))
+        pairs = [int_pair(e, "indices") for e in json_field(d, "indices", list, "mask")]
+        if not pairs:
+            raise ValueError("mask field 'indices' lists no index")
+        rel = np.array(pairs, dtype=np.int64) - gamma.kmin
+        outside = ((rel < 0) | (rel >= gamma.extents)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"mask index {pairs[int(np.argmax(outside))]} lies outside gamma")
+        sampled = np.zeros(gamma.extents, dtype=bool)
+        sampled[rel[:, 0], rel[:, 1]] = True
         return cls(
-            gamma=IndexSet2D.from_json_dict(json_field(d, "gamma", dict, "mask")),
-            theta=IndexSet2D.from_indices([int_pair(e, "indices")
-                                           for e in json_field(d, "indices", list, "mask")]),
+            gamma=gamma,
+            sampled=sampled,
             scheme=json_field(d, "scheme", str, "mask"),
             seed=json_field(d, "seed", int, "mask"),
             acceleration=json_field(d, "acceleration", (int, float), "mask"),
@@ -243,39 +253,40 @@ def make_mask(
     sigma = max extent / 4, renormalized to the same target count.  The DC
     index is always kept and draws are deterministic in the seed.
     """
-    if acceleration < 1.0:
-        raise ValueError("acceleration must be >= 1")
+    if not acceleration >= 1.0:
+        raise ValueError(f"acceleration must be >= 1, got {acceleration}")
     m = len(gamma)
     target = int(round(m / acceleration))
     if target < 1:
         raise ValueError(f"acceleration {acceleration} leaves no samples")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    idx = gamma.indices
-    dc = np.nonzero((idx[:, 0] == 0) & (idx[:, 1] == 0))[0]
     sigma = None
     if scheme == "uniform":
         order = rng.permutation(m)
     elif scheme == "variable_density":
         sigma = max(gamma.extents) / 4.0
-        logp = -(idx[:, 0] ** 2 + idx[:, 1] ** 2) / (2.0 * sigma**2)
+        r1, r2 = gamma.axis_ranges()
+        logp = -(r1[:, None] ** 2 + r2[None, :] ** 2).ravel() / (2.0 * sigma**2)
         # Gumbel top-k: sorting by perturbed log-weights samples without
         # replacement with the stated probabilities
         gumbel = -np.log(-np.log(rng.uniform(size=m)))
         order = np.argsort(-(logp + gumbel), kind="stable")
     else:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
-    keep = list(order[:target])
-    if dc.size and dc[0] not in keep:
-        keep[-1] = dc[0]
-    theta = IndexSet2D(idx[np.asarray(keep)])
-    return SamplingMask(gamma, theta, scheme, seed, acceleration, sigma)
+    sampled = np.zeros(gamma.extents, dtype=bool)
+    sampled.flat[order[:target]] = True
+    dc = (-gamma.kmin[0], -gamma.kmin[1])  # DC's position in gamma's array
+    if gamma.contains(IndexSet2D((0, 0), (1, 1))) and not sampled[dc]:
+        sampled.flat[order[target - 1]] = False  # DC takes the last drawn index's place
+        sampled[dc] = True
+    return SamplingMask(gamma, sampled, scheme, seed, acceleration, sigma)
 
 
 def sample_kspace(x: KSpaceArray, mask: SamplingMask) -> np.ndarray:
-    """Measured values b, aligned with mask.theta.indices."""
+    """Measured values b, in the row-major order of mask.sampled."""
     if x.gamma != mask.gamma:
         raise ValueError("k-space array and mask disagree on gamma")
-    return x.values[mask.positions]
+    return x.values[mask.sampled]
 
 
 def add_noise(b: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:

@@ -261,7 +261,7 @@ def test_criterion_8_fri_exact_recovery():
     gamma = IndexSet2D.rect(64, 1)
     truth = dirac_fourier([(x, 0.0) for x in locs], amps, gamma)
     mask = make_mask(gamma, "uniform", acceleration=2.0, seed=1)
-    assert mask.theta.contains(IndexSet2D.from_indices([(-32, 0)]))  # uniqueness
+    assert mask.sampled[0, 0]  # uniqueness: gamma's first index, (-32, 0), is sampled
     b = sample_kspace(truth, mask)
     lifting = LiftingConfig.make(gamma, IndexSet2D.rect(8, 1), "identity")
     cfg = IRLSConfig(p=0.0, lam=1e8, operator="exact", max_outer=40, eps_decay=1.5,

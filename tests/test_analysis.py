@@ -176,6 +176,15 @@ class TestRho2:
         search = rho2_rayleigh_search(edge, lam1, n_starts=30, refine_steps=300, seed=2)
         assert abs(value - search) < 0.01 * value
 
+    @pytest.mark.filterwarnings("error")
+    def test_rayleigh_search_keeps_every_start_of_a_1x1_filter(self):
+        # a 1 x 1 form is its own top eigenvector, so the refinement step is
+        # zero and every start keeps the quotient, the form's one entry
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=0)
+        lam1 = IndexSet2D.rect(1, 1)
+        search = rho2_rayleigh_search(edge, lam1, seed=4)
+        assert search == pytest.approx(rho2(edge, lam1), rel=1e-12)
+
 
 class TestRho1:
     def test_single_point(self):

@@ -84,6 +84,12 @@ class TestPhantomCmd:
         assert code == 2
         assert "region_values" in capsys.readouterr().err
 
+    def test_min_area_out_of_range_exits_two_at_once(self, tmp_path, capsys):
+        # both sign regions must cover min_area, so it lies in (0, 0.5]
+        code = run(["phantom", "--grid", "9x9", "--min-area", "2", "--out", tmp_path / "ph"])
+        assert code == 2
+        assert "min_region_area" in capsys.readouterr().err
+
     def test_oversample_improves_rank_residual(self, tmp_path):
         # doubling the oversampling shrinks the rank-test tail by >= 1.5x
         from slrecon.grid import IndexSet2D
@@ -184,6 +190,12 @@ class TestRecoverCmd:
 class TestBadInput:
     """Malformed or missing input files exit 2 with a message naming the problem."""
 
+    def test_nan_acceleration_exits_two(self, phantom_dir, tmp_path, capsys):
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
+                    "--accel", "nan", "--out", tmp_path / "out"])
+        assert code == 2
+        assert "acceleration must be >= 1, got nan" in capsys.readouterr().err
+
     def _mask_file(self, tmp_path, edit):
         from slrecon.grid import IndexSet2D
         from slrecon.phantom import make_mask
@@ -199,8 +211,11 @@ class TestBadInput:
         (lambda d: {**d, "gamma": {"extents": [33, 33]}}, "'kind'"),
         (lambda d: {**d, "gamma": {"kind": "rect", "extents": ["a", 33]}}, "'extents'"),
         (lambda d: {**d, "indices": [[1.5, 2.9], [True, 0]]}, "'indices'"),
+        (lambda d: {**d, "indices": [[0, 0], [-17, 3]]}, "(-17, 3) lies outside gamma"),
+        (lambda d: {**d, "indices": []}, "lists no index"),
+        (lambda d: {**d, "gamma": {"kind": "list", "elements": [[0, 0]]}}, "kind 'list'"),
     ], ids=["no-seed", "list", "gamma-no-kind", "gamma-ill-typed-extents",
-            "non-integer-indices"])
+            "non-integer-indices", "index-outside-gamma", "no-indices", "gamma-list-kind"])
     def test_malformed_mask(self, phantom_dir, tmp_path, capsys, edit, needle):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
                     "--mask", self._mask_file(tmp_path, edit), "--out", tmp_path / "out"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slrecon.grid import GridShape, IndexSet2D
+from slrecon.grid import IndexSet2D
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
@@ -29,7 +29,8 @@ from slrecon.giraf import (
     weight_matrix,
     _spectral_weights,
 )
-from slrecon.phantom import SamplingMask, dirac_fourier, make_mask, sample_kspace
+from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
+                             random_edge_polynomial, sample_kspace)
 
 from conftest import lifting_configs, random_kspace
 
@@ -61,11 +62,10 @@ def weight_mask(gram, eps, p, cfg):
 
 def per_filter_mask(filters, cfg):
     """Oracle: sum_j |size * ifft2(embed f_j)|^2, one filter at a time."""
-    shape = GridShape(*cfg.gamma.extents)
-    acc = np.zeros(shape.as_tuple())
+    acc = np.zeros(cfg.gamma.extents)
     for f in np.asarray(filters).T:
-        g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, shape)
-        acc += np.abs(np.fft.ifft2(g) * shape.size) ** 2
+        g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.gamma.extents)
+        acc += np.abs(np.fft.ifft2(g) * len(cfg.gamma)) ** 2
     return acc
 
 
@@ -251,13 +251,12 @@ class TestNormalOperators:
             theta = smask.indicator()
             out = normal_apply_approx(x.values, mask, cfg, lam, theta)
             # independent dense route: explicit DFT matrices
-            shape = GridShape(*gamma.extents)
-            n1, n2 = shape.as_tuple()
+            n1, n2 = gamma.extents
             f1, f2 = dft_matrix(n1), dft_matrix(n2)
             f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2
             acc = lam * theta * x.values
             for w in cfg.multipliers:
-                grid = embed(w * x.values, gamma, shape)
+                grid = embed(w * x.values, gamma, gamma.extents)
                 spatial = f1i @ grid @ f2i.T
                 back = f1 @ (mask.values * spatial) @ f2.T
                 acc = acc + w * gather(back, gamma)
@@ -574,14 +573,14 @@ class TestGirafSolve:
         # masks that leave gamma's first index unsampled: the 8-tap filter's
         # windows read it too, so it is recovered as well
         mask, err = dirac_stream_recovery(seed)
-        assert not mask.theta.contains(IndexSet2D.from_indices([(-32, 0)]))
+        assert not mask.sampled[0, 0]  # gamma's first index, (-32, 0)
         assert err < 1e-6
 
     def test_nan_input_rejected(self):
         gamma = IndexSet2D.rect(8, 8)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         mask = make_mask(gamma, "uniform", 2.0, seed=0)
-        b = np.full(len(mask.theta), np.nan, dtype=complex)
+        b = np.full(np.count_nonzero(mask.sampled), np.nan, dtype=complex)
         cfg = IRLSConfig(p=1.0, lam=1.0)
         with pytest.raises(ValueError, match="finite"):
             giraf_solve(b, mask, lifting, cfg)
@@ -601,6 +600,21 @@ class TestGirafSolve:
             assert rec.mse_vs_reference == rec.mse_vs_reference
         assert rep.final_mse is not None
 
+    def test_zero_iteration_solve_is_not_convergence(self):
+        # the first solve starts at the zero-filled data, whose residual is only
+        # the regularizer's term; under a loose cg_tol it takes no CG step and
+        # changes nothing, which must not read as convergence
+        gamma = IndexSet2D.rect(65, 65)
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=11)
+        truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
+        mask = make_mask(gamma, "uniform", 2.0, seed=5)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
+        cfg = IRLSConfig(p=0.0, lam=1e8, cg_tol=1e-4, max_outer=3)
+        _, rep = giraf_solve(sample_kspace(truth, mask), mask, lifting, cfg)
+        assert rep.iterations[0].cg_iters == 0
+        assert not rep.converged
+        assert rep.notes and rep.notes[0].startswith("iteration 1: CG took 0 iterations")
+
     def test_capped_cg_is_named_in_notes(self):
         gamma = IndexSet2D.rect(12, 12)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
@@ -618,8 +632,9 @@ class TestGirafSolve:
         gamma = IndexSet2D.rect(12, 12)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
         drawn = make_mask(gamma, "uniform", 1.5, seed=13)
-        keep = np.any(drawn.theta.indices != 0, axis=1)
-        mask = SamplingMask(gamma, IndexSet2D.from_indices(drawn.theta.indices[keep]))
+        sampled = drawn.sampled.copy()
+        sampled[6, 6] = False  # DC
+        mask = SamplingMask(gamma, sampled)
         b = sample_kspace(random_kspace(gamma, 53), mask)
         cfg = IRLSConfig(p=1.0, lam=1e4, operator=operator, max_outer=2, cg_max=2000)
         rec, rep = giraf_solve(b, mask, lifting, cfg)

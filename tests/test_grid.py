@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slrecon.grid import (
-    GridShape,
     IndexSet2D,
-    centered_range,
     count_shifts,
     dilate,
     predicted_rank,
@@ -15,7 +13,12 @@ from slrecon.grid import (
 
 
 def brute_dilate(a: IndexSet2D, b: IndexSet2D) -> set:
-    return {(x1 + y1, x2 + y2) for (x1, x2) in a for (y1, y2) in b}
+    return {(x1 + y1, x2 + y2) for (x1, x2) in a.indices for (y1, y2) in b.indices}
+
+
+def reflect(s: IndexSet2D) -> IndexSet2D:
+    """The box -s."""
+    return IndexSet2D((-s.kmax[0], -s.kmax[1]), s.extents)
 
 
 small_extents = st.integers(min_value=1, max_value=5)
@@ -35,76 +38,67 @@ rects = st.builds(
     st.tuples(small_offsets, small_offsets),
 )
 
-arbitrary_sets = st.lists(
-    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=12
-).map(IndexSet2D.from_indices)
-
-
-class TestGridShape:
-    def test_integer_dimensions_accepted(self):
-        assert GridShape(np.int64(3), 1).size == 3
-
-    @pytest.mark.parametrize("dims", [(2.5, 3), (3, 3.0), (True, 3), (0, 3), (3, -1)],
-                             ids=["fraction", "float", "bool", "zero", "negative"])
-    def test_non_integer_or_empty_dimensions_raise(self, dims):
-        with pytest.raises(ValueError, match="integers >= 1"):
-            GridShape(*dims)
-
 
 class TestIndexSet2D:
     def test_centered_convention_odd(self):
-        assert list(centered_range(5)) == [-2, -1, 0, 1, 2]
+        assert list(IndexSet2D.rect(5, 1).axis_ranges()[0]) == [-2, -1, 0, 1, 2]
 
     def test_centered_convention_even(self):
-        assert list(centered_range(4)) == [-2, -1, 0, 1]
+        assert list(IndexSet2D.rect(1, 4).axis_ranges()[1]) == [-2, -1, 0, 1]
 
     def test_rect_is_rectangular(self):
         s = IndexSet2D.rect(3, 4)
-        assert s.rectangular
-        assert len(s) == 12
+        assert len(s) == 12 == len(s.indices)
         assert s.extents == (3, 4)
 
     def test_bounding_box_tight(self):
-        s = IndexSet2D.from_indices([(0, 0), (2, 3), (-1, 1)])
-        assert tuple(s.kmin) == (-1, 0)
-        assert tuple(s.kmax) == (2, 3)
-        assert not s.rectangular
+        s = IndexSet2D((-1, 0), (4, 4))
+        assert s.kmin == (-1, 0)
+        assert s.kmax == (2, 3)
 
-    @given(st.one_of(arbitrary_sets, rects))
+    @given(rects)
     def test_stored_bounds_match_reductions(self, s):
         idx = s.indices
         assert np.array_equal(s.kmin, idx.min(axis=0))
         assert np.array_equal(s.kmax, idx.max(axis=0))
-        e = idx.max(axis=0) - idx.min(axis=0) + 1
-        assert s.extents == (int(e[0]), int(e[1]))
-        assert s.rectangular == (len(s) == int(e[0]) * int(e[1]))
-        arrays = [idx, s.kmin, s.kmax]
-        if s.rectangular:
-            r1, r2 = s.axis_ranges()
-            assert np.array_equal(r1, np.arange(s.kmin[0], s.kmax[0] + 1))
-            assert np.array_equal(r2, np.arange(s.kmin[1], s.kmax[1] + 1))
-            arrays += [r1, r2]
-        else:
-            with pytest.raises(ValueError, match="rectangular"):
-                s.axis_ranges()
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
+        assert len(s) == len(idx) == len(set(map(tuple, idx)))
+        r1, r2 = s.axis_ranges()
+        assert np.array_equal(r1, np.arange(s.kmin[0], s.kmax[0] + 1))
+        assert np.array_equal(r2, np.arange(s.kmin[1], s.kmax[1] + 1))
+        # row-major: lexicographically sorted
+        assert idx.tolist() == sorted(idx.tolist())
+        assert s.indices is idx and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
-    def test_duplicates_removed(self):
-        s = IndexSet2D.from_indices([(0, 0), (0, 0), (1, 1)])
-        assert len(s) == 2
+    def test_equality_and_hash_from_the_box(self):
+        a = IndexSet2D.rect(4, 6, offset=(1, -2))
+        b = IndexSet2D((-1, -5), (4, 6))
+        assert a == b and hash(a) == hash(b) and a.kmin == (-1, -5)
+        assert a != IndexSet2D.rect(4, 6)
+
+    def test_integer_extents_accepted(self):
+        s = IndexSet2D((np.int64(-1), 0), (np.int64(3), 1))
+        assert len(s) == 3 and s == IndexSet2D((-1, 0), (3, 1))
+        assert all(type(v) is int for v in s.kmin + s.extents)
+
+    @pytest.mark.parametrize("extents", [(2.5, 3), (3, 3.0), (True, 3), (0, 3), (3, -1)],
+                             ids=["fraction", "float", "bool", "zero", "negative"])
+    def test_non_integer_or_empty_extents_raise(self, extents):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            IndexSet2D((0, 0), extents)
+
+    @pytest.mark.parametrize("kmin", [(0.5, 0), (True, 0), (0, 0, 0)],
+                             ids=["fraction", "bool", "triple"])
+    def test_kmin_must_be_an_integer_pair(self, kmin):
+        with pytest.raises(ValueError, match="pair of integers"):
+            IndexSet2D(kmin, (3, 3))
 
     def test_json_roundtrip_rect(self):
         s = IndexSet2D.rect(4, 6, offset=(1, -2))
         assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
 
-    def test_json_roundtrip_list(self):
-        s = IndexSet2D.from_indices([(0, 0), (3, -1), (2, 2)])
-        assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
-
-    @given(arbitrary_sets)
+    @given(rects)
     def test_json_roundtrip_property(self, s):
         assert IndexSet2D.from_json_dict(s.to_json_dict()) == s
 
@@ -115,30 +109,33 @@ class TestIndexSet2D:
         ({"kind": "rect", "extents": [3]}, "extents"),
         ({"kind": "rect", "extents": [3, 3], "offset": 5}, "offset"),
         ({"kind": "rect", "extents": [3, 3], "offset": ["x", 0]}, "offset"),
-        ({"kind": "list", "elements": [[1.5, 2]]}, "elements"),
-        ({"kind": "list", "elements": [[1, 2, 3]]}, "elements"),
-        ({"kind": "list", "elements": [4]}, "elements"),
+        ({"kind": "list", "elements": [[0, 0]]}, "list"),  # boxes only
     ])
     def test_json_ill_typed_fields_rejected(self, d, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
             IndexSet2D.from_json_dict(d)
 
-    @given(arbitrary_sets, arbitrary_sets)
+    @given(rects, rects)
     def test_contains_matches_set_definition(self, a, b):
         mine = set(map(tuple, a.indices))
         assert a.contains(b) == all(tuple(row) in mine for row in b.indices)
 
-    @given(arbitrary_sets, st.data())
+    @given(rects, st.data())
     def test_contains_every_subset(self, a, data):
-        rows = data.draw(st.lists(st.sampled_from([tuple(r) for r in a.indices]), min_size=1))
-        assert a.contains(IndexSet2D.from_indices(rows))
-        outside = IndexSet2D.from_indices(rows + [(7, 0)])  # arbitrary_sets stay within +-6
-        assert not a.contains(outside)
+        # every sub-box, and no box reaching one step past any side
+        lo = [data.draw(st.integers(k, k + e - 1)) for k, e in zip(a.kmin, a.extents)]
+        ext = [data.draw(st.integers(1, k + e - l)) for k, e, l in zip(a.kmin, a.extents, lo)]
+        assert a.contains(IndexSet2D(lo, ext))
+        for axis in (0, 1):
+            for step in (-1, 1):
+                out = list(a.kmin)
+                out[axis] += step
+                assert not a.contains(IndexSet2D(out, a.extents))
 
 
 class TestDilate:
     def test_identity_element(self):
-        origin = IndexSet2D.from_indices([(0, 0)])
+        origin = IndexSet2D((0, 0), (1, 1))
         b = IndexSet2D.rect(3, 2, offset=(1, 0))
         assert dilate(origin, b) == b
 
@@ -154,17 +151,17 @@ class TestDilate:
         assert d.extents == (7, 7)
         assert set(map(tuple, d.indices)) == brute_dilate(a, b)
 
-    @given(arbitrary_sets, arbitrary_sets)
+    @given(rects, rects)
     @settings(max_examples=50)
     def test_matches_brute_force(self, a, b):
         assert set(map(tuple, dilate(a, b).indices)) == brute_dilate(a, b)
 
-    @given(arbitrary_sets, arbitrary_sets)
+    @given(rects, rects)
     @settings(max_examples=30)
     def test_commutative(self, a, b):
         assert dilate(a, b) == dilate(b, a)
 
-    @given(arbitrary_sets, arbitrary_sets, arbitrary_sets)
+    @given(rects, rects, rects)
     @settings(max_examples=20)
     def test_associative(self, a, b, c):
         assert dilate(dilate(a, b), c) == dilate(a, dilate(b, c))
@@ -197,7 +194,7 @@ class TestValidOutputSet:
             return
         # every window l - lambda1 lies in gamma, and together they read it all
         l2 = valid_output_set(gamma, lambda1)
-        assert dilate(l2, IndexSet2D(-lambda1.indices)) == gamma
+        assert dilate(l2, reflect(lambda1)) == gamma
 
 
 class TestShiftCounting:

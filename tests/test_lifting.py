@@ -243,7 +243,8 @@ class TestConfigInvariants:
     def test_lambda2_and_grid_are_derived(self, cfg):
         assert cfg.lambda2 == valid_output_set(cfg.gamma, cfg.lambda1)
         # the windows l - lambda1 together read exactly gamma
-        assert dilate(cfg.lambda2, IndexSet2D(-cfg.lambda1.indices)) == cfg.gamma
+        minus_lambda1 = IndexSet2D((-cfg.lambda1.kmax[0], -cfg.lambda1.kmax[1]), cfg.lambda1.extents)
+        assert dilate(cfg.lambda2, minus_lambda1) == cfg.gamma
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs())
