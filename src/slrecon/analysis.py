@@ -29,18 +29,21 @@ def numerical_rank(X: np.ndarray, rel_tol: float) -> int:
     return int((s > rel_tol * s[0]).sum())
 
 
-def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
-    """20 log10(||ref|| / ||x - ref||), evaluated on the spatial images."""
+def relative_mse(x: KSpaceArray, reference: KSpaceArray) -> float:
+    """||x - ref||^2 / ||ref||^2 over k-space."""
     if x.gamma != reference.gamma:
         raise ValueError("arrays live on different grids")
-    ref_img = reference.image()
-    ref_norm = np.linalg.norm(ref_img)
+    ref_norm = np.linalg.norm(reference.values)
     if ref_norm == 0.0:
         raise ValueError("reference signal is identically zero")
-    err = np.linalg.norm(x.image() - ref_img)
-    if err == 0.0:
-        return math.inf
-    return float(20.0 * np.log10(ref_norm / err))
+    return float(np.linalg.norm(x.values - reference.values) ** 2 / ref_norm**2)
+
+
+def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
+    """-10 log10 of the relative MSE; by Parseval the image-domain
+    20 log10(||ref|| / ||x - ref||)."""
+    mse = relative_mse(x, reference)
+    return math.inf if mse == 0.0 else float(-10.0 * np.log10(mse))
 
 
 # ---------------------------------------------------------------------------

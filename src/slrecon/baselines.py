@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import fft2, ifft2
-from .analysis import snr_db
-from .lifting import KSpaceArray, LiftingConfig, embed, gather, lift_adjoint, lift_dense
+from ._fft import fft2
+from .analysis import relative_mse, snr_db
+from .lifting import KSpaceArray, LiftingConfig, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
 from .report import IterationRecord, SolverReport
 
@@ -128,7 +128,7 @@ def svt_solve(
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
     bfill = zero_fill(b, mask).values
-    sampled = mask.indicator()
+    sampled = mask.sampled
     x = bfill.copy()
     tx = lift_dense(KSpaceArray(lifting.gamma, x), lifting)
     s0, _ = _svd_from_r(tx)
@@ -167,10 +167,7 @@ def svt_solve(
             solve_time=t2 - t1,
         )
         if reference is not None:
-            rec.mse_vs_reference = float(
-                np.linalg.norm(x_new - reference.values) ** 2
-                / np.linalg.norm(reference.values) ** 2
-            )
+            rec.mse_vs_reference = relative_mse(KSpaceArray(lifting.gamma, x_new), reference)
         report.iterations.append(rec)
         x = x_new
 
@@ -190,50 +187,36 @@ def _div(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return (p1 - np.roll(p1, 1, axis=0)) + (p2 - np.roll(p2, 1, axis=1))
 
 
-def tv_solve(
-    b: np.ndarray,
-    mask: SamplingMask,
-    weight: float = 1e3,
-    iters: int = 300,
-) -> KSpaceArray:
-    """Isotropic total-variation recovery by a fixed primal-dual iteration.
-
-    Minimizes TV(u) + (weight/2) ||sample(F u) - b||^2 over complex images u
-    on the gamma-sized pixel grid (periodic differences, unitary Fourier
-    map internally).  Deterministic: fixed step sizes and iteration count;
-    returns the k-space of the final image.
+def tv_solve(b: np.ndarray, mask: SamplingMask, iters: int = 300) -> KSpaceArray:
+    """Isotropic TV recovery: minimizes TV(u) over complex images u on the
+    gamma-sized pixel grid (periodic differences) subject to the sampled
+    Fourier values equalling b.  A fixed primal-dual iteration (Chambolle &
+    Pock 2011), sigma = tau = 1/sqrt(8) as ||grad||^2 <= 8, whose primal step
+    projects exactly onto the data (SVT's hard data step), from the
+    zero-filled image; deterministic.  Returns the final image's k-space,
+    which holds b exactly.
     """
-    if weight <= 0:
-        raise ValueError("weight must be positive")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     gamma = mask.gamma
     ntot = len(gamma)
-    # k-space arrays store coefficients of the trig-polynomial image
-    # (image = ifft * ntot); the unitary-scale data is b * sqrt(ntot)
-    bu = np.asarray(b, dtype=np.complex128).reshape(-1) * np.sqrt(ntot)
+    bfill = zero_fill(b, mask).values
 
-    def forward(u):
-        return gather(fft2(u) / np.sqrt(ntot), gamma)[mask.sampled]
+    def project(u):
+        """The k-space of image u with its sampled entries replaced by b."""
+        return KSpaceArray(gamma, np.where(mask.sampled, bfill, gather(fft2(u) / ntot, gamma)))
 
-    def adjoint(v):
-        return ifft2(embed(zero_fill(v, mask).values, gamma, gamma.extents)) * np.sqrt(ntot)
-
-    L = np.sqrt(8.0 + 1.0)
-    sigma = tau = 1.0 / L
-    u = adjoint(bu)
-    p1 = np.zeros_like(u)
-    p2 = np.zeros_like(u)
-    q = np.zeros_like(bu)
-    ubar = u.copy()
+    sigma = tau = 1.0 / np.sqrt(8.0)
+    u = project(np.zeros(gamma.extents, dtype=np.complex128)).image()
+    p1, p2 = np.zeros_like(u), np.zeros_like(u)
+    ubar = u
     for _ in range(iters):
         g1, g2 = _fwd_diff(ubar)
         p1 = p1 + sigma * g1
         p2 = p2 + sigma * g2
         mag = np.maximum(1.0, np.sqrt(np.abs(p1) ** 2 + np.abs(p2) ** 2))
         p1, p2 = p1 / mag, p2 / mag
-        q = (q + sigma * (forward(ubar) - bu)) / (1.0 + sigma / weight)
         u_old = u
-        u = u + tau * (_div(p1, p2) - adjoint(q))
+        u = project(u + tau * _div(p1, p2)).image()
         ubar = 2.0 * u - u_old
-    return KSpaceArray(gamma, gather(fft2(u) / ntot, gamma))
+    return project(u)

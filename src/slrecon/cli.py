@@ -26,6 +26,7 @@ from .analysis import (
     phase_transition,
     rho1_estimate,
     rho2,
+    relative_mse,
     rho2_rayleigh_search,
     snr_db,
     subspace_check,
@@ -162,7 +163,7 @@ def cmd_recover(params: dict) -> int:
     if solver == "zerofill":
         rec = zero_fill(b, mask)
     elif solver == "tv":
-        rec = tv_solve(b, mask, weight=params["tv_weight"], iters=params["tv_iters"])
+        rec = tv_solve(b, mask, iters=params["tv_iters"])
     else:
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(*params["filter"]),
                                      params["weighting"])
@@ -196,8 +197,7 @@ def cmd_recover(params: dict) -> int:
     summary = {
         "solver": solver,
         "snr_db": snr_db(rec, truth),
-        "mse": float(np.linalg.norm(rec.values - truth.values) ** 2
-                     / np.linalg.norm(truth.values) ** 2),
+        "mse": relative_mse(rec, truth),
         "wall_time_s": wall,
         "samples": int(np.count_nonzero(mask.sampled)),
     }
@@ -306,9 +306,13 @@ def cmd_rerun(params: dict) -> int:
         raise ValueError(f"manifest names unknown command {command!r}")
     replay = dict(json_field(manifest, "params", dict, "manifest"))
     replay["out"] = params["out"]
-    missing = sorted(_command_params(command) - replay.keys())
-    if missing:
-        raise ValueError(f"manifest params for {command!r} lack {', '.join(map(repr, missing))}")
+    # a param this version does not read would change the replayed run silently
+    expected = _command_params(command)
+    for keys, verb in ((expected - replay.keys(), "lack"),
+                       (replay.keys() - expected, "hold unread")):
+        if keys:
+            names = ", ".join(map(repr, sorted(keys)))
+            raise ValueError(f"manifest params for {command!r} {verb} {names}")
     return DISPATCH[command](replay)
 
 
@@ -352,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--cg-tol", dest="cg_tol", type=float, default=1e-9)
     r.add_argument("--cg-max", dest="cg_max", type=int, default=500)
     r.add_argument("--svt-threshold", dest="svt_threshold", type=float, default=3e-2)
-    r.add_argument("--tv-weight", dest="tv_weight", type=float, default=1e3)
     r.add_argument("--tv-iters", dest="tv_iters", type=int, default=300)
     r.add_argument("--out", default="recover_out")
 

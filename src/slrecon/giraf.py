@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .analysis import snr_db
+from .analysis import relative_mse, snr_db
 from .baselines import zero_fill
 from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense,
                       lift_normal_diag, scatter_sum)
@@ -72,19 +72,6 @@ class IRLSConfig:
             raise ValueError("iteration caps must be at least 1")
 
 
-@dataclass(frozen=True)
-class AnnihilatingMask:
-    """Samples of the sum-of-squares annihilating function on gamma's array."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.min() < 0.0:
-            raise ValueError("annihilating mask must be non-negative")
-        object.__setattr__(self, "values", v)
-
-
 def schatten_penalty(sigmas, p: float) -> float:
     """(1/p) sum sigma_i^p for p in (0, 1]; sum log sigma_i at p = 0."""
     s = np.asarray(sigmas, dtype=float)
@@ -111,9 +98,9 @@ def weight_matrix(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: f
     return (vectors * alpha) @ vectors.conj().T
 
 
-def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
+def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Sum of squared spatial responses of a filter bank F, sum_j |gamma_j|^2,
-    given through its weight matrix W = F F^H.
+    given through its weight matrix W = F F^H, sampled on gamma's array.
 
     Rows and columns of ``wm`` are aligned with cfg.lambda1.  The mask is the
     trigonometric polynomial whose coefficient at lag d is the lag sum of W,
@@ -129,12 +116,14 @@ def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> AnnihilatingMask:
     values = (ifft2(wrapped) * len(cfg.gamma)).real
     tiny = 1e-12 * max(float(values.max()), 0.0)
     values[(values < 0.0) & (values >= -tiny)] = 0.0
-    return AnnihilatingMask(values)
+    if values.min() < 0.0:
+        raise ValueError("annihilating mask must be non-negative")
+    return values
 
 
 def normal_apply_approx(
     xv: np.ndarray,
-    mask: AnnihilatingMask,
+    mask: np.ndarray,
     cfg: LiftingConfig,
     lam: float,
     sampled: np.ndarray,
@@ -147,7 +136,7 @@ def normal_apply_approx(
     """
     out = lam * sampled * xv
     for w in cfg.multipliers:
-        out = out + w * fft2(mask.values * ifft2(w * xv))
+        out = out + w * fft2(mask * ifft2(w * xv))
     return out
 
 
@@ -169,11 +158,11 @@ def normal_apply_exact(
     return lam * sampled * xv + lift_adjoint(tx @ wm, cfg)
 
 
-def normal_diag_approx(mask: AnnihilatingMask, cfg: LiftingConfig, lam: float,
+def normal_diag_approx(mask: np.ndarray, cfg: LiftingConfig, lam: float,
                        sampled: np.ndarray) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``.  The circulant part has a
     constant diagonal, the mask's mean over gamma's array."""
-    return lam * sampled + mask.values.mean() * (cfg.multipliers**2).sum(axis=0)
+    return lam * sampled + mask.mean() * (cfg.multipliers**2).sum(axis=0)
 
 
 def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig, lam: float,
@@ -270,7 +259,7 @@ def giraf_solve(
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    sampled = mask.indicator()
+    sampled = mask.sampled
     b_fill = zero_fill(b, mask).values
     x = b_fill
     rhs = cfg.lam * b_fill  # lam * adjoint-sampled data
@@ -341,8 +330,7 @@ def giraf_solve(
             report.notes.append(f"iteration {n}: CG took 0 iterations (start within cg_tol), "
                                 "so its zero change is not convergence")
         if reference is not None:
-            num = np.linalg.norm(x_new - reference.values) ** 2
-            rec.mse_vs_reference = float(num / np.linalg.norm(reference.values) ** 2)
+            rec.mse_vs_reference = relative_mse(KSpaceArray(lifting.gamma, x_new), reference)
         report.iterations.append(rec)
         x = x_new
         eps = max(eps / cfg.eps_decay, eps_min)
@@ -352,8 +340,6 @@ def giraf_solve(
 
     result = KSpaceArray(lifting.gamma, x)
     if reference is not None:
-        report.final_mse = float(
-            np.linalg.norm(x - reference.values) ** 2 / np.linalg.norm(reference.values) ** 2
-        )
+        report.final_mse = report.iterations[-1].mse_vs_reference
         report.final_snr_db = snr_db(result, reference)
     return result, report

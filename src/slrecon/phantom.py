@@ -52,10 +52,16 @@ class EdgePolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EdgePolynomial":
-        lam0 = IndexSet2D.from_json_dict(d["lambda0"])
+        lam0 = IndexSet2D.from_json_dict(json_field(d, "lambda0", dict, "edge"))
         c = np.zeros(lam0.extents, dtype=np.complex128)
-        for k1, k2, re, im in d["coeffs"]:
-            c[k1 - lam0.kmin[0], k2 - lam0.kmin[1]] = re + 1j * im
+        for entry in json_field(d, "coeffs", list, "edge"):
+            if not (isinstance(entry, list) and len(entry) == 4
+                    and all(isinstance(v, (int, float)) for v in entry[2:])):
+                raise ValueError(f"edge field 'coeffs' must hold [k1, k2, re, im], got {entry!r}")
+            k = int_pair(entry[:2], "coeffs")
+            if not lam0.contains(IndexSet2D(k, (1, 1))):
+                raise ValueError(f"edge coefficient index {k} lies outside lambda0")
+            c[k[0] - lam0.kmin[0], k[1] - lam0.kmin[1]] = entry[2] + 1j * entry[3]
         return cls(lam0, c)
 
 
@@ -203,10 +209,6 @@ class SamplingMask:
             raise ValueError("mask samples no index")
         sampled.setflags(write=False)
         object.__setattr__(self, "sampled", sampled)
-
-    def indicator(self) -> np.ndarray:
-        """0/1 array aligned with the gamma box."""
-        return self.sampled.astype(float)
 
     def to_json_dict(self) -> dict:
         return {

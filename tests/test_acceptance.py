@@ -225,7 +225,7 @@ def test_criterion_6_recovery_ordering(table_problem):
     cfg = IRLSConfig(p=0.0, lam=1e8, max_outer=15, cg_tol=1e-10, cg_max=600,
                      convergence_tol=1e-6)
     rec_giraf, _ = giraf_solve(b, mask, lifting, cfg)
-    rec_tv = tv_solve(b, mask, weight=1e3, iters=300)
+    rec_tv = tv_solve(b, mask, iters=300)
     rec_zf = zero_fill(b, mask)
     s_giraf = snr_db(rec_giraf, truth)
     s_tv = snr_db(rec_tv, truth)

@@ -244,6 +244,24 @@ class TestBadInput:
         assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
         assert "'lambda0'" in capsys.readouterr().err
 
+    def test_manifest_with_an_unread_param(self, phantom_dir, tmp_path, capsys):
+        # replaying without a param recover does not read (TV's former
+        # weight) could run another model, so it is refused until deleted
+        out = tmp_path / "tv"
+        assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
+                    "--tv-iters", "5", "--out", out]) == 0
+        manifest = fileio.read_json(out / "manifest.json")
+        manifest["params"]["tv_weight"] = 1000.0
+        path = tmp_path / "old_manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 2
+        assert "hold unread 'tv_weight'" in capsys.readouterr().err
+        del manifest["params"]["tv_weight"]
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 0
+        replayed = (tmp_path / "replay" / "recovered.ksar").read_bytes()
+        assert replayed == (out / "recovered.ksar").read_bytes()
+
 
 class TestValidateCmd:
     def test_rank_suite(self, tmp_path):

@@ -37,6 +37,24 @@ class TestEdgePolynomial:
         back = EdgePolynomial.from_json_dict(edge.to_json_dict())
         assert np.allclose(back.coeffs, edge.coeffs)
 
+    def test_json_index_outside_lambda0_rejected(self):
+        # (-2, 1) lies below a 3x3 support and must not wrap onto (1, 1)
+        d = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1).to_json_dict()
+        d["coeffs"] = [[-2, 1, *e[2:]] if e[:2] == [1, 1] else e for e in d["coeffs"]]
+        with pytest.raises(ValueError, match=r"\(-2, 1\) lies outside lambda0"):
+            EdgePolynomial.from_json_dict(d)
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda d: {"lambda0": d["lambda0"]}, "'coeffs'"),
+        (lambda d: {"coeffs": d["coeffs"]}, "'lambda0'"),
+        (lambda d: {**d, "coeffs": [[0, 0, 1.0]]}, r"\[k1, k2, re, im\]"),
+        (lambda d: {**d, "coeffs": [[0.5, 0, 1.0, 0.0]]}, "pairs of integers"),
+    ], ids=["no-coeffs", "no-lambda0", "short-entry", "non-integer-index"])
+    def test_malformed_json_names_the_field(self, edit, needle):
+        d = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1).to_json_dict()
+        with pytest.raises(ValueError, match=needle):
+            EdgePolynomial.from_json_dict(edit(d))
+
 
 class TestRandomEdgePolynomial:
     @pytest.mark.parametrize("area", [0.0, 0.51, 2.0, float("nan")])
