@@ -389,7 +389,7 @@ def phase_transition(
         raise ValueError(f"trials must be at least 1, got {trials}")
     # the exact operator matters here: phase-transition grids are small, so
     # the mask-condensed approximation is at its least accurate
-    defaults = dict(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-11, cg_max=400,
+    defaults = dict(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-8, cg_max=400,
                     convergence_tol=1e-7, operator="exact")
     defaults.update(solver_kwargs or {})
     cfg = IRLSConfig(**defaults)

@@ -351,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--filter", type=parse_extents, default=[15, 15])
     r.add_argument("--weighting", choices=["identity", "gradient"], default="gradient")
     r.add_argument("--operator", choices=["approx", "exact"], default="approx")
-    r.add_argument("--max-iter", dest="max_iter", type=int, default=20)
-    r.add_argument("--eps-decay", dest="eps_decay", type=float, default=2.0)
-    r.add_argument("--cg-tol", dest="cg_tol", type=float, default=1e-9)
-    r.add_argument("--cg-max", dest="cg_max", type=int, default=500)
+    # the solver defaults are IRLSConfig's (SVT reads --max-iter too)
+    r.add_argument("--max-iter", dest="max_iter", type=int, default=IRLSConfig.max_outer)
+    r.add_argument("--eps-decay", dest="eps_decay", type=float, default=IRLSConfig.eps_decay)
+    r.add_argument("--cg-tol", dest="cg_tol", type=float, default=IRLSConfig.cg_tol)
+    r.add_argument("--cg-max", dest="cg_max", type=int, default=IRLSConfig.cg_max)
     r.add_argument("--svt-threshold", dest="svt_threshold", type=float, default=3e-2)
     r.add_argument("--tv-iters", dest="tv_iters", type=int, default=300)
     r.add_argument("--out", default="recover_out")

@@ -13,8 +13,10 @@ and small grids, and holds the memory of ``lift_dense``.
 
 CG is Jacobi-preconditioned by the diagonal of the operator in use, which
 costs at most about one application to compute.  The stopping
-test stays on the unpreconditioned residual, so ``cg_tol`` bounds
-||rhs - A x|| / ||rhs|| whatever the preconditioner.
+test stays on the unpreconditioned residual r = rhs - A x, whatever the
+preconditioner: a solve stops once ||r|| <= cg_tol ||rhs|| or
+||r|| <= CG_RESIDUAL_CUT ||r0||, whichever bound is tighter, so every solve
+cuts its own starting residual r0 at least tenfold however loose cg_tol is.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ EXACT = "exact"
 # to the largest Gram eigenvalue at the initialization (scale-free)
 EPS0_FACTOR = 1e-2
 EPS_MIN_FACTOR = 1e-15
+# the most a CG solve may leave of its starting residual, whatever cg_tol
+# allows: a warm start within cg_tol ||rhs|| still takes real steps
+CG_RESIDUAL_CUT = 0.1
 
 
 @dataclass
@@ -51,7 +56,7 @@ class IRLSConfig:
     lam: float
     eps_decay: float = 2.0
     max_outer: int = 20
-    cg_tol: float = 1e-9
+    cg_tol: float = 1e-6
     cg_max: int = 500
     operator: str = APPROXIMATE
     convergence_tol: float = 1e-4
@@ -181,10 +186,12 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     are not positive (rows the operator leaves empty: for GIRAF, DC under
     gradient weighting when DC is unsampled) precondition by 1, and all
     ones gives plain CG exactly.  The iteration stops once the
-    unpreconditioned residual satisfies ||rhs - A x|| <= tol ||rhs||.
+    unpreconditioned residual r = rhs - A x satisfies
+    ||r|| <= min(tol ||rhs||, CG_RESIDUAL_CUT ||r0||), r0 the residual at x0.
 
-    Returns (x, info) where info carries the iteration count, the final
-    relative residual, why the iteration stopped (``stop_reason``:
+    Returns (x, info) where info carries the iteration count, the starting
+    and final residuals relative to ||rhs|| (``start_residual``,
+    ``relative_residual``), why the iteration stopped (``stop_reason``:
     "converged", "max_iter", or "indefinite" when a search direction had
     p^H A p <= 0), and the quadratic objective 0.5<x,Ax> - Re<rhs,x> at
     entry and exit (monotone for exact arithmetic CG).
@@ -194,8 +201,9 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     r = rhs - op(x)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros_like(x0), {"iterations": 0, "relative_residual": 0.0,
-                                   "converged": True, "stop_reason": "converged",
+        return np.zeros_like(x0), {"iterations": 0, "start_residual": 0.0,
+                                   "relative_residual": 0.0, "converged": True,
+                                   "stop_reason": "converged",
                                    "phi_start": 0.0, "phi_end": 0.0}
 
     def phi(xc, rc):
@@ -208,7 +216,9 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     p = z.copy()
     rz = np.vdot(r, z).real
     rs = np.vdot(r, r).real
-    converged = float(np.sqrt(rs)) <= tol * rhs_norm
+    start_norm = float(np.sqrt(rs))
+    stop_norm = min(tol * rhs_norm, CG_RESIDUAL_CUT * start_norm)
+    converged = start_norm <= stop_norm
     stop_reason = "converged" if converged else "max_iter"
     it = 0
     while not converged and it < maxiter:
@@ -222,7 +232,7 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
         r = r - alpha * ap
         rs = np.vdot(r, r).real
         it += 1
-        if np.sqrt(rs) <= tol * rhs_norm:
+        if np.sqrt(rs) <= stop_norm:
             converged = True
             stop_reason = "converged"
         z = inv_diag * r
@@ -232,6 +242,7 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
         p = z + beta * p
     info = {
         "iterations": it,
+        "start_residual": start_norm / rhs_norm,
         "relative_residual": float(np.sqrt(rs) / rhs_norm),
         "converged": bool(converged),
         "stop_reason": stop_reason,
@@ -254,8 +265,9 @@ def giraf_solve(
     the (approximate or exact) normal equations, on a geometrically decaying
     smoothing schedule.  CG non-convergence is recorded and iteration
     continues from the last iterate; any NaN is a hard error.  A solve that
-    takes no CG iteration (its start already within ``cg_tol``) changes
-    nothing, so it is noted and never counted as convergence.
+    takes no CG iteration (its start already exact, or its first direction
+    indefinite) changes nothing, so it is noted and never counted as
+    convergence.
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
@@ -312,6 +324,7 @@ def giraf_solve(
             sigma_max=float(np.sqrt(max(lam_max, 0.0))),
             sigma_min=float(np.sqrt(max(float(eigenvalues[0]), 0.0))),
             cg_iters=cg_info["iterations"],
+            cg_start_residual=cg_info["start_residual"],
             cg_residual=cg_info["relative_residual"],
             cg_converged=cg_info["converged"],
             cg_stop_reason=cg_info["stop_reason"],
@@ -327,7 +340,7 @@ def giraf_solve(
             report.notes.append(f"iteration {n}: CG stopped ({cg_info['stop_reason']}) at "
                                 f"relative residual {cg_info['relative_residual']:.2e}")
         if cg_info["iterations"] == 0:
-            report.notes.append(f"iteration {n}: CG took 0 iterations (start within cg_tol), "
+            report.notes.append(f"iteration {n}: CG took 0 iterations, "
                                 "so its zero change is not convergence")
         if reference is not None:
             rec.mse_vs_reference = relative_mse(KSpaceArray(lifting.gamma, x_new), reference)

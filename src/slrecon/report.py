@@ -17,6 +17,7 @@ class IterationRecord:
     sigma_max: float = float("nan")
     sigma_min: float = float("nan")
     cg_iters: int = 0
+    cg_start_residual: float = float("nan")  # ||r0|| / ||rhs||, the residual CG started from
     cg_residual: float = float("nan")
     cg_converged: bool = True
     cg_stop_reason: str = ""  # "converged", "max_iter" or "indefinite"; empty without CG

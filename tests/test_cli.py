@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from slrecon.cli import _git_revision, main, parse_extents
+from slrecon.cli import _git_revision, build_parser, main, parse_extents
 from slrecon import fileio
+from slrecon.giraf import IRLSConfig
 
 
 def run(args):
@@ -31,6 +32,11 @@ class TestParse:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_extents("nope")
+
+    def test_solver_defaults_are_irls_config(self):
+        ns = build_parser().parse_args(["recover", "--kspace", "k.ksar"])
+        assert (ns.max_iter, ns.eps_decay, ns.cg_tol, ns.cg_max) == (
+            IRLSConfig.max_outer, IRLSConfig.eps_decay, IRLSConfig.cg_tol, IRLSConfig.cg_max)
 
 
 class TestPhantomCmd:
@@ -160,6 +166,17 @@ class TestRecoverCmd:
         m1 = fileio.read_json(out1 / "mask.json")
         m2 = fileio.read_json(out2 / "mask.json")
         assert m1 == m2
+
+    def test_giraf_manifest_replays_its_cg_tol(self, phantom_dir, tmp_path):
+        # a manifest records cg_tol explicitly, so one written under another
+        # default replays its own tolerance bit-exactly
+        out1, out2 = tmp_path / "g1", tmp_path / "g2"
+        run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--filter", "5x5",
+             "--accel", "1.5", "--mask-seed", "3", "--max-iter", "2", "--cg-tol", "1e-9",
+             "--out", out1])
+        assert fileio.read_json(out1 / "manifest.json")["params"]["cg_tol"] == 1e-9
+        assert run(["rerun", out1 / "manifest.json", "--out", out2]) == 0
+        assert (out2 / "recovered.ksar").read_bytes() == (out1 / "recovered.ksar").read_bytes()
 
     def test_mask_file_replays_sampling(self, phantom_dir, tmp_path):
         out1, out2 = tmp_path / "drawn", tmp_path / "from_file"

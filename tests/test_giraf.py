@@ -16,7 +16,9 @@ from slrecon.lifting import (
     lift_dense,
 )
 from slrecon.baselines import zero_fill
+from slrecon.analysis import snr_db
 from slrecon.giraf import (
+    CG_RESIDUAL_CUT,
     IRLSConfig,
     cg_solve,
     giraf_solve,
@@ -392,6 +394,21 @@ class TestCG:
         assert true_rel <= tol
         assert info["relative_residual"] == pytest.approx(true_rel, rel=1e-3)
 
+    def test_start_within_tol_still_cuts_its_residual(self):
+        # a warm start already within tol ||rhs|| must not return unchanged
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((12, 12))
+        mat = a.T @ a + np.eye(12)
+        rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        x0 = np.linalg.solve(mat, rhs) + 1e-6 * rng.standard_normal(12)
+        r0 = np.linalg.norm(rhs - mat @ x0)
+        tol = 1e-3
+        assert r0 <= tol * np.linalg.norm(rhs)
+        x, info = cg_solve(lambda v: mat @ v, np.diag(mat), rhs, x0, tol, 100)
+        assert info["converged"] and info["iterations"] >= 1
+        assert np.linalg.norm(rhs - mat @ x) <= CG_RESIDUAL_CUT * r0
+        assert info["start_residual"] == pytest.approx(r0 / np.linalg.norm(rhs), rel=1e-6)
+
 
 def dense_matrix(op, extents):
     """The operator's matrix over gamma-shaped arrays, one basis vector a column."""
@@ -601,27 +618,28 @@ class TestGirafSolve:
             assert rec.mse_vs_reference == rec.mse_vs_reference
         assert rep.final_mse is not None
 
-    def test_zero_iteration_solve_is_not_convergence(self):
+    def test_loose_cg_tol_still_solves(self):
         # the first solve starts at the zero-filled data, whose residual is only
-        # the regularizer's term; under a loose cg_tol it takes no CG step and
-        # changes nothing, which must not read as convergence
+        # the regularizer's term (8e-5 of ||rhs||), within a loose cg_tol; each
+        # solve must still cut its own starting residual, not return zero-fill
         gamma = IndexSet2D.rect(65, 65)
         edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=11)
         truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
         mask = make_mask(gamma, "uniform", 2.0, seed=5)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
+        b = sample_kspace(truth, mask)
         cfg = IRLSConfig(p=0.0, lam=1e8, cg_tol=1e-4, max_outer=3)
-        _, rep = giraf_solve(sample_kspace(truth, mask), mask, lifting, cfg)
-        assert rep.iterations[0].cg_iters == 0
-        assert not rep.converged
-        assert rep.notes and rep.notes[0].startswith("iteration 1: CG took 0 iterations")
+        _, rep = giraf_solve(b, mask, lifting, cfg, reference=truth)
+        assert all(rec.cg_iters >= 1 for rec in rep.iterations)
+        assert not any("0 iterations" in note for note in rep.notes)
+        assert rep.final_snr_db >= snr_db(zero_fill(b, mask), truth) + 20
 
     def test_capped_cg_is_named_in_notes(self):
         gamma = IndexSet2D.rect(12, 12)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         mask = make_mask(gamma, "uniform", 1.5, seed=13)
         b = sample_kspace(random_kspace(gamma, 53), mask)
-        cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=1, cg_max=1)
+        cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=1, cg_tol=1e-9, cg_max=1)
         _, rep = giraf_solve(b, mask, lifting, cfg)
         assert rep.notes and "(max_iter)" in rep.notes[0]
         assert rep.iterations[0].cg_stop_reason == "max_iter"

@@ -1,6 +1,12 @@
 import json
 
+from slrecon.giraf import CG_RESIDUAL_CUT, IRLSConfig, giraf_solve
+from slrecon.grid import IndexSet2D
+from slrecon.lifting import LiftingConfig
+from slrecon.phantom import make_mask, sample_kspace
 from slrecon.report import IterationRecord, SolverReport
+
+from conftest import random_kspace
 
 
 def make_report():
@@ -36,3 +42,23 @@ def test_csv_headers(tmp_path):
     header = path.read_text().splitlines()[0]
     assert "iteration" in header and "decomp_time" in header
 
+
+
+def test_jsonl_shows_the_bound_that_stopped_cg(tmp_path):
+    # every solve stops at the tighter of cg_tol and a tenfold cut of its start
+    # residual; the record carries both residuals, so the bound can be read off
+    gamma = IndexSet2D.rect(12, 12)
+    lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
+    mask = make_mask(gamma, "uniform", 1.5, seed=13)
+    b = sample_kspace(random_kspace(gamma, 53), mask)
+    cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=3, cg_tol=1e-4)
+    _, rep = giraf_solve(b, mask, lifting, cfg)
+    path = tmp_path / "report.jsonl"
+    rep.to_jsonl(path)
+    lines = [json.loads(line) for line in path.read_text().strip().splitlines()]
+    assert len(lines) == rep.n_iterations
+    for line in lines:
+        assert line["cg_stop_reason"] == "converged" and line["cg_iters"] >= 1
+        assert 0 < line["cg_start_residual"]
+        bound = min(cfg.cg_tol, CG_RESIDUAL_CUT * line["cg_start_residual"])
+        assert line["cg_residual"] <= bound
