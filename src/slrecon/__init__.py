@@ -21,8 +21,8 @@ from .phantom import (
 )
 from .giraf import IRLSConfig, giraf_solve
 from .baselines import SVTConfig, delift, svt_solve, tv_solve, zero_fill
-from .analysis import numerical_rank, phase_transition, rho1_estimate, rho2, snr_db, subspace_check
-from .report import IterationRecord, SolverReport
+from .analysis import numerical_rank, phase_transition, rho1_estimate, rho2, subspace_check
+from .report import IterationRecord, SolverReport, snr_db
 
 __all__ = [
     "IndexSet2D",

@@ -1,5 +1,5 @@
-"""Theory validation and metrics: numerical rank, incoherence measures,
-row/column subspace checks, phase-transition experiments, SNR.
+"""Theory validation: numerical rank, incoherence measures, row/column
+subspace checks, phase-transition experiments.
 
 The incoherence searches are heuristics with declared budgets: the exact
 optimizations over continuum point sets are out of reach, so the outputs are
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .giraf import IRLSConfig, giraf_solve
 from .grid import IndexSet2D, predicted_rank
-from .lifting import KSpaceArray, LiftingConfig, lift_dense, read_offsets, scatter_sum
+from .lifting import LiftingConfig, lift_dense, read_offsets, scatter_sum
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
 
@@ -27,23 +28,6 @@ def numerical_rank(X: np.ndarray, rel_tol: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s > rel_tol * s[0]).sum())
-
-
-def relative_mse(x: KSpaceArray, reference: KSpaceArray) -> float:
-    """||x - ref||^2 / ||ref||^2 over k-space."""
-    if x.gamma != reference.gamma:
-        raise ValueError("arrays live on different grids")
-    ref_norm = np.linalg.norm(reference.values)
-    if ref_norm == 0.0:
-        raise ValueError("reference signal is identically zero")
-    return float(np.linalg.norm(x.values - reference.values) ** 2 / ref_norm**2)
-
-
-def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
-    """-10 log10 of the relative MSE; by Parseval the image-domain
-    20 log10(||ref|| / ||x - ref||)."""
-    mse = relative_mse(x, reference)
-    return math.inf if mse == 0.0 else float(-10.0 * np.log10(mse))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +367,6 @@ def phase_transition(
     relative k-space error is below 1e-3.  Trials are independent, so
     they may run in any order; results are keyed by trial index.
     """
-    from .giraf import IRLSConfig, giraf_solve
-
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     # the exact operator matters here: phase-transition grids are small, so

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2
-from .analysis import relative_mse, snr_db
 from .lifting import KSpaceArray, LiftingConfig, gather, lift_adjoint, lift_dense
 from .phantom import SamplingMask
-from .report import IterationRecord, SolverReport
+from .report import IterationRecord, SolverReport, relative_mse, snr_db
 
 DENSE_ENTRY_CAP = 50_000_000
 
@@ -32,8 +31,10 @@ class SVTConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.threshold < 0 or self.max_iter < 1:
-            raise ValueError("SVT parameters must be positive (threshold may be zero)")
+        if not self.threshold >= 0:  # NaN fails too
+            raise ValueError(f"threshold must be non-negative, got {self.threshold}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:

@@ -26,9 +26,7 @@ from .analysis import (
     phase_transition,
     rho1_estimate,
     rho2,
-    relative_mse,
     rho2_rayleigh_search,
-    snr_db,
     subspace_check,
 )
 from .baselines import SVTConfig, svt_solve, tv_solve, zero_fill
@@ -44,6 +42,7 @@ from .phantom import (
     random_edge_polynomial,
     sample_kspace,
 )
+from .report import relative_mse, snr_db
 
 # the thread-count variables of the BLAS builds numpy ships with; the manifest
 # records each as set, or null
@@ -129,7 +128,6 @@ def cmd_phantom(params: dict) -> int:
     ks = phantom_fourier(ph, gamma)
     fileio.write_kspace(out / "phantom.ksar", ks)
     fileio.write_pgm(out / "phantom.pgm", ks)
-    fileio.maybe_write_png(out / "phantom.png", ks)
     fileio.write_json(out / "edge.json", edge.to_json_dict())
     _write_manifest(out, "phantom", params, ["phantom.ksar", "phantom.pgm", "edge.json"])
     print(f"phantom: wrote {out}/phantom.ksar ({gamma.extents[0]}x{gamma.extents[1]})")
@@ -187,24 +185,22 @@ def cmd_recover(params: dict) -> int:
 
     fileio.write_kspace(out / "recovered.ksar", rec)
     fileio.write_pgm(out / "recovered.pgm", rec)
-    fileio.maybe_write_png(out / "recovered.png", rec)
     fileio.write_json(out / "mask.json", mask.to_json_dict())
     outputs = ["recovered.ksar", "recovered.pgm", "mask.json", "summary.json"]
     if report is not None:
         report.to_jsonl(out / "report.jsonl")
-        report.to_csv(out / "report.csv")
-        outputs += ["report.jsonl", "report.csv"]
+        outputs.append("report.jsonl")
+    mse, snr = relative_mse(rec, truth), snr_db(rec, truth)
     summary = {
         "solver": solver,
-        "snr_db": snr_db(rec, truth),
-        "mse": relative_mse(rec, truth),
+        "snr_db": snr if mse > 0 else None,  # an exact recovery's SNR is infinite
+        "mse": mse,
         "wall_time_s": wall,
         "samples": int(np.count_nonzero(mask.sampled)),
     }
     fileio.write_json(out / "summary.json", summary)
     _write_manifest(out, "recover", params, outputs)
-    print(f"recover[{solver}]: SNR {summary['snr_db']:.2f} dB, "
-          f"MSE {summary['mse']:.3e}, {wall:.1f} s")
+    print(f"recover[{solver}]: SNR {snr:.2f} dB, MSE {mse:.3e}, {wall:.1f} s")
     return 0
 
 
@@ -234,7 +230,7 @@ def cmd_validate(params: dict) -> int:
             rows.append({"seed": seed, "numerical_rank": r, "predicted": rank,
                          "match": r == rank})
             ok &= r == rank
-        fileio.write_csv_rows(out / "rank.csv", rows)
+        evidence["per_seed"] = rows
         evidence["agreements"] = sum(r["match"] for r in rows)
         evidence["total"] = len(rows)
         print(f"validate rank: {evidence['agreements']}/{evidence['total']} match rank {rank}")
@@ -243,16 +239,16 @@ def cmd_validate(params: dict) -> int:
         levels = params.get("levels") or [max(1, rank // 2), m // 4, m // 2, 3 * m // 4, m]
         res = phase_transition(edge, lam1, gamma, levels, trials=params["trials"],
                                seed=params["seed"], oversample=params["oversample"])
-        rows = [
-            {"samples": c, "success_fraction": f, "trials": res.trials}
-            for c, f in zip(res.sample_counts, res.success_fractions)
-        ]
-        fileio.write_csv_rows(out / "phase.csv", rows)
-        fileio.write_json(out / "phase_seeds.json", {"seeds": res.seeds})
         ok &= res.monotone_within_noise()
         ok &= res.success_fractions[-1] == 1.0
-        evidence["fractions"] = res.success_fractions
-        print("validate phase:", rows)
+        evidence.update({
+            "samples": res.sample_counts,
+            "trials": res.trials,
+            "fractions": res.success_fractions,
+            "seeds": res.seeds,  # per level, per trial: each trial's mask seed
+        })
+        print(f"validate phase: success fractions {res.success_fractions} "
+              f"at sample counts {res.sample_counts}")
     elif suite == "lemmas":
         ph = Phantom(edge, (1.0, 0.0), oversample=params["oversample"])
         chk = subspace_check(ph, lam1, gamma, seed=params["seed"])

@@ -1,5 +1,5 @@
-"""File formats: binary k-space arrays, PGM images, JSON masks and edges,
-CSV/JSON-lines reports.
+"""File formats: binary k-space arrays, PGM images, and JSON for masks,
+edges, evidence and manifests (solver reports write their own JSON lines).
 
 The k-space binary layout is a little-endian header (magic ``KSAR``, the two
 extents as uint32, a uint32 flags word, currently zero) followed by
@@ -57,56 +57,26 @@ def read_kspace(path) -> KSpaceArray:
     return KSpaceArray(IndexSet2D.rect(e1, e2), data[..., 0] + 1j * data[..., 1])
 
 
-def _windowed_magnitude(x: KSpaceArray) -> np.ndarray:
-    """Image magnitude scaled to [0, 1] by its 99.5th percentile (1 if that is
-    zero), the values above it clipped."""
+def write_pgm(path, x: KSpaceArray):
+    """16-bit PGM of the image magnitude, scaled by its 99.5th percentile (1
+    if that is zero) and clipped above it."""
     img = np.abs(x.image())
     hi = np.percentile(img, 99.5)
     if hi <= 0:
         hi = 1.0
-    return np.clip(img / hi, 0.0, 1.0)
-
-
-def write_pgm(path, x: KSpaceArray):
-    """16-bit PGM of the image magnitude, windowed to its 99.5th percentile."""
-    pixels = (_windowed_magnitude(x) * 65535).astype(">u2")
+    pixels = (np.clip(img / hi, 0.0, 1.0) * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode())
         fh.write(pixels.tobytes())
 
 
-def maybe_write_png(path, x: KSpaceArray) -> bool:
-    """PNG of the image magnitude, windowed to its 99.5th percentile, when
-    matplotlib is importable; returns whether it wrote."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return False
-    plt.imsave(path, _windowed_magnitude(x), cmap="gray")
-    return True
-
-
 def write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Strict JSON: a NaN or infinite value raises before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
 
-
-def write_csv_rows(path, rows: list[dict]):
-    import csv
-
-    if not rows:
-        Path(path).write_text("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

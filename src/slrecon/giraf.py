@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .analysis import relative_mse, snr_db
 from .baselines import zero_fill
 from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense,
                       lift_normal_diag, scatter_sum)
 from .phantom import SamplingMask
-from .report import IterationRecord, SolverReport
+from .report import IterationRecord, SolverReport, relative_mse, snr_db
 
 APPROXIMATE = "approximate"
 EXACT = "exact"
@@ -64,15 +63,14 @@ class IRLSConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.eps_decay <= 1.0:
-            raise ValueError("eps_decay must exceed 1")
+        # written as `not x > bound` so that NaN fails too
+        for name in ("lam", "cg_tol", "convergence_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.eps_decay > 1.0:
+            raise ValueError(f"eps_decay must exceed 1, got {self.eps_decay}")
         if self.operator not in (APPROXIMATE, EXACT):
             raise ValueError(f"operator must be '{APPROXIMATE}' or '{EXACT}'")
-        for name in ("cg_tol", "convergence_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_outer < 1 or self.cg_max < 1:
             raise ValueError("iteration caps must be at least 1")
 

@@ -1,30 +1,54 @@
-"""Per-iteration solver diagnostics shared by all solvers."""
+"""Scoring and per-iteration solver diagnostics shared by all solvers."""
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .lifting import KSpaceArray
+
+
+def relative_mse(x: KSpaceArray, reference: KSpaceArray) -> float:
+    """||x - ref||^2 / ||ref||^2 over k-space."""
+    if x.gamma != reference.gamma:
+        raise ValueError("arrays live on different grids")
+    ref_norm = np.linalg.norm(reference.values)
+    if ref_norm == 0.0:
+        raise ValueError("reference signal is identically zero")
+    return float(np.linalg.norm(x.values - reference.values) ** 2 / ref_norm**2)
+
+
+def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
+    """-10 log10 of the relative MSE; by Parseval the image-domain
+    20 log10(||ref|| / ||x - ref||)."""
+    mse = relative_mse(x, reference)
+    return math.inf if mse == 0.0 else float(-10.0 * np.log10(mse))
 
 
 @dataclass
 class IterationRecord:
+    """One outer iteration; a field the solver does not measure is None."""
+
     iteration: int
-    objective: float = float("nan")
-    penalty: float = float("nan")
-    data_fit: float = float("nan")
-    eps: float = float("nan")
-    sigma_max: float = float("nan")
-    sigma_min: float = float("nan")
-    cg_iters: int = 0
-    cg_start_residual: float = float("nan")  # ||r0|| / ||rhs||, the residual CG started from
-    cg_residual: float = float("nan")
-    cg_converged: bool = True
-    cg_stop_reason: str = ""  # "converged", "max_iter" or "indefinite"; empty without CG
-    surrogate_start: float = float("nan")
-    surrogate_end: float = float("nan")
-    change: float = float("nan")
-    mse_vs_reference: float = float("nan")
+    objective: float | None = None
+    penalty: float | None = None
+    data_fit: float | None = None
+    eps: float | None = None
+    sigma_max: float | None = None
+    sigma_min: float | None = None
+    cg_iters: int | None = None
+    cg_start_residual: float | None = None  # ||r0|| / ||rhs||, the residual CG started from
+    cg_residual: float | None = None
+    cg_converged: bool | None = None
+    cg_stop_reason: str | None = None  # "converged", "max_iter" or "indefinite"
+    surrogate_start: float | None = None
+    surrogate_end: float | None = None
+    change: float | None = None
+    mse_vs_reference: float | None = None
     gram_time: float = 0.0
     decomp_time: float = 0.0
     mask_time: float = 0.0
@@ -47,21 +71,12 @@ class SolverReport:
     def iterations_to_mse(self, tol: float) -> int | None:
         """First iteration index (1-based) whose MSE vs the reference is below tol."""
         for rec in self.iterations:
-            if rec.mse_vs_reference == rec.mse_vs_reference and rec.mse_vs_reference < tol:
+            if rec.mse_vs_reference is not None and rec.mse_vs_reference < tol:
                 return rec.iteration
         return None
 
     def to_jsonl(self, path):
-        with open(path, "w") as fh:
-            for rec in self.iterations:
-                fh.write(json.dumps(asdict(rec)) + "\n")
-
-    def to_csv(self, path):
-        if not self.iterations:
-            return
-        fields = list(asdict(self.iterations[0]).keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for rec in self.iterations:
-                writer.writerow(asdict(rec))
+        """One strict-JSON record per iteration; a NaN or infinite field raises
+        before anything is written."""
+        lines = [json.dumps(asdict(rec), allow_nan=False) + "\n" for rec in self.iterations]
+        Path(path).write_text("".join(lines))

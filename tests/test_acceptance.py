@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The full suite took
-36 s on two shared cores (numpy 2.4, BLAS threads at their default);
-criterion 4 dominates at about 29 s (dense SVT reference runs and an
+33 s on two shared cores (numpy 2.4, BLAS threads at their default);
+criterion 4 dominates at about 26 s (dense SVT reference runs and an
 exact-operator recovery at 65x65 with a 15x15 filter).
 """
 
@@ -28,7 +28,7 @@ from slrecon.giraf import (
     normal_apply_exact,
     weight_matrix,
 )
-from slrecon.baselines import SVTConfig, svt_solve, tv_solve, zero_fill
+from slrecon.baselines import SVTConfig, _svd_from_r, svt_solve, tv_solve, zero_fill
 from slrecon.phantom import (
     Phantom,
     dirac_fourier,
@@ -41,9 +41,9 @@ from slrecon.analysis import (
     phase_transition,
     rho2,
     rho2_rayleigh_search,
-    snr_db,
     subspace_check,
 )
+from slrecon.report import snr_db
 
 from test_giraf import brute_force_irls_iteration
 
@@ -55,6 +55,18 @@ def verdict(num: int, name: str, ok: bool, detail: str):
 
 def rel(a, b):
     return float(np.linalg.norm(np.ravel(a) - np.ravel(b)) / np.linalg.norm(np.ravel(b)))
+
+
+def fastest_by_size(fn, inputs: dict) -> dict:
+    """The fastest of 7 runs of ``fn`` on each size's input.  The sizes
+    alternate, which exposes both to the same host load."""
+    times = {g: [] for g in inputs}
+    for _ in range(7):
+        for g, x in inputs.items():
+            t = time.perf_counter()
+            fn(x)
+            times[g].append(time.perf_counter() - t)
+    return {g: min(ts) for g, ts in times.items()}
 
 
 @pytest.fixture(scope="module")
@@ -142,30 +154,25 @@ def test_criterion_4_giraf_svt_table(table_problem):
     n_giraf = giraf_rep.iterations_to_mse(1e-4)
 
     # decomposition-cost scaling: eigen time flat in grid area, SVT SVD not
-    svt_decomp, grams = {}, {}
+    lifted, grams = {}, {}
     for g in (65, 129):
         gg = IndexSet2D.rect(g, g)
         tg = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gg)
         mg = make_mask(gg, "uniform", 1.5, seed=2)
         bg = sample_kspace(tg, mg)
         lg = LiftingConfig.make(gg, IndexSet2D.rect(15, 15), "gradient")
-        _, s_rep = svt_solve(bg, mg, lg, SVTConfig(threshold=3e-2, max_iter=5))
         c = IRLSConfig(p=1.0, lam=1e8, max_outer=5, cg_tol=1e-8, cg_max=100,
                        convergence_tol=1e-12)
         rec_g, _ = giraf_solve(bg, mg, lg, c)
-        svt_decomp[g] = float(np.median([r.decomp_time for r in s_rep.iterations]))
+        lifted[g] = lift_dense(zero_fill(bg, mg), lg)
         grams[g] = gram_matrix(rec_g, lg)
-    # eigh runs on a 225 x 225 Gram at both sizes: timing the two alternately
-    # exposes both to the same host load, and the fastest run is the cost
-    eig_times = {g: [] for g in grams}
-    for _ in range(7):
-        for g, gram in grams.items():
-            t = time.perf_counter()
-            np.linalg.eigh(gram)
-            eig_times[g].append(time.perf_counter() - t)
+    # GIRAF's eigh runs on a 225 x 225 Gram at both sizes, SVT's QR-then-SVD
+    # on a lifted matrix whose rows grow with the area
+    eig_times = fastest_by_size(np.linalg.eigh, grams)
+    svd_times = fastest_by_size(_svd_from_r, lifted)
     area_ratio = 129**2 / 65**2
-    svt_ratio = svt_decomp[129] / svt_decomp[65]
-    eig_ratio = min(eig_times[129]) / min(eig_times[65])
+    svt_ratio = svd_times[129] / svd_times[65]
+    eig_ratio = eig_times[129] / eig_times[65]
     elapsed = time.time() - t0
     ok = (
         n_giraf is not None

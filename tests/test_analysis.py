@@ -18,10 +18,10 @@ from slrecon.analysis import (
     rho2,
     rho2_quadratic_form,
     rho2_rayleigh_search,
-    snr_db,
     subspace_check,
     zero_set_points,
 )
+from slrecon.report import snr_db
 from slrecon.phantom import mu_values_at
 from slrecon.analysis import _autocorrelate, _normalized_gradient_coeffs, gradient_sq_coefficients
 

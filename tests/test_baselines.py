@@ -15,7 +15,7 @@ from slrecon.phantom import (
     phantom_fourier,
     sample_kspace,
 )
-from slrecon.analysis import snr_db
+from slrecon.report import snr_db
 
 from conftest import random_kspace
 
@@ -198,6 +198,10 @@ class TestSVT:
         assert it.penalty == pytest.approx(s_shrunk.sum(), rel=1e-12)
         if threshold == 2.0:
             assert it.penalty == 0.0
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
+            SVTConfig(threshold=float("nan"))
 
     def test_dense_cap_refuses_large_problems(self):
         gamma = IndexSet2D.rect(513, 513)

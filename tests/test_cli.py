@@ -201,11 +201,82 @@ class TestRecoverCmd:
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "svt",
                     "--filter", "5x5", "--accel", "1.5", "--max-iter", "4", "--out", out])
         assert code == 0
-        assert len((out / "report.jsonl").read_text().strip().splitlines()) == 4
+        records = read_strict(out / "report.jsonl")
+        assert len(records) == 4
+        for rec in records:  # SVT runs no CG and has no smoothing level
+            assert rec["cg_iters"] is None and rec["cg_converged"] is None
+            assert rec["eps"] is None and rec["surrogate_end"] is None
+            assert rec["mse_vs_reference"] >= 0
+
+
+def _reject(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def read_strict(path):
+    """Every JSON document in a .json or .jsonl file, parsed refusing NaN and
+    Infinity."""
+    text = path.read_text()
+    if path.suffix == ".jsonl":
+        return [json.loads(line, parse_constant=_reject) for line in text.splitlines()]
+    return [json.loads(text, parse_constant=_reject)]
+
+
+class TestRunOutputs:
+    """A run's directory holds its manifest and exactly the files it lists,
+    each JSON file strict."""
+
+    @pytest.mark.parametrize("args", [
+        ["phantom", "--grid", "17x17"],
+        ["recover", "--solver", "giraf", "--filter", "5x5", "--max-iter", "2"],
+        ["recover", "--solver", "svt", "--filter", "5x5", "--max-iter", "2"],
+        ["recover", "--solver", "tv", "--tv-iters", "5"],
+        ["recover", "--solver", "zerofill", "--accel", "1"],
+        ["validate", "rank", "--grid", "17x17", "--seeds", "2"],
+        ["validate", "phase", "--grid", "9x9", "--filter", "3x3", "--trials", "1",
+         "--levels", "40,81"],
+    ], ids=["phantom", "giraf", "svt", "tv", "zerofill", "rank", "phase"])
+    def test_directory_holds_exactly_the_manifest_outputs(self, phantom_dir, tmp_path, args):
+        if args[0] == "recover":
+            args = [*args, "--kspace", phantom_dir / "phantom.ksar"]
+        out = tmp_path / "run"
+        assert run([*args, "--out", out]) in (0, 1)
+        outputs = fileio.read_json(out / "manifest.json")["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *outputs])
+        for path in out.iterdir():
+            if path.suffix in (".json", ".jsonl"):
+                assert read_strict(path)
+
+    def test_exact_recovery_writes_null_snr(self, phantom_dir, tmp_path):
+        out = tmp_path / "full"
+        assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver",
+                    "zerofill", "--accel", "1", "--out", out]) == 0
+        summary = read_strict(out / "summary.json")[0]
+        assert summary["mse"] == 0.0 and summary["snr_db"] is None
 
 
 class TestBadInput:
     """Malformed or missing input files exit 2 with a message naming the problem."""
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--lambda", "nan"], "lam"),
+        (["--eps-decay", "nan"], "eps_decay"),
+        (["--cg-tol", "nan"], "cg_tol"),
+        (["--solver", "svt", "--svt-threshold", "nan"], "threshold"),
+    ], ids=["lambda", "eps-decay", "cg-tol", "svt-threshold"])
+    def test_nan_solver_setting_exits_two_before_solving(self, phantom_dir, tmp_path, capsys,
+                                                         monkeypatch, flags, field):
+        from slrecon import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(cli, "giraf_solve", refuse)
+        monkeypatch.setattr(cli, "svt_solve", refuse)
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--filter", "5x5",
+                    *flags, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{field} must" in capsys.readouterr().err
 
     def test_nan_acceleration_exits_two(self, phantom_dir, tmp_path, capsys):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
@@ -288,6 +359,8 @@ class TestValidateCmd:
         assert code == 0
         evidence = fileio.read_json(out / "validate_rank.json")
         assert evidence["passed"] and evidence["agreements"] == 2
+        assert evidence["per_seed"] == [
+            {"seed": s, "numerical_rank": 16, "predicted": 16, "match": True} for s in (0, 1)]
 
     def test_incoherence_suite(self, tmp_path):
         out = tmp_path / "inc"
@@ -337,9 +410,13 @@ class TestValidateCmd:
             return PhaseTransitionResult([289], [1.0], 1, [[True]], [[0]])
 
         monkeypatch.setattr(cli, "phase_transition", record)
+        out = tmp_path / "phase"
         code = run(["validate", "phase", "--grid", "17x17", "--levels", "289",
-                    "--oversample", "16", "--out", tmp_path / "phase"])
+                    "--oversample", "16", "--out", out])
         assert code == 0 and seen["oversample"] == 16
+        evidence = fileio.read_json(out / "validate_phase.json")
+        assert (evidence["samples"], evidence["trials"], evidence["fractions"],
+                evidence["seeds"]) == ([289], 1, [1.0], [[0]])
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from slrecon.giraf import CG_RESIDUAL_CUT, IRLSConfig, giraf_solve
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig
@@ -35,12 +37,27 @@ def test_jsonl_roundtrip(tmp_path):
     assert lines[2]["mse_vs_reference"] == 1e-3
 
 
-def test_csv_headers(tmp_path):
+def _reject(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_jsonl_writes_unmeasured_fields_as_null(tmp_path):
+    # these records measure no CG solve and no surrogate
+    path = tmp_path / "r.jsonl"
+    make_report().to_jsonl(path)
+    for line in path.read_text().splitlines():
+        rec = json.loads(line, parse_constant=_reject)
+        assert rec["cg_iters"] is None and rec["cg_converged"] is None
+        assert rec["surrogate_start"] is None and rec["sigma_max"] is None
+
+
+def test_jsonl_refuses_a_non_finite_field(tmp_path):
     rep = make_report()
-    path = tmp_path / "r.csv"
-    rep.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert "iteration" in header and "decomp_time" in header
+    rep.iterations[1].objective = float("nan")
+    path = tmp_path / "r.jsonl"
+    with pytest.raises(ValueError):
+        rep.to_jsonl(path)
+    assert not path.exists()
 
 
 
