@@ -16,7 +16,7 @@ import numpy as np
 
 from .giraf import IRLSConfig, giraf_solve
 from .grid import IndexSet2D, predicted_rank
-from .lifting import LiftingConfig, lift_dense, read_offsets, scatter_sum
+from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_dense
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
 
@@ -35,51 +35,31 @@ def numerical_rank(X: np.ndarray, rel_tol: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_gradient_coeffs(edge: EdgePolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis gradient coefficient arrays, scaled so the gradient has unit
-    L2 norm.  The constant 2*pi is dropped; the normalization cancels it."""
-    r1, r2 = edge.lambda0.axis_ranges()
-    gx = r1[:, None] * edge.coeffs
-    gy = r2[None, :] * edge.coeffs
-    energy = float((np.abs(gx) ** 2 + np.abs(gy) ** 2).sum())
+def _gradient_form(edge: EdgePolynomial, lambda1: IndexSet2D) -> tuple[np.ndarray, np.ndarray]:
+    """The edge coefficients' gradient-weighted blocks, scaled to unit L2
+    norm, and rho2's quadratic form Q, the Gram of their gradient lifting.
+
+    The coefficients are zero-padded by f - 1 on every side (f = lambda1's
+    extents), so every window that meets them is a valid output and
+    Q[k, l] is their full autocorrelation at lag k - l: the Fourier
+    coefficient of |grad mu0|^2 there.  The weighting is the lifting's.
+    """
+    (f1, f2), (k1, k2), (e1, e2) = lambda1.extents, edge.lambda0.kmin, edge.lambda0.extents
+    gamma = IndexSet2D((k1 - f1 + 1, k2 - f2 + 1), (e1 + 2 * f1 - 2, e2 + 2 * f2 - 2))
+    c = np.pad(edge.coeffs, ((f1 - 1, f1 - 1), (f2 - 1, f2 - 1)))
+    cfg = LiftingConfig(gamma, lambda1, "gradient")
+    g = cfg.multipliers * c
+    energy = float((np.abs(g) ** 2).sum())
     if energy == 0.0:
         raise ValueError("edge polynomial has a constant (gradient-free) raster")
-    scale = 1.0 / np.sqrt(energy)
-    return gx * scale, gy * scale
-
-
-def gradient_sq_coefficients(edge: EdgePolynomial) -> tuple[IndexSet2D, np.ndarray]:
-    """Fourier coefficients of |grad mu0|^2 (exact autocorrelation sums).
-
-    The support is the lag rectangle spanning -(e-1)..(e-1) per axis,
-    row-major aligned with the returned array.
-    """
-    gx, gy = _normalized_gradient_coeffs(edge)
-    acx = _autocorrelate(gx)
-    acy = _autocorrelate(gy)
-    e1, e2 = edge.lambda0.extents
-    support = IndexSet2D.rect(2 * e1 - 1, 2 * e2 - 1, offset=(0, 0))
-    return support, acx + acy
-
-
-def _autocorrelate(c: np.ndarray) -> np.ndarray:
-    """a[m] = sum_k conj(c[k]) c[k+m], lags m in -(e-1)..(e-1) per axis: the
-    products c[k] conj(c[l]) summed onto their lag k - l, wrapped on extents
-    2e - 1 where no two lags alias, then rolled by e - 1 to centre lag 0."""
-    (e1, e2), v = c.shape, c.ravel()
-    lags = (2 * e1 - 1, 2 * e2 - 1)
-    reads = read_offsets((range(e1), range(e2)), c.shape, lags)
-    a = scatter_sum(reads, np.outer(v, np.conj(v)), lags)
-    return np.roll(a, (e1 - 1, e2 - 1), axis=(0, 1))
+    return g / np.sqrt(energy), gram_matrix(KSpaceArray(gamma, c), cfg) / energy
 
 
 def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
     """Gradient incoherence: l1-norm-squared of the normalized gradient
     coefficients over the smallest Rayleigh quotient of |grad mu0|^2 against
     unit-norm trig polynomials supported on lambda1."""
-    gx, gy = _normalized_gradient_coeffs(edge)
-    ell1 = float((np.abs(gx) + np.abs(gy)).sum())
-    q = rho2_quadratic_form(edge, lambda1)
+    blocks, q = _gradient_form(edge, lambda1)
     w = np.linalg.eigvalsh(q)
     lam_min = float(w[0])
     if lam_min <= -1e-10 * max(float(w[-1]), 1.0):
@@ -87,21 +67,14 @@ def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
     lam_min = max(lam_min, 0.0)
     if lam_min == 0.0:
         return math.inf
-    return ell1**2 / lam_min
+    return float(np.abs(blocks).sum()) ** 2 / lam_min
 
 
 def rho2_quadratic_form(edge: EdgePolynomial, lambda1: IndexSet2D) -> np.ndarray:
     """Hermitian matrix Q with Q[k, l] = Fourier coefficient of |grad mu0|^2
-    at k - l, for k, l in lambda1 (a Toeplitz-structured form).  The centred
-    coefficients (half-width h) are wrapped onto extents max(2h + 1, f + h),
-    f = lambda1's extents, so each lag reads its own coefficient or a zero."""
-    _, coeffs = gradient_sq_coefficients(edge)
-    f, half = lambda1.extents, [s // 2 for s in coeffs.shape]
-    extents = tuple(max(2 * h + 1, fi + h) for fi, h in zip(f, half))
-    wrapped = np.zeros(extents, dtype=coeffs.dtype)
-    wrapped[np.ix_(*(np.arange(-h, h + 1) % e for h, e in zip(half, extents)))] = coeffs
-    q = np.take(wrapped, read_offsets((range(f[0]), range(f[1])), f, extents))
-    return 0.5 * (q + q.conj().T)
+    at k - l, for k, l in lambda1 (a Toeplitz-structured form): the Gram of
+    the zero-padded gradient lifting of the edge coefficients."""
+    return _gradient_form(edge, lambda1)[1]
 
 
 def rho2_rayleigh_search(
@@ -111,7 +84,7 @@ def rho2_rayleigh_search(
     plus projected-gradient refinement of the Rayleigh quotient.  A start
     whose step vanishes (a top eigenvector, as every start of a 1 x 1 form
     is) keeps its quotient."""
-    q = rho2_quadratic_form(edge, lambda1)
+    blocks, q = _gradient_form(edge, lambda1)
     n = q.shape[0]
     rng = np.random.default_rng(np.random.Philox(key=seed))
     best = math.inf
@@ -127,9 +100,7 @@ def rho2_rayleigh_search(
                 break
             g = nxt / norm
         best = min(best, float(np.vdot(g, q @ g).real))
-    gx, gy = _normalized_gradient_coeffs(edge)
-    ell1 = float((np.abs(gx) + np.abs(gy)).sum())
-    return ell1**2 / best
+    return float(np.abs(blocks).sum()) ** 2 / best
 
 
 def dirichlet_translate_filters(points: np.ndarray, lambda1: IndexSet2D) -> np.ndarray:

@@ -289,10 +289,25 @@ def cmd_validate(params: dict) -> int:
     return 0
 
 
-def _command_params(command: str) -> set[str]:
-    """The params a sub-command reads: its parser's destinations."""
+def _yields(action: argparse.Action, value) -> bool:
+    """Whether the parser can yield ``value`` for ``action``: written as
+    command-line text, the value must parse back to itself (an int passes
+    where a float goes), and be null only where the default is null."""
+    if value is None:
+        return action.default is None and not action.required
+    sep = "x" if action.type is parse_extents else ","
+    text = sep.join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        parsed = (action.type or str)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return parsed == value and (action.choices is None or parsed in action.choices)
+
+
+def _command_actions(command: str) -> dict[str, argparse.Action]:
+    """The params a sub-command reads, each with the parser action yielding it."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
 
 
 def cmd_rerun(params: dict) -> int:
@@ -302,13 +317,18 @@ def cmd_rerun(params: dict) -> int:
         raise ValueError(f"manifest names unknown command {command!r}")
     replay = dict(json_field(manifest, "params", dict, "manifest"))
     replay["out"] = params["out"]
-    # a param this version does not read would change the replayed run silently
-    expected = _command_params(command)
-    for keys, verb in ((expected - replay.keys(), "lack"),
-                       (replay.keys() - expected, "hold unread")):
+    # a param this version does not read, or one its option cannot yield,
+    # would change the replayed run silently or fail inside it
+    actions = _command_actions(command)
+    for keys, verb in ((actions.keys() - replay.keys(), "lack"),
+                       (replay.keys() - actions.keys(), "hold unread")):
         if keys:
             names = ", ".join(map(repr, sorted(keys)))
             raise ValueError(f"manifest params for {command!r} {verb} {names}")
+    for dest, action in actions.items():
+        if not _yields(action, replay[dest]):
+            raise ValueError(f"manifest param {dest!r} for {command!r} is ill-typed: "
+                             f"{replay[dest]!r}")
     return DISPATCH[command](replay)
 
 

@@ -3,8 +3,9 @@ edges, evidence and manifests (solver reports write their own JSON lines).
 
 The k-space binary layout is a little-endian header (magic ``KSAR``, the two
 extents as uint32, a uint32 flags word, currently zero) followed by
-interleaved re/im float64 pairs in row-major order.  The centered index
-convention makes the extents sufficient to reconstruct the index set.
+little-endian complex128 values (re/im float64 pairs) in row-major order.
+The centered index convention makes the extents sufficient to reconstruct
+the index set.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ def write_kspace(path, x: KSpaceArray):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", e1, e2, 0))
-        inter = np.empty((e1, e2, 2))
-        inter[..., 0] = x.values.real
-        inter[..., 1] = x.values.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(x.values.astype("<c16").tobytes())
 
 
 def read_kspace(path) -> KSpaceArray:
@@ -53,8 +51,8 @@ def read_kspace(path) -> KSpaceArray:
         size = os.fstat(fh.fileno()).st_size
         if size != 16 + 16 * e1 * e2:
             raise ValueError(f"{path}: header claims {e1}x{e2} samples but the file holds {size} bytes")
-        data = np.frombuffer(fh.read(16 * e1 * e2), dtype="<f8").reshape(e1, e2, 2)
-    return KSpaceArray(IndexSet2D.rect(e1, e2), data[..., 0] + 1j * data[..., 1])
+        data = np.frombuffer(fh.read(16 * e1 * e2), dtype="<c16").reshape(e1, e2)
+    return KSpaceArray(IndexSet2D.rect(e1, e2), data.copy())  # frombuffer's view is read-only
 
 
 def write_pgm(path, x: KSpaceArray):

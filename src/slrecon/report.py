@@ -25,7 +25,10 @@ def relative_mse(x: KSpaceArray, reference: KSpaceArray) -> float:
 def snr_db(x: KSpaceArray, reference: KSpaceArray) -> float:
     """-10 log10 of the relative MSE; by Parseval the image-domain
     20 log10(||ref|| / ||x - ref||)."""
-    mse = relative_mse(x, reference)
+    return _mse_db(relative_mse(x, reference))
+
+
+def _mse_db(mse: float) -> float:
     return math.inf if mse == 0.0 else float(-10.0 * np.log10(mse))
 
 
@@ -60,13 +63,23 @@ class SolverReport:
     solver: str
     iterations: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
-    final_mse: float | None = None
-    final_snr_db: float | None = None
     notes: list[str] = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
+
+    @property
+    def final_mse(self) -> float | None:
+        """The last iterate's relative MSE against the reference; None
+        without a reference."""
+        return self.iterations[-1].mse_vs_reference if self.iterations else None
+
+    @property
+    def final_snr_db(self) -> float | None:
+        """``snr_db`` of the last iterate; None without a reference."""
+        mse = self.final_mse
+        return None if mse is None else _mse_db(mse)
 
     def iterations_to_mse(self, tol: float) -> int | None:
         """First iteration index (1-based) whose MSE vs the reference is below tol."""

@@ -23,7 +23,6 @@ from slrecon.analysis import (
 )
 from slrecon.report import snr_db
 from slrecon.phantom import mu_values_at
-from slrecon.analysis import _autocorrelate, _normalized_gradient_coeffs, gradient_sq_coefficients
 
 
 class TestNumericalRank:
@@ -114,32 +113,39 @@ def autocorrelate_loop(c):
     return out
 
 
+def gradient_blocks(edge):
+    """The gradient coefficients k1 c and k2 c of the edge polynomial (2 pi
+    dropped), scaled to unit L2 norm."""
+    r1, r2 = edge.lambda0.axis_ranges()
+    g = np.stack([r1[:, None] * edge.coeffs, r2[None, :] * edge.coeffs])
+    return g / np.linalg.norm(g)
+
+
 def quadratic_form_loop(edge, lambda1):
-    """Reference: Q[k, l] looked up entry by entry from the coefficient support."""
-    support, coeffs = gradient_sq_coefficients(edge)
-    lut = {tuple(k): v for k, v in zip(map(tuple, support.indices), coeffs.ravel())}
+    """Reference: Q[k, l] looked up entry by entry from the loop autocorrelation
+    of the gradient blocks, the Fourier coefficients of |grad mu0|^2."""
+    e1, e2 = edge.lambda0.extents
+    acf = sum(autocorrelate_loop(g) for g in gradient_blocks(edge))
     idx = lambda1.indices
     n = len(lambda1)
     q = np.zeros((n, n), dtype=np.complex128)
     for a in range(n):
         for b in range(n):
-            q[a, b] = lut.get((idx[a, 0] - idx[b, 0], idx[a, 1] - idx[b, 1]), 0.0)
-    return 0.5 * (q + q.conj().T)
+            m1, m2 = idx[a] - idx[b]
+            if abs(m1) < e1 and abs(m2) < e2:
+                q[a, b] = acf[m1 + e1 - 1, m2 + e2 - 1]
+    return q
 
 
 class TestLagHelpers:
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 1), (5, 2)])
-    def test_autocorrelation_matches_loop(self, shape):
-        rng = np.random.default_rng(4)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = autocorrelate_loop(c)
-        assert np.abs(_autocorrelate(c) - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("lam1", [(1, 1), (2, 2), (3, 3), (6, 5)])
+    @pytest.mark.parametrize("lam1", [(1, 1), (2, 2), (3, 3), (6, 5), (4, 3, (1, -2))])
     def test_quadratic_form_matches_lookup(self, lam1):
-        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
         lambda1 = IndexSet2D.rect(*lam1)
-        assert np.array_equal(rho2_quadratic_form(edge, lambda1), quadratic_form_loop(edge, lambda1))
+        for lam0 in ((3, 3), (5, 3), (3, 1)):
+            edge = random_edge_polynomial(IndexSet2D.rect(*lam0), seed=6)
+            ref = quadratic_form_loop(edge, lambda1)
+            q = rho2_quadratic_form(edge, lambda1)
+            assert np.abs(q - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestRho2:
@@ -151,18 +157,20 @@ class TestRho2:
         lam1 = IndexSet2D.rect(1, 1)
         assert rho2(edge, lam1) == pytest.approx(2.0, rel=1e-12)
 
+    def test_gradient_free_edge_rejected(self):
+        edge = EdgePolynomial(IndexSet2D.rect(1, 1), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="gradient-free"):
+            rho2(edge, IndexSet2D.rect(3, 3))
+
     def test_dc_filter_matches_quadrature(self):
         # for the DC-only filter the Rayleigh quotient is the full gradient
         # energy; check the Q entry against a direct fine-raster integral
         edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=12)
         q = rho2_quadratic_form(edge, IndexSet2D.rect(1, 1))
         n = 512
-        from slrecon.analysis import _normalized_gradient_coeffs
-
-        gx, gy = _normalized_gradient_coeffs(edge)
         u = np.arange(n) / n
         grad2 = np.zeros((n, n))
-        for g in (gx, gy):
+        for g in gradient_blocks(edge):
             f = np.zeros((n, n), dtype=complex)
             for (k1, k2), cv in zip(edge.lambda0.indices, g.ravel()):
                 f += cv * np.exp(2j * np.pi * (k1 * u[:, None] + k2 * u[None, :]))

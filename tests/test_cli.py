@@ -350,6 +350,24 @@ class TestBadInput:
         replayed = (tmp_path / "replay" / "recovered.ksar").read_bytes()
         assert replayed == (out / "recovered.ksar").read_bytes()
 
+    @pytest.mark.parametrize("param, value", [
+        ("tv_iters", 2.5), ("max_iter", "5"), ("accel", "2"), ("filter", [15]), ("mask_seed", None),
+    ])
+    def test_manifest_with_an_ill_typed_param(self, phantom_dir, tmp_path, capsys, param, value):
+        # each value is one its option cannot yield: replaying it would raise
+        # inside the run, or (a null mask seed) draw an entropy-seeded mask
+        out = tmp_path / "tv"
+        assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
+                    "--tv-iters", "5", "--out", out]) == 0
+        manifest = fileio.read_json(out / "manifest.json")
+        manifest["params"][param] = value
+        path = tmp_path / "ill_typed_manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 2
+        assert f"param {param!r}" in capsys.readouterr().err
+        assert not (tmp_path / "replay" / "recovered.ksar").exists()
+
 
 class TestValidateCmd:
     def test_rank_suite(self, tmp_path):

@@ -18,6 +18,7 @@ class TestKSpaceBinary:
         back = fileio.read_kspace(path)
         assert back.gamma == x.gamma
         assert np.array_equal(back.values, x.values)
+        assert back.values.flags.writeable  # a copy, not a view of the read buffer
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ksar"

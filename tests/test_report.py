@@ -27,6 +27,14 @@ def test_iterations_to_mse():
     assert rep.iterations_to_mse(1e-9) is None
 
 
+def test_final_scores_read_the_last_record():
+    rep = make_report()
+    assert rep.final_mse == 1e-3 and rep.final_snr_db == pytest.approx(30.0, rel=1e-12)
+    rep.iterations[-1].mse_vs_reference = None  # a solve without a reference
+    assert rep.final_mse is None and rep.final_snr_db is None
+    assert SolverReport(solver="empty").final_snr_db is None
+
+
 def test_jsonl_roundtrip(tmp_path):
     rep = make_report()
     path = tmp_path / "r.jsonl"
