@@ -1,8 +1,9 @@
 """Reference solvers: singular value thresholding on the dense lifting,
 zero-filled recovery, and a minimal primal-dual total-variation solver.
 
-Each SVT step decomposes the R factor of the lifted matrix, not the matrix
-itself, and rebuilds the thresholded matrix from the kept rank only.
+Each SVT step reads the lifted matrix's singular values and right singular
+vectors from its N×N Gram, not from the tall matrix itself, and rebuilds the
+thresholded matrix from the kept rank only.
 
 These exist for comparison and oracle duty, not performance; SVT refuses
 problems whose dense lifted matrix would be unreasonably large.
@@ -71,31 +72,30 @@ def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[i
     return KSpaceArray(cfg.gamma, vals), flagged
 
 
-def _svd_from_r(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of ``y`` from its R factor.
+def _threshold(y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """``U diag(max(s - tau, 0)) Vᴴ`` for ``y = U diag(s) Vᴴ``, with ``s`` (the
+    leading ``min(y.shape)`` values, descending) and the seconds the
+    decomposition took: ``s²`` and ``V`` are the eigenpairs of the N×N Gram
+    ``yᴴy``, so ``U`` is never formed.
 
-    ``y = QR``, so ``y`` and ``R`` share ``s`` and ``Vᴴ``; ``U`` is never
-    formed.  ``R`` is wide when ``y`` is; ``full_matrices=False`` keeps one
-    row of ``Vᴴ`` per singular value there.
+    ``U_r diag(s_r) = y V_r``, so the result is ``y V_r diag(1 - tau/s_r) V_rᴴ``
+    over the ``r`` values above tau; the factor lies in (0, 1], so no small
+    singular value is divided by.  The product is grouped by whichever is
+    cheaper: ``(y V_r)(…)`` for ``2r < n``, else ``y (V_r …)``, one ``n × n``
+    factor.  At tau = 0 the result is ``y`` itself: rebuilt from the kept
+    rank, it would lose the directions whose eigenvalue rounded to zero.
     """
-    _, s, vh = np.linalg.svd(np.linalg.qr(y, mode="r"), full_matrices=False)
-    return s, vh
-
-
-def _shrink(y: np.ndarray, s: np.ndarray, vh: np.ndarray, tau: float) -> np.ndarray:
-    """``U diag(max(s - tau, 0)) Vᴴ`` rebuilt from the ``r`` values above tau.
-
-    ``U_r diag(s_r) = y V_r``, so the result is ``y V_r diag(1 - tau/s_r) V_rᴴ``;
-    the factor lies in (0, 1], so no small singular value is divided by.  The
-    product is grouped by whichever is cheaper: ``(y V_r)(…)`` for ``2r < n``,
-    else ``y (V_r …)``, one ``n × n`` factor.
-    """
+    t0 = time.perf_counter()
+    w, v = np.linalg.eigh(y.conj().T @ y)
+    seconds = time.perf_counter() - t0
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    if tau == 0:
+        return y.copy(), s[: min(y.shape)], seconds
     r = int(np.count_nonzero(s > tau))
-    v_r = vh[:r].conj().T
-    shrunk = (1.0 - tau / s[:r])[:, None] * vh[:r]
-    if 2 * r < y.shape[1]:
-        return (y @ v_r) @ shrunk
-    return y @ (v_r @ shrunk)
+    v_r = v[:, ::-1][:, :r]
+    shrunk = (1.0 - tau / s[:r])[:, None] * v_r.conj().T
+    z = (y @ v_r) @ shrunk if 2 * r < len(s) else y @ (v_r @ shrunk)
+    return z, s[: min(y.shape)], seconds
 
 
 def svt_solve(
@@ -115,10 +115,10 @@ def svt_solve(
     threshold (relative to sigma_1 of the zero-filled lifting) only sets the
     convergence speed.
 
-    Each step takes ``s`` and ``Vᴴ`` from the SVD of the lifted matrix's R
-    factor (QR, then an SVD the size of the filter) and rebuilds the
-    thresholded matrix from the kept rank; ``decomp_time`` covers the QR and
-    that SVD.
+    Each step takes ``s`` and ``V`` from ``eigh`` of the N×N Gram ``yᴴy``
+    (N the filter size) and rebuilds the thresholded matrix from the kept
+    rank; ``decomp_time`` covers the Gram product and that ``eigh``.  The
+    threshold's sigma_1 comes from the same Gram of the zero-filled lifting.
     """
     rows, cols = lifting.lifted_shape
     if rows * cols > DENSE_ENTRY_CAP:
@@ -132,29 +132,27 @@ def svt_solve(
     sampled = mask.sampled
     x = bfill.copy()
     tx = lift_dense(KSpaceArray(lifting.gamma, x), lifting)
-    s0, _ = _svd_from_r(tx)
-    tau_abs = cfg.threshold * float(s0[0])
+    tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(tx.conj().T @ tx)[-1]))
     multiplier = np.zeros_like(tx)
+    y = np.empty_like(tx)
     report = SolverReport(solver="svt")
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        y = tx + multiplier
-        s, vh = _svd_from_r(y)
-        t1 = time.perf_counter()
-        s_shrunk = np.maximum(s - tau_abs, 0.0)
-        z = _shrink(y, s, vh, tau_abs)
-        x_new, _flagged = delift(z - multiplier, lifting)
+        np.add(tx, multiplier, out=y)
+        z, s, decomp_time = _threshold(y, tau_abs)
+        z -= multiplier
+        x_new, _flagged = delift(z, lifting)
         x_new = x_new.values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
         x_new = x_new - (sampled * x_new - bfill)
         tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
-        multiplier += tx
-        multiplier -= z
-        t2 = time.perf_counter()
+        multiplier = np.subtract(tx, z, out=z)  # U + T(x) - Z, in z's buffer
+        solve_time = time.perf_counter() - t0 - decomp_time
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
         data_fit = float(np.linalg.norm(sampled * x_new - bfill) ** 2)
+        s_shrunk = np.maximum(s - tau_abs, 0.0)
         nuclear = float(s_shrunk.sum())  # nuclear norm of the thresholded matrix
         rec = IterationRecord(
             iteration=n,
@@ -164,8 +162,8 @@ def svt_solve(
             sigma_max=float(s[0]),
             sigma_min=float(s[-1]),
             change=change,
-            decomp_time=t1 - t0,
-            solve_time=t2 - t1,
+            decomp_time=decomp_time,
+            solve_time=solve_time,
         )
         if reference is not None:
             rec.mse_vs_reference = relative_mse(KSpaceArray(lifting.gamma, x_new), reference)

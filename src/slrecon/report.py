@@ -42,7 +42,7 @@ class IterationRecord:
     data_fit: float | None = None
     eps: float | None = None
     sigma_max: float | None = None
-    sigma_min: float | None = None
+    sigma_min: float | None = None  # read from a Gram, unresolved below about sqrt(eps)·sigma_max
     cg_iters: int | None = None
     cg_start_residual: float | None = None  # ||r0|| / ||rhs||, the residual CG started from
     cg_residual: float | None = None

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig, lift_dense
-from slrecon.baselines import SVTConfig, delift, svt_solve, tv_solve, zero_fill
+from slrecon.baselines import SVTConfig, _threshold, delift, svt_solve, tv_solve, zero_fill
 from slrecon.giraf import IRLSConfig, giraf_solve
 from slrecon.phantom import (
     EdgePolynomial,
@@ -13,11 +13,12 @@ from slrecon.phantom import (
     dirac_fourier,
     make_mask,
     phantom_fourier,
+    random_edge_polynomial,
     sample_kspace,
 )
 from slrecon.report import snr_db
 
-from conftest import random_kspace
+from conftest import lifting_configs, random_kspace
 
 
 def rel_err(a, b):
@@ -124,6 +125,46 @@ class TestDelift:
         back, flagged = delift(lift_dense(x, cfg), cfg)
         assert flagged == []
         assert rel_err(back.values, x.values) < 1e-11
+
+
+def svd_threshold(y, relative):
+    """The oracle: ``U diag(max(s - tau, 0)) Vᴴ`` from the thin SVD at
+    ``tau = relative·s[0]``, with tau and ``s``."""
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    tau = relative * s[0]
+    return (u * np.maximum(s - tau, 0.0)) @ vh, tau, s
+
+
+class TestThreshold:
+    """The threshold step reads ``s`` and ``V`` from the Gram ``yᴴy``; it must
+    agree with the thresholded SVD to rounding wherever the threshold sits
+    well above sqrt(eps)·sigma_1, and be the identity at a zero threshold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16), st.sampled_from([0.0, 3e-2, 0.7]))
+    def test_matches_svd_oracle(self, cfg, seed, relative):
+        y = lift_dense(random_kspace(cfg.gamma, seed), cfg)
+        expect, tau, s = svd_threshold(y, relative)
+        z, s_gram, _ = _threshold(y, tau)
+        assert rel_err(z, expect) < 1e-12
+        assert len(s_gram) == min(y.shape)
+        if tau > 0:  # at tau = 0 every direction is kept
+            assert np.count_nonzero(s_gram > tau) == np.count_nonzero(s > tau)
+
+    @pytest.mark.parametrize("grid,filt", [(17, 12), (33, 7)],
+                             ids=["wide-72x144", "tall-1458x49"])
+    @pytest.mark.parametrize("relative", [0.0, 3e-2])
+    def test_near_low_rank_phantom_lifting(self, grid, filt, relative):
+        # a piecewise-constant phantom's lifting has singular values far below
+        # sqrt(eps)·sigma_1, whose Gram eigenvalues round to zero or below;
+        # rebuilt from the kept rank, the zero-threshold step lost 1e-9 of y
+        gamma = IndexSet2D.rect(grid, grid)
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=11)
+        truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
+        y = lift_dense(truth, LiftingConfig.make(gamma, IndexSet2D.rect(filt, filt), "gradient"))
+        expect, tau, _ = svd_threshold(y, relative)
+        z, _, _ = _threshold(y, tau)
+        assert rel_err(z, expect) < 1e-12
 
 
 class TestSVT:
