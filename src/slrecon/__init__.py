@@ -4,8 +4,6 @@ from .grid import IndexSet2D, count_shifts, dilate, predicted_rank, valid_output
 from .lifting import (
     KSpaceArray,
     LiftingConfig,
-    adjoint_apply,
-    apply_filter,
     gram_matrix,
     lift_dense,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "valid_output_set",
     "KSpaceArray",
     "LiftingConfig",
-    "adjoint_apply",
-    "apply_filter",
     "gram_matrix",
     "lift_dense",
     "EdgePolynomial",

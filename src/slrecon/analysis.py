@@ -202,7 +202,6 @@ class SubspaceCheck:
     off_curve_residuals: np.ndarray
     col_residuals: np.ndarray
     col_off_residuals: np.ndarray
-    selected: int
     col_span_dim: int
     rank: int
 
@@ -284,7 +283,6 @@ def subspace_check(
         off_curve_residuals=off_res,
         col_residuals=col_res,
         col_off_residuals=col_off,
-        selected=int(rank),
         col_span_dim=int(span_dim),
         rank=int(rank),
     )

@@ -1,10 +1,12 @@
 """Command-line entry points: phantom generation, recovery and theory
 validation, all reproducible from an emitted manifest.
 
-Every run writes ``manifest.json`` echoing the fully resolved parameters;
-``slrecon rerun manifest.json --out DIR`` replays it bit-exactly (timings
-aside).  Exit codes: 0 success, 1 invariant failure, 2 usage error
-(including unreadable or malformed input files).
+Every run writes ``manifest.json`` holding its command line as ``argv``,
+every option spelt out (``--out`` aside); ``slrecon rerun manifest.json
+--out DIR`` parses that line with the parser ``main`` uses and replays it
+bit-exactly (timings aside), refusing a line that the parser refuses or
+that this version would not write.  Exit codes: 0 success, 1 invariant
+failure, 2 usage error (including unreadable or malformed input files).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,8 @@ from .report import relative_mse, snr_db
 # the thread-count variables of the BLAS builds numpy ships with; the manifest
 # records each as set, or null
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the options parse_extents reads; every other list is comma-separated
+_EXTENT_OPTIONS = ("lambda0", "grid", "filter")
 
 
 def parse_extents(text: str) -> list[int]:
@@ -99,12 +104,29 @@ def _blas_name() -> str:
         return "unknown"
 
 
+def _command_line(command: str, params: dict) -> list[str]:
+    """The command line that parses back to ``params``, ``--out`` aside.
+
+    Each option is one ``--name=value`` entry, so a negative value is not
+    read as a flag: an extent ``WxH``, another list comma-joined, a float by
+    ``str`` (which round-trips exactly).  An option at ``None`` is left to its
+    ``None`` default; validate's suite is its positional argument.
+    """
+    line = [command]
+    for key, value in params.items():
+        if key == "out" or value is None:
+            continue
+        if isinstance(value, list):
+            value = ("x" if key in _EXTENT_OPTIONS else ",").join(map(str, value))
+        line.append(value if key == "suite" else f"--{key.replace('_', '-')}={value}")
+    return line
+
+
 def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
     fileio.write_json(out / "manifest.json", {
-        "command": command,
-        "params": {k: v for k, v in params.items() if k != "out"},
+        "argv": _command_line(command, params),
         "outputs": outputs,
-        # provenance only: rerun replays params and ignores this
+        # provenance only: rerun replays argv and ignores this
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "platform": platform.platform(),
                         "SLRECON_THREADS": _fft.WORKERS, "slrecon": _package_version(),
@@ -171,7 +193,7 @@ def cmd_recover(params: dict) -> int:
         elif solver == "giraf":
             cfg = IRLSConfig(
                 p=params["p"],
-                lam=params["lam"],
+                lam=params["lambda"],
                 operator="exact" if params["operator"] == "exact" else "approximate",
                 max_outer=params["max_iter"],
                 eps_decay=params["eps_decay"],
@@ -289,46 +311,24 @@ def cmd_validate(params: dict) -> int:
     return 0
 
 
-def _yields(action: argparse.Action, value) -> bool:
-    """Whether the parser can yield ``value`` for ``action``: written as
-    command-line text, the value must parse back to itself (an int passes
-    where a float goes), and be null only where the default is null."""
-    if value is None:
-        return action.default is None and not action.required
-    sep = "x" if action.type is parse_extents else ","
-    text = sep.join(map(str, value)) if isinstance(value, list) else str(value)
-    try:
-        parsed = (action.type or str)(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        return False
-    return parsed == value and (action.choices is None or parsed in action.choices)
-
-
-def _command_actions(command: str) -> dict[str, argparse.Action]:
-    """The params a sub-command reads, each with the parser action yielding it."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
-
-
 def cmd_rerun(params: dict) -> int:
-    manifest = fileio.read_json(params["manifest"])
-    command = json_field(manifest, "command", str, "manifest")
-    if command not in DISPATCH:
-        raise ValueError(f"manifest names unknown command {command!r}")
-    replay = dict(json_field(manifest, "params", dict, "manifest"))
-    replay["out"] = params["out"]
-    # a param this version does not read, or one its option cannot yield,
-    # would change the replayed run silently or fail inside it
-    actions = _command_actions(command)
-    for keys, verb in ((actions.keys() - replay.keys(), "lack"),
-                       (replay.keys() - actions.keys(), "hold unread")):
-        if keys:
-            names = ", ".join(map(repr, sorted(keys)))
-            raise ValueError(f"manifest params for {command!r} {verb} {names}")
-    for dest, action in actions.items():
-        if not _yields(action, replay[dest]):
-            raise ValueError(f"manifest param {dest!r} for {command!r} is ill-typed: "
-                             f"{replay[dest]!r}")
+    argv = json_field(fileio.read_json(params["manifest"]), "argv", list, "manifest")
+    for entry in argv:
+        if not isinstance(entry, str):
+            raise ValueError(f"manifest argv entry {entry!r} is not a string")
+    if not argv or argv[0] not in DISPATCH:
+        raise ValueError(f"manifest argv must start with one of {', '.join(DISPATCH)}, "
+                         f"got {argv[:1]}")
+    # argparse exits 2 on an option this version lacks or cannot parse; a
+    # line it accepts must also be the one this version writes, so a missing
+    # option, another spelling of a value or a repeat is refused too
+    replay = vars(build_parser().parse_args([*argv, "--out", params["out"]]))
+    command = replay.pop("command")
+    written = _command_line(command, replay)
+    if written != argv:
+        held, lacked = Counter(argv) - Counter(written), Counter(written) - Counter(argv)
+        raise ValueError(f"manifest argv is not the line this version writes (in entries or "
+                         f"order): it holds {[*held.elements()]} and lacks {[*lacked.elements()]}")
     return DISPATCH[command](replay)
 
 
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--amps", type=lambda s: [float(v) for v in s.split(",")], default=[1.0, 0.0])
-    p.add_argument("--min-area", dest="min_area", type=float, default=0.02)
+    p.add_argument("--min-area", type=float, default=0.02)
     p.add_argument("--out", default="phantom_out")
 
     r = sub.add_parser("recover", help="recover k-space from undersampled data")
@@ -358,22 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--solver", choices=["giraf", "svt", "tv", "zerofill"], default="giraf")
     r.add_argument("--scheme", choices=["uniform", "variable_density"], default="uniform")
     r.add_argument("--accel", type=float, default=2.0)
-    r.add_argument("--mask-seed", dest="mask_seed", type=int, default=0)
+    r.add_argument("--mask-seed", type=int, default=0)
     r.add_argument("--mask", help="JSON mask file (overrides scheme/accel/mask-seed)")
     r.add_argument("--noise", type=float, default=0.0)
-    r.add_argument("--noise-seed", dest="noise_seed", type=int, default=0)
+    r.add_argument("--noise-seed", type=int, default=0)
     r.add_argument("--p", type=float, default=0.0)
-    r.add_argument("--lambda", dest="lam", type=float, default=1e8)
+    r.add_argument("--lambda", type=float, default=1e8)
     r.add_argument("--filter", type=parse_extents, default=[15, 15])
     r.add_argument("--weighting", choices=["identity", "gradient"], default="gradient")
     r.add_argument("--operator", choices=["approx", "exact"], default="approx")
     # the solver defaults are IRLSConfig's (SVT reads --max-iter too)
-    r.add_argument("--max-iter", dest="max_iter", type=int, default=IRLSConfig.max_outer)
-    r.add_argument("--eps-decay", dest="eps_decay", type=float, default=IRLSConfig.eps_decay)
-    r.add_argument("--cg-tol", dest="cg_tol", type=float, default=IRLSConfig.cg_tol)
-    r.add_argument("--cg-max", dest="cg_max", type=int, default=IRLSConfig.cg_max)
-    r.add_argument("--svt-threshold", dest="svt_threshold", type=float, default=3e-2)
-    r.add_argument("--tv-iters", dest="tv_iters", type=int, default=300)
+    r.add_argument("--max-iter", type=int, default=IRLSConfig.max_outer)
+    r.add_argument("--eps-decay", type=float, default=IRLSConfig.eps_decay)
+    r.add_argument("--cg-tol", type=float, default=IRLSConfig.cg_tol)
+    r.add_argument("--cg-max", type=int, default=IRLSConfig.cg_max)
+    r.add_argument("--svt-threshold", type=float, default=3e-2)
+    r.add_argument("--tv-iters", type=int, default=300)
     r.add_argument("--out", default="recover_out")
 
     v = sub.add_parser("validate", help="run a theory-validation suite")
@@ -395,9 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    params = vars(ns)
+    params = vars(build_parser().parse_args(argv))
     command = params.pop("command")
     try:
         return (cmd_rerun if command == "rerun" else DISPATCH[command])(params)

@@ -155,7 +155,8 @@ def normal_apply_exact(
 
     The gradient of (1/2) tr(T(x) W T(x)^H) on the dense lifting, with the
     restriction to the valid output set kept; for W = F F^H it equals the
-    sum over the bank's filters of adjoint_apply(apply_filter(x, f), f).
+    sum over the bank's filters f of T^*((T(x) f) f^H), which the tests
+    evaluate filter by filter through an FFT-convolution oracle.
     """
     tx = lift_dense(KSpaceArray(cfg.gamma, xv), cfg)
     return lam * sampled * xv + lift_adjoint(tx @ wm, cfg)

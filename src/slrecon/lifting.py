@@ -24,11 +24,10 @@ one inverse in all) minus the row strips' and the column strips' Grams
 (each circular along the other axis, so 1-D FFTs and one small product per
 frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share, the
 rule on the rows [0, f - 1) and the only ones still multiplied out.
-``apply_filter`` / ``adjoint_apply`` evaluate the same maps by circular FFT
-convolution on gamma's array, the filter at its first f1 x f2 entries,
-where the valid outputs are the slice [f1 - 1:, f2 - 1:] and read no
-wrapped sample; they are the rule's independent oracle.  Gamma's array is
-the only grid: the solver's mask and condensed operator work on it too.
+The tests check the rule against an independent oracle, the same maps by
+circular FFT convolution on gamma's array, where the valid outputs are the
+slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  Gamma's array is the
+only grid: the solver's mask and condensed operator work on it too.
 A ``LiftingConfig`` is a function of gamma, lambda1 and the weighting:
 lambda2 is derived from them at construction, not accepted and checked.
 The arrays derived from its geometry are computed on first use and cached
@@ -245,47 +244,6 @@ def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """
     reads = scatter_sum(cfg.lift_geometry, np.tile(d, cfg.n_out), cfg.gamma.extents)
     return reads * (cfg.multipliers**2).sum(axis=0)
-
-
-def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """Spectrum of one filter aligned with cfg.lambda1.indices, its taps at
-    the first f1 x f2 entries of gamma's array."""
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    if h.size != cfg.n_filter:
-        raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
-    f1, f2 = cfg.lambda1.extents
-    g = np.zeros(cfg.gamma.extents, dtype=np.complex128)
-    g[:f1, :f2] = h.reshape(f1, f2)
-    return fft2(g)
-
-
-def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """Implicit lifted matrix-vector product, via circular FFT convolution.
-
-    ``h`` is aligned with cfg.lambda1.indices; the result stacks the per-block
-    outputs on lambda2 (aligned with cfg.lambda2.indices) and equals
-    lift_dense(x, cfg) @ h up to rounding.  On gamma's array the valid
-    outputs are the slice [f1 - 1:, f2 - 1:], in lambda2's row-major order.
-    """
-    _check_input(x, cfg)
-    f1, f2 = cfg.lambda1.extents
-    conv = ifft2(fft2(cfg.multipliers * x.values) * _filter_spectrum(h, cfg))
-    return conv[:, f1 - 1:, f2 - 1:].ravel()
-
-
-def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
-    """Adjoint of apply_filter for a fixed filter: scatter into the valid
-    slice, correlate, weight."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nb = len(cfg.multipliers)
-    if v.size != nb * cfg.n_out:
-        raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
-    hhat_conj = np.conj(_filter_spectrum(h, cfg))
-    f1, f2 = cfg.lambda1.extents
-    g = np.zeros(cfg.multipliers.shape, dtype=np.complex128)
-    g[:, f1 - 1:, f2 - 1:] = v.reshape(nb, *cfg.lambda2.extents)
-    corr = ifft2(fft2(g) * hhat_conj)
-    return KSpaceArray(cfg.gamma, (cfg.multipliers * corr).sum(axis=0))
 
 
 def _strip_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
+from slrecon._fft import fft2, ifft2
 from slrecon.lifting import KSpaceArray, LiftingConfig
 
 
@@ -43,6 +44,54 @@ def conv_oracle(x: KSpaceArray, h: np.ndarray, lambda1: IndexSet2D, out_set: Ind
             acc += hv * lookup.get(key, 0.0)
         out[i] = acc
     return out
+
+
+# The lifting and its adjoint for one filter by circular FFT convolution on
+# gamma's array, the filter at its first f1 x f2 entries, where the valid
+# outputs are the slice [f1 - 1:, f2 - 1:] and read no wrapped sample: an
+# oracle independent of the read rule that lift_dense gathers through.
+
+
+def _filter_spectrum(h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Spectrum of one filter aligned with cfg.lambda1.indices, its taps at
+    the first f1 x f2 entries of gamma's array."""
+    h = np.asarray(h, dtype=np.complex128).reshape(-1)
+    if h.size != cfg.n_filter:
+        raise ValueError(f"filter has {h.size} taps, expected {cfg.n_filter}")
+    f1, f2 = cfg.lambda1.extents
+    g = np.zeros(cfg.gamma.extents, dtype=np.complex128)
+    g[:f1, :f2] = h.reshape(f1, f2)
+    return fft2(g)
+
+
+def apply_filter(x: KSpaceArray, h: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Implicit lifted matrix-vector product, via circular FFT convolution.
+
+    ``h`` is aligned with cfg.lambda1.indices; the result stacks the per-block
+    outputs on lambda2 (aligned with cfg.lambda2.indices) and equals
+    lift_dense(x, cfg) @ h up to rounding.  On gamma's array the valid
+    outputs are the slice [f1 - 1:, f2 - 1:], in lambda2's row-major order.
+    """
+    if x.gamma != cfg.gamma:
+        raise ValueError("k-space array is not defined on the config's gamma")
+    f1, f2 = cfg.lambda1.extents
+    conv = ifft2(fft2(cfg.multipliers * x.values) * _filter_spectrum(h, cfg))
+    return conv[:, f1 - 1:, f2 - 1:].ravel()
+
+
+def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
+    """Adjoint of apply_filter for a fixed filter: scatter into the valid
+    slice, correlate, weight."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    nb = len(cfg.multipliers)
+    if v.size != nb * cfg.n_out:
+        raise ValueError(f"expected {nb * cfg.n_out} output samples, got {v.size}")
+    hhat_conj = np.conj(_filter_spectrum(h, cfg))
+    f1, f2 = cfg.lambda1.extents
+    g = np.zeros(cfg.multipliers.shape, dtype=np.complex128)
+    g[:, f1 - 1:, f2 - 1:] = v.reshape(nb, *cfg.lambda2.extents)
+    corr = ifft2(fft2(g) * hhat_conj)
+    return KSpaceArray(cfg.gamma, (cfg.multipliers * corr).sum(axis=0))
 
 
 @pytest.fixture

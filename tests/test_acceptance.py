@@ -21,8 +21,6 @@ from slrecon.grid import IndexSet2D, predicted_rank
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
-    adjoint_apply,
-    apply_filter,
     gram_matrix,
     lift_dense,
 )
@@ -51,6 +49,7 @@ from slrecon.analysis import (
 )
 from slrecon.report import snr_db
 
+from conftest import adjoint_apply, apply_filter
 from test_giraf import brute_force_irls_iteration
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -267,7 +267,7 @@ class TestSubspaceCheck:
         assert self.chk.contrast > 1e2
 
     def test_selected_translate_count_is_rank(self):
-        assert self.chk.selected == self.chk.rank == 16
+        assert self.chk.rank == 16
 
     def test_column_candidates_span_rank(self):
         assert self.chk.col_span_dim == self.chk.rank

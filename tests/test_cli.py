@@ -4,13 +4,26 @@ import os
 import numpy as np
 import pytest
 
-from slrecon.cli import _git_revision, build_parser, main, parse_extents
+from slrecon.cli import _command_line, _git_revision, build_parser, main, parse_extents
 from slrecon import fileio
 from slrecon.giraf import IRLSConfig
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def rerun(manifest, out):
+    """``rerun``'s exit code, argparse's usage exit included."""
+    try:
+        return run(["rerun", manifest, "--out", out])
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_manifest(path, manifest):
+    path.write_text(json.dumps(manifest))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +50,27 @@ class TestParse:
         ns = build_parser().parse_args(["recover", "--kspace", "k.ksar"])
         assert (ns.max_iter, ns.eps_decay, ns.cg_tol, ns.cg_max) == (
             IRLSConfig.max_outer, IRLSConfig.eps_decay, IRLSConfig.cg_tol, IRLSConfig.cg_max)
+
+    @pytest.mark.parametrize("args", [
+        ["phantom"],
+        ["phantom", "--amps=-1,0.5", "--grid", "9x17", "--min-area", "0.1"],
+        ["recover", "--kspace", "k.ksar"],
+        ["recover", "--kspace=-k.ksar", "--mask", "m.json", "--solver", "svt",
+         "--lambda", "1e-3", "--cg-tol", "1e-9", "--filter", "4X6"],
+        ["validate", "rank"],
+        ["validate", "phase", "--levels=3,9", "--lambda0", "5x3"],
+    ], ids=["phantom", "phantom-negative-amps", "recover", "recover-mask", "validate",
+            "validate-levels"])
+    def test_command_line_parses_back(self, args):
+        # the line a manifest records parses to the params it was written from
+        params = vars(build_parser().parse_args(args))
+        command = params.pop("command")
+        line = _command_line(command, params)
+        assert line[0] == command
+        unset = {f"--{k}" for k, v in params.items() if v is None}
+        assert not unset & {entry.split("=")[0] for entry in line}
+        parsed = vars(build_parser().parse_args([*line, "--out", params["out"]]))
+        assert parsed == {"command": command, **params}
 
 
 class TestPhantomCmd:
@@ -174,7 +208,7 @@ class TestRecoverCmd:
         run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--filter", "5x5",
              "--accel", "1.5", "--mask-seed", "3", "--max-iter", "2", "--cg-tol", "1e-9",
              "--out", out1])
-        assert fileio.read_json(out1 / "manifest.json")["params"]["cg_tol"] == 1e-9
+        assert "--cg-tol=1e-09" in fileio.read_json(out1 / "manifest.json")["argv"]
         assert run(["rerun", out1 / "manifest.json", "--out", out2]) == 0
         assert (out2 / "recovered.ksar").read_bytes() == (out1 / "recovered.ksar").read_bytes()
 
@@ -247,6 +281,25 @@ class TestRunOutputs:
             if path.suffix in (".json", ".jsonl"):
                 assert read_strict(path)
 
+    @pytest.mark.parametrize("args, product", [
+        (["phantom", "--grid", "17x17", "--amps=-1,0.5"], "phantom.ksar"),
+        (["recover", "--solver", "giraf", "--filter", "5x5", "--max-iter", "2"], "recovered.ksar"),
+        (["recover", "--solver", "svt", "--filter", "5x5", "--max-iter", "2"], "recovered.ksar"),
+        (["recover", "--solver", "tv", "--tv-iters", "5"], "recovered.ksar"),
+        (["recover", "--solver", "zerofill", "--accel", "3"], "recovered.ksar"),
+        (["validate", "rank", "--grid", "17x17", "--seeds", "2"], "validate_rank.json"),
+    ], ids=["phantom-negative-amps", "giraf", "svt", "tv", "zerofill", "rank"])
+    def test_rerun_is_byte_identical(self, phantom_dir, tmp_path, args, product):
+        if args[0] == "recover":
+            args = [*args, "--kspace", phantom_dir / "phantom.ksar"]
+        out1, out2 = tmp_path / "run", tmp_path / "replay"
+        code = run([*args, "--out", out1])
+        assert rerun(out1 / "manifest.json", out2) == code
+        assert (out2 / product).read_bytes() == (out1 / product).read_bytes()
+        manifests = [fileio.read_json(d / "manifest.json") for d in (out1, out2)]
+        assert manifests[0]["argv"] == manifests[1]["argv"]
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
     def test_exact_recovery_writes_null_snr(self, phantom_dir, tmp_path):
         out = tmp_path / "full"
         assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver",
@@ -318,54 +371,71 @@ class TestBadInput:
         assert "absent.ksar" in capsys.readouterr().err
 
     def test_manifest_without_command(self, tmp_path, capsys):
-        # no command at all, and a command this version no longer has
-        for manifest, needle in (({"params": {}}, "'command'"),
-                                 ({"command": "bench", "params": {}}, "unknown command 'bench'")):
-            path = tmp_path / "manifest.json"
-            path.write_text(json.dumps(manifest))
-            assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
+        # a params-only manifest, no line at all, a command this version no
+        # longer has, rerun itself and a line with a non-string entry
+        for manifest, needle in (({"command": "phantom", "params": {}}, "'argv'"),
+                                 ({"argv": []}, "got []"),
+                                 ({"argv": ["bench"]}, "got ['bench']"),
+                                 ({"argv": ["rerun", "manifest.json"]}, "got ['rerun']"),
+                                 ({"argv": ["phantom", 7]}, "entry 7 is not a string")):
+            path = write_manifest(tmp_path / "manifest.json", manifest)
+            assert rerun(path, tmp_path / "out") == 2
             assert needle in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_manifest_missing_a_param(self, tmp_path, capsys):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"command": "validate", "params": {"suite": "rank"}}))
-        assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
-        assert "'lambda0'" in capsys.readouterr().err
+        params = vars(build_parser().parse_args(["validate", "rank"]))
+        argv = _command_line(params.pop("command"), params)
+        argv.remove("--lambda0=3x3")
+        path = write_manifest(tmp_path / "manifest.json", {"argv": argv})
+        assert rerun(path, tmp_path / "out") == 2
+        assert "lacks ['--lambda0=3x3']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_manifest_with_an_unread_param(self, phantom_dir, tmp_path, capsys):
-        # replaying without a param recover does not read (TV's former
-        # weight) could run another model, so it is refused until deleted
+    @pytest.fixture
+    def tv_run(self, phantom_dir, tmp_path):
         out = tmp_path / "tv"
         assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
                     "--tv-iters", "5", "--out", out]) == 0
-        manifest = fileio.read_json(out / "manifest.json")
-        manifest["params"]["tv_weight"] = 1000.0
-        path = tmp_path / "old_manifest.json"
-        path.write_text(json.dumps(manifest))
-        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 2
-        assert "hold unread 'tv_weight'" in capsys.readouterr().err
-        del manifest["params"]["tv_weight"]
-        path.write_text(json.dumps(manifest))
-        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 0
-        replayed = (tmp_path / "replay" / "recovered.ksar").read_bytes()
-        assert replayed == (out / "recovered.ksar").read_bytes()
+        return out
 
-    @pytest.mark.parametrize("param, value", [
-        ("tv_iters", 2.5), ("max_iter", "5"), ("accel", "2"), ("filter", [15]), ("mask_seed", None),
-    ])
-    def test_manifest_with_an_ill_typed_param(self, phantom_dir, tmp_path, capsys, param, value):
-        # each value is one its option cannot yield: replaying it would raise
-        # inside the run, or (a null mask seed) draw an entropy-seeded mask
-        out = tmp_path / "tv"
-        assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
-                    "--tv-iters", "5", "--out", out]) == 0
-        manifest = fileio.read_json(out / "manifest.json")
-        manifest["params"][param] = value
-        path = tmp_path / "ill_typed_manifest.json"
-        path.write_text(json.dumps(manifest))
+    def test_manifest_with_an_unread_param(self, tv_run, tmp_path, capsys):
+        # replaying without an option recover does not read (TV's former
+        # weight) could run another model, so argparse refuses it
+        manifest = fileio.read_json(tv_run / "manifest.json")
+        manifest["argv"].append("--tv-weight=1000.0")
+        path = write_manifest(tmp_path / "old_manifest.json", manifest)
         capsys.readouterr()
-        assert run(["rerun", path, "--out", tmp_path / "replay"]) == 2
-        assert f"param {param!r}" in capsys.readouterr().err
+        assert rerun(path, tmp_path / "replay") == 2
+        assert "--tv-weight=1000.0" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+        manifest["argv"].pop()
+        write_manifest(path, manifest)
+        assert rerun(path, tmp_path / "replay") == 0
+        replayed = (tmp_path / "replay" / "recovered.ksar").read_bytes()
+        assert replayed == (tv_run / "recovered.ksar").read_bytes()
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda a: [e.replace("--tv-iters=5", "--tv-iters=2.5") for e in a], "'2.5'"),
+        (lambda a: [5 if e == "--max-iter=20" else e for e in a], "entry 5 is not a string"),
+        (lambda a: [e.replace("--accel=2.0", "--accel=2") for e in a],
+         "holds ['--accel=2'] and lacks ['--accel=2.0']"),
+        (lambda a: [e.replace("--filter=15x15", "--filter=15") for e in a], "'15'"),
+        (lambda a: [e for e in a if e != "--mask-seed=0"], "lacks ['--mask-seed=0']"),
+        (lambda a: [*a, "--accel=2.0"], "holds ['--accel=2.0'] and lacks []"),
+    ], ids=["tv_iters-2.5", "max_iter-5", "accel-2", "filter-value3", "mask_seed-None", "repeat"])
+    def test_manifest_with_an_ill_typed_param(self, tv_run, tmp_path, capsys, edit, needle):
+        # each line is one this version would not write: a fractional step
+        # count or a bare extent (argparse refuses them), a number where the
+        # line holds strings, another spelling of a value, a dropped mask
+        # seed (it would replay under the default seed, not the recorded
+        # one) and a repeated option
+        manifest = fileio.read_json(tv_run / "manifest.json")
+        manifest["argv"] = edit(manifest["argv"])
+        path = write_manifest(tmp_path / "ill_typed_manifest.json", manifest)
+        capsys.readouterr()
+        assert rerun(path, tmp_path / "replay") == 2
+        assert needle in capsys.readouterr().err
         assert not (tmp_path / "replay" / "recovered.ksar").exists()
 
 

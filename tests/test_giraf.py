@@ -7,8 +7,6 @@ from slrecon.grid import IndexSet2D
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
-    adjoint_apply,
-    apply_filter,
     embed,
     gather,
     gram_matrix,
@@ -34,7 +32,7 @@ from slrecon.giraf import (
 from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
                              random_edge_polynomial, sample_kspace)
 
-from conftest import lifting_configs, random_kspace
+from conftest import adjoint_apply, apply_filter, lifting_configs, random_kspace
 
 
 def rel_err(a, b):

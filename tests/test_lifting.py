@@ -10,15 +10,13 @@ from slrecon.grid import IndexSet2D, dilate, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
-    adjoint_apply,
-    apply_filter,
     gram_matrix,
     lift_adjoint,
     lift_dense,
     lift_normal_diag,
 )
 
-from conftest import conv_oracle, lifting_configs, random_kspace
+from conftest import adjoint_apply, apply_filter, conv_oracle, lifting_configs, random_kspace
 
 
 def rel_err(a, b):
