@@ -64,6 +64,8 @@ def parse_extents(text: str) -> list[int]:
 
 
 def _outdir(params) -> Path:
+    """The run's output directory, made once its inputs are accepted and
+    its results computed, so a refused run leaves nothing behind."""
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -142,12 +144,12 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]):
 
 
 def cmd_phantom(params: dict) -> int:
-    out = _outdir(params)
     lam0 = IndexSet2D.rect(*params["lambda0"])
     gamma = IndexSet2D.rect(*params["grid"])
     edge = random_edge_polynomial(lam0, seed=params["seed"], min_region_area=params["min_area"])
     ph = Phantom(edge, tuple(params["amps"]), oversample=params["oversample"])
     ks = phantom_fourier(ph, gamma)
+    out = _outdir(params)
     fileio.write_kspace(out / "phantom.ksar", ks)
     fileio.write_pgm(out / "phantom.pgm", ks)
     fileio.write_json(out / "edge.json", edge.to_json_dict())
@@ -171,7 +173,6 @@ def _resolve_mask(params, gamma) -> SamplingMask:
 
 
 def cmd_recover(params: dict) -> int:
-    out = _outdir(params)
     truth = fileio.read_kspace(params["kspace"])
     gamma = truth.gamma
     mask = _resolve_mask(params, gamma)
@@ -205,6 +206,7 @@ def cmd_recover(params: dict) -> int:
             raise ValueError(f"unknown solver {solver!r}")
     wall = time.perf_counter() - t0
 
+    out = _outdir(params)
     fileio.write_kspace(out / "recovered.ksar", rec)
     fileio.write_pgm(out / "recovered.pgm", rec)
     fileio.write_json(out / "mask.json", mask.to_json_dict())
@@ -232,7 +234,6 @@ def cmd_recover(params: dict) -> int:
 
 
 def cmd_validate(params: dict) -> int:
-    out = _outdir(params)
     suite = params["suite"]
     lam0, lam1, gamma = (IndexSet2D.rect(*params[k]) for k in ("lambda0", "filter", "grid"))
     rank = predicted_rank(lam1, lam0)
@@ -303,6 +304,7 @@ def cmd_validate(params: dict) -> int:
     else:
         raise ValueError(f"unknown validation suite {suite!r}")
     evidence["passed"] = bool(ok)
+    out = _outdir(params)
     fileio.write_json(out / f"validate_{suite}.json", evidence)
     _write_manifest(out, "validate", params, [f"validate_{suite}.json"])
     if not ok:
@@ -319,10 +321,14 @@ def cmd_rerun(params: dict) -> int:
     if not argv or argv[0] not in DISPATCH:
         raise ValueError(f"manifest argv must start with one of {', '.join(DISPATCH)}, "
                          f"got {argv[:1]}")
-    # argparse exits 2 on an option this version lacks or cannot parse; a
-    # line it accepts must also be the one this version writes, so a missing
-    # option, another spelling of a value or a repeat is refused too
-    replay = vars(build_parser().parse_args([*argv, "--out", params["out"]]))
+    # argparse exits on an option this version lacks or cannot parse, and
+    # after printing usage for --help; a line it accepts must also be the one
+    # this version writes, so a missing option, another spelling of a value
+    # or a repeat is refused too
+    try:
+        replay = vars(build_parser().parse_args([*argv, "--out", params["out"]]))
+    except SystemExit as exc:
+        raise ValueError(f"manifest argv does not parse to a run: {argv}") from exc
     command = replay.pop("command")
     written = _command_line(command, replay)
     if written != argv:

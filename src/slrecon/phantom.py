@@ -3,9 +3,14 @@ Dirac streams, and k-space sampling masks.
 
 Fourier coefficients of the piecewise-constant phantoms are computed by
 midpoint-rule quadrature on an oversampled raster (error O(1/oversample));
-the acceptance thresholds downstream are set accordingly.  Dirac streams are
-exact to rounding.  All randomness flows through counter-based Philox
-generators so results are independent of thread placement.
+the acceptance thresholds downstream are set accordingly.  Each step
+computes only what it reads: the edge polynomial is evaluated one axis at a
+time (two small matrix products, O(e0 n1 n2) for e0 coefficients per
+axis), and the quadrature takes a real-to-complex FFT along the rows, keeps
+gamma's e2 columns and transforms only those down the columns
+(O(n1 n2 log n2 + e2 n1 log n1)); no full-raster 2-D FFT is taken.  Dirac
+streams are exact to rounding.  All randomness flows through counter-based
+Philox generators so results are independent of thread placement.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import fft2, ifft2
+from ._fft import fft2
 from .grid import IndexSet2D, int_pair, is_int, json_field
-from .lifting import KSpaceArray, embed, gather
+from .lifting import KSpaceArray
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,30 @@ def _conj_reflect(iset: IndexSet2D, c: np.ndarray) -> np.ndarray | None:
 
 
 def rasterize_mu(edge: EdgePolynomial, shape: tuple[int, int], offset: float = 0.0) -> np.ndarray:
-    """Sample the polynomial on the uniform (n1, n2) grid over [0,1)^2 via
-    zero-padded inverse FFT.  ``offset`` shifts the sample points by a
-    fraction of a pixel per axis (0.5 = midpoints)."""
-    n1, n2 = shape
-    c = edge.coeffs
-    if offset != 0.0:
-        r1, r2 = edge.lambda0.axis_ranges()
-        tw1 = np.exp(2j * np.pi * r1 * offset / n1)
-        tw2 = np.exp(2j * np.pi * r2 * offset / n2)
-        c = c * tw1[:, None] * tw2[None, :]
-    g = embed(c, edge.lambda0, shape)
-    vals = ifft2(g) * (n1 * n2)
+    """Sample the polynomial on the uniform (n1, n2) grid over [0,1)^2.
+    ``offset`` shifts the sample points by a fraction of a pixel per axis
+    (0.5 = midpoints).
+
+    Evaluated one axis at a time as ``(E1 @ coeffs) @ E2``, with
+    ``E1[m, k1] = exp(2 pi i k1 (m + offset) / n1)`` and
+    ``E2[k2, m] = exp(2 pi i k2 (m + offset) / n2)``: O(n1 e1 e2 + n1 e2 n2)
+    work for e1 x e2 coefficients, and no FFT, so any grid size is allowed.
+    """
+    r1, r2 = edge.lambda0.axis_ranges()
+    rows = _axis_phases(r1, shape[0], offset)
+    cols = _axis_phases(r2, shape[1], offset)
+    vals = (rows @ edge.coeffs) @ cols.T
     scale = max(np.abs(vals).max(), 1e-300)
     if np.abs(vals.imag).max() > 1e-10 * scale:
         raise ValueError("edge polynomial raster has non-negligible imaginary part")
     return vals.real
+
+
+def _axis_phases(k: np.ndarray, n: int, offset: float) -> np.ndarray:
+    """``exp(2 pi i k (m + offset) / n)`` over samples m (rows) and
+    frequencies k (columns); the phase is reduced mod n before scaling."""
+    m = np.arange(n) + offset
+    return np.exp(2j * np.pi * (np.multiply.outer(m, k) % n) / n)
 
 
 def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
@@ -129,11 +142,18 @@ def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
     Midpoint-rule quadrature of the Fourier integral; the half-pixel offset
     is compensated with the matching phase so the estimate is second order
     in the grid spacing away from discontinuities.
+
+    Computes only gamma's coefficients: a 1-D FFT along the rows (real to
+    complex for a real raster), gamma's columns ``r2 % n2`` kept, then a 1-D
+    FFT down those e2 columns alone and gamma's rows ``r1 % n1`` kept, so
+    O(n1 n2 log n2 + e2 n1 log n1) work in place of a full 2-D FFT.  Indices
+    wrap mod the raster as a gather off the 2-D FFT would, also for a gamma
+    wider than the image.
     """
     n1, n2 = img.shape
-    coef = fft2(img) / (n1 * n2)
-    vals = gather(coef, gamma)
     r1, r2 = gamma.axis_ranges()
+    cols = fft2(img, axes=(-1,))[:, r2 % n2]
+    vals = fft2(cols, axes=(0,))[r1 % n1] / (n1 * n2)
     ph1 = np.exp(-1j * np.pi * r1 / n1)
     ph2 = np.exp(-1j * np.pi * r2 / n2)
     return KSpaceArray(gamma, vals * ph1[:, None] * ph2[None, :])

@@ -14,11 +14,8 @@ def run(args):
 
 
 def rerun(manifest, out):
-    """``rerun``'s exit code, argparse's usage exit included."""
-    try:
-        return run(["rerun", manifest, "--out", out])
-    except SystemExit as exc:
-        return exc.code
+    """``rerun``'s exit code; it refuses a line argparse exits on with 2."""
+    return run(["rerun", manifest, "--out", out])
 
 
 def write_manifest(path, manifest):
@@ -336,6 +333,23 @@ class TestBadInput:
                     "--accel", "nan", "--out", tmp_path / "out"])
         assert code == 2
         assert "acceleration must be >= 1, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["phantom", "--grid", "9x9", "--min-area", "2"],
+        ["phantom", "--grid", "9x9", "--amps", "1.0"],
+        ["recover", "--solver", "giraf", "--filter", "5x5", "--cg-tol", "nan"],
+        ["recover", "--solver", "zerofill", "--accel", "nan"],
+        ["validate", "phase", "--grid", "9x9", "--filter", "3x3", "--trials", "0"],
+        ["validate", "rank", "--grid", "9x9", "--filter", "3x3", "--seeds", "0"],
+    ], ids=["min-area", "one-amplitude", "cg-tol-nan", "accel-nan", "phase-no-trials",
+            "rank-no-seeds"])
+    def test_refused_run_makes_no_directory(self, phantom_dir, tmp_path, args):
+        if args[0] == "recover":
+            args = [*args, "--kspace", phantom_dir / "phantom.ksar"]
+        out = tmp_path / "nested" / "out"
+        assert run([*args, "--out", out]) == 2
+        assert not (tmp_path / "nested").exists()
 
     def _mask_file(self, tmp_path, edit):
         from slrecon.grid import IndexSet2D
@@ -382,6 +396,18 @@ class TestBadInput:
             assert rerun(path, tmp_path / "out") == 2
             assert needle in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_manifest_asking_for_help_exits_two(self, tv_run, tmp_path, capsys, flag):
+        # argparse would print recover's usage and exit 0, a replay that ran
+        # nothing reported as a success
+        manifest = fileio.read_json(tv_run / "manifest.json")
+        manifest["argv"].append(flag)
+        path = write_manifest(tmp_path / "help_manifest.json", manifest)
+        capsys.readouterr()
+        assert rerun(path, tmp_path / "replay") == 2
+        assert "does not parse to a run" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
 
     def test_manifest_missing_a_param(self, tmp_path, capsys):
         params = vars(build_parser().parse_args(["validate", "rank"]))

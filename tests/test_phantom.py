@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from slrecon.grid import IndexSet2D, predicted_rank
-from slrecon.lifting import KSpaceArray, LiftingConfig, lift_dense
+from slrecon.lifting import KSpaceArray, LiftingConfig, embed, gather, lift_dense
 from slrecon.phantom import (
     EdgePolynomial,
     Phantom,
     SamplingMask,
     add_noise,
     dirac_fourier,
+    kspace_of_image,
     make_mask,
+    mu_values_at,
     phantom_fourier,
     random_edge_polynomial,
     rasterize_mu,
@@ -90,6 +92,78 @@ class TestRasterizeMu:
             direct += cv * np.exp(2j * np.pi * (k1 * x[:, None] + k2 * y[None, :]))
         assert np.abs(direct.imag).max() < 1e-10
         assert np.abs(vals - direct.real).max() < 1e-10 * np.abs(direct).max()
+
+
+# The full-raster formulations the phantom kernels replaced, kept as oracles:
+# the polynomial by a zero-padded inverse FFT over the whole raster, and the
+# quadrature by a gather off the image's full 2-D FFT.
+
+
+def rasterize_mu_oracle(edge: EdgePolynomial, shape, offset=0.0) -> np.ndarray:
+    n1, n2 = shape
+    r1, r2 = edge.lambda0.axis_ranges()
+    tw1 = np.exp(2j * np.pi * r1 * offset / n1)
+    tw2 = np.exp(2j * np.pi * r2 * offset / n2)
+    g = embed(edge.coeffs * tw1[:, None] * tw2[None, :], edge.lambda0, shape)
+    return (np.fft.ifft2(g) * (n1 * n2)).real
+
+
+def kspace_of_image_oracle(img: np.ndarray, gamma: IndexSet2D) -> np.ndarray:
+    n1, n2 = img.shape
+    r1, r2 = gamma.axis_ranges()
+    vals = gather(np.fft.fft2(img) / (n1 * n2), gamma)
+    return vals * np.exp(-1j * np.pi * r1 / n1)[:, None] * np.exp(-1j * np.pi * r2 / n2)[None, :]
+
+
+def rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestAxisWiseKernels:
+    @pytest.mark.parametrize("support", [(3, 3), (5, 3)])
+    @pytest.mark.parametrize("shape", [(33, 33), (32, 32), (24, 40), (17, 8)],
+                             ids=["odd", "even", "non-square", "odd-even"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_raster_matches_inverse_fft_oracle(self, support, shape, offset):
+        edge = random_edge_polynomial(IndexSet2D.rect(*support), seed=3)
+        assert rel_err(rasterize_mu(edge, shape, offset), rasterize_mu_oracle(edge, shape, offset)) < 1e-12
+
+    def test_raster_coarser_than_the_support(self):
+        # no FFT grid to fit the coefficients on: a 2x2 raster of a 3x3
+        # polynomial is its values there
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=3)
+        pts = np.array([[m1, m2] for m1 in range(2) for m2 in range(2)]) / 2
+        assert np.allclose(rasterize_mu(edge, (2, 2)).ravel(), mu_values_at(edge, pts), atol=1e-12)
+
+    @pytest.mark.parametrize("shape, gamma", [
+        ((40, 40), IndexSet2D.rect(9, 9)),
+        ((41, 39), IndexSet2D.rect(8, 7, offset=(1, -2))),
+        ((24, 56), IndexSet2D.rect(5, 12)),
+        ((4, 5), IndexSet2D.rect(11, 13, offset=(3, -2))),
+    ], ids=["even", "odd-off-centre", "non-square", "gamma-wider-than-image"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_quadrature_matches_full_fft_gather(self, shape, gamma, kind):
+        rng = np.random.default_rng(7)
+        img = rng.standard_normal(shape)
+        if kind == "complex":
+            img = img + 1j * rng.standard_normal(shape)
+        ks = kspace_of_image(img, gamma)
+        assert ks.gamma == gamma
+        assert rel_err(ks.values, kspace_of_image_oracle(img, gamma)) < 1e-12
+
+    @pytest.mark.parametrize("grid", [65, 129])
+    def test_acceptance_phantoms_unchanged(self, grid):
+        # the acceptance suite's phantoms (edge seeds 0-11, 8x oversampled):
+        # every pixel keeps its sign region and the k-space its values
+        gamma = IndexSet2D.rect(grid, grid)
+        shape = (8 * grid, 8 * grid)
+        for seed in range(12):
+            edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=seed)
+            region = rasterize_mu_oracle(edge, shape, offset=0.5) > 0
+            assert np.array_equal(rasterize_mu(edge, shape, offset=0.5) > 0, region), seed
+            ks = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
+            oracle = kspace_of_image_oracle(np.where(region, 1.0, 0.0), gamma)
+            assert rel_err(ks.values, oracle) < 1e-12, seed
 
 
 class TestPhantomFourier:
