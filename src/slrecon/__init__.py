@@ -16,9 +16,10 @@ from .phantom import (
     phantom_fourier,
     random_edge_polynomial,
     sample_kspace,
+    zero_fill,
 )
 from .giraf import IRLSConfig, giraf_solve
-from .baselines import SVTConfig, delift, svt_solve, tv_solve, zero_fill
+from .baselines import SVTConfig, delift, svt_solve, tv_solve
 from .analysis import numerical_rank, phase_transition, rho1_estimate, rho2, subspace_check
 from .report import IterationRecord, SolverReport, snr_db
 

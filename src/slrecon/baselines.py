@@ -1,5 +1,5 @@
-"""Reference solvers: singular value thresholding on the dense lifting,
-zero-filled recovery, and a minimal primal-dual total-variation solver.
+"""Reference solvers: singular value thresholding on the dense lifting and a
+minimal primal-dual total-variation solver.
 
 Each SVT step reads the lifted matrix's singular values and right singular
 vectors from its N×N Gram, not from the tall matrix itself, and rebuilds the
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._fft import fft2
 from .lifting import KSpaceArray, LiftingConfig, gather, lift_adjoint, lift_dense
-from .phantom import SamplingMask
+from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
 
 DENSE_ENTRY_CAP = 50_000_000
@@ -38,38 +38,17 @@ class SVTConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
-    """Samples placed on their sampled indices, zeros elsewhere in gamma.
-
-    Every solver reads its samples through here, so this is where they are
-    checked: one finite value per sampled index, in the row-major order of
-    mask.sampled.
-    """
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    count = int(np.count_nonzero(mask.sampled))
-    if b.size != count:
-        raise ValueError(f"expected {count} samples, got {b.size}")
-    out = np.zeros(mask.gamma.extents, dtype=np.complex128)
-    out[mask.sampled] = b
-    return KSpaceArray(mask.gamma, out)
-
-
-def delift(X: np.ndarray, cfg: LiftingConfig) -> tuple[KSpaceArray, list[tuple[int, int]]]:
+def delift(X: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
     """Least-squares inverse of the lifting (pseudo-inverse applied to X).
 
     Each k-space entry is the weight-weighted average of every matrix
     position holding a copy of it: the lifting's adjoint divided by the
     diagonal of T^*T (reference count times the summed squared weights).
-    Indices whose weights all vanish (the DC entry under gradient weighting)
-    are returned as zero and flagged.
+    Indices where ``cfg.normal_diag`` is zero (the DC entry under gradient
+    weighting) are undetermined and returned as zero.
     """
-    numer = lift_adjoint(X, cfg)
     denom = cfg.normal_diag
-    undetermined = denom == 0.0
-    vals = numer / np.where(undetermined, 1.0, denom)
-    kmin = cfg.gamma.kmin
-    flagged = [(int(i1 + kmin[0]), int(i2 + kmin[1])) for i1, i2 in np.argwhere(undetermined)]
-    return KSpaceArray(cfg.gamma, vals), flagged
+    return KSpaceArray(cfg.gamma, lift_adjoint(X, cfg) / np.where(denom == 0.0, 1.0, denom))
 
 
 def _threshold(y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -135,15 +114,14 @@ def svt_solve(
     tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(tx.conj().T @ tx)[-1]))
     multiplier = np.zeros_like(tx)
     y = np.empty_like(tx)
-    report = SolverReport(solver="svt")
+    report = SolverReport()
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         np.add(tx, multiplier, out=y)
         z, s, decomp_time = _threshold(y, tau_abs)
         z -= multiplier
-        x_new, _flagged = delift(z, lifting)
-        x_new = x_new.values
+        x_new = delift(z, lifting).values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
         x_new = x_new - (sampled * x_new - bfill)

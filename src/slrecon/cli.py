@@ -32,7 +32,7 @@ from .analysis import (
     rho2_rayleigh_search,
     subspace_check,
 )
-from .baselines import SVTConfig, svt_solve, tv_solve, zero_fill
+from .baselines import SVTConfig, svt_solve, tv_solve
 from .giraf import IRLSConfig, giraf_solve
 from .grid import IndexSet2D, json_field, predicted_rank
 from .lifting import LiftingConfig, lift_dense
@@ -44,6 +44,7 @@ from .phantom import (
     phantom_fourier,
     random_edge_polynomial,
     sample_kspace,
+    zero_fill,
 )
 from .report import relative_mse, snr_db
 

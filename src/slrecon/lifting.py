@@ -69,9 +69,6 @@ class KSpaceArray:
             raise ValueError("k-space values must be finite")
         object.__setattr__(self, "values", v)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
     def image(self) -> np.ndarray:
         """Spatial-domain view on the gamma-sized grid: inverse FFT of the
         grid-embedded samples."""

@@ -1,5 +1,6 @@
 """Synthetic ground truth: band-limited edge sets, piecewise-constant images,
-Dirac streams, and k-space sampling masks.
+Dirac streams, k-space sampling masks, and the sampling operator with its
+adjoint (``sample_kspace`` and ``zero_fill``).
 
 Fourier coefficients of the piecewise-constant phantoms are computed by
 midpoint-rule quadrature on an oversampled raster (error O(1/oversample));
@@ -216,10 +217,6 @@ class SamplingMask:
 
     gamma: IndexSet2D
     sampled: np.ndarray
-    scheme: str = "uniform"
-    seed: int = 0
-    acceleration: float = 1.0
-    sigma: float | None = None  # variable-density Gaussian width, recorded for replay
 
     def __post_init__(self):
         sampled = np.array(self.sampled)
@@ -232,16 +229,13 @@ class SamplingMask:
 
     def to_json_dict(self) -> dict:
         return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "acceleration": self.acceleration,
-            "sigma": self.sigma,
             "gamma": self.gamma.to_json_dict(),
             "indices": self.gamma.indices[self.sampled.ravel()].tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SamplingMask":
+        """Reads ``gamma`` and ``indices``; any other key is ignored."""
         gamma = IndexSet2D.from_json_dict(json_field(d, "gamma", dict, "mask"))
         pairs = [int_pair(e, "indices") for e in json_field(d, "indices", list, "mask")]
         if not pairs:
@@ -252,14 +246,7 @@ class SamplingMask:
             raise ValueError(f"mask index {pairs[int(np.argmax(outside))]} lies outside gamma")
         sampled = np.zeros(gamma.extents, dtype=bool)
         sampled[rel[:, 0], rel[:, 1]] = True
-        return cls(
-            gamma=gamma,
-            sampled=sampled,
-            scheme=json_field(d, "scheme", str, "mask"),
-            seed=json_field(d, "seed", int, "mask"),
-            acceleration=json_field(d, "acceleration", (int, float), "mask"),
-            sigma=d.get("sigma"),
-        )
+        return cls(gamma, sampled)
 
 
 def make_mask(
@@ -282,7 +269,6 @@ def make_mask(
     if target < 1:
         raise ValueError(f"acceleration {acceleration} leaves no samples")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    sigma = None
     if scheme == "uniform":
         order = rng.permutation(m)
     elif scheme == "variable_density":
@@ -301,7 +287,7 @@ def make_mask(
     if gamma.contains(IndexSet2D((0, 0), (1, 1))) and not sampled[dc]:
         sampled.flat[order[target - 1]] = False  # DC takes the last drawn index's place
         sampled[dc] = True
-    return SamplingMask(gamma, sampled, scheme, seed, acceleration, sigma)
+    return SamplingMask(gamma, sampled)
 
 
 def sample_kspace(x: KSpaceArray, mask: SamplingMask) -> np.ndarray:
@@ -309,6 +295,23 @@ def sample_kspace(x: KSpaceArray, mask: SamplingMask) -> np.ndarray:
     if x.gamma != mask.gamma:
         raise ValueError("k-space array and mask disagree on gamma")
     return x.values[mask.sampled]
+
+
+def zero_fill(b: np.ndarray, mask: SamplingMask) -> KSpaceArray:
+    """Samples placed on their sampled indices, zeros elsewhere in gamma: the
+    adjoint of ``sample_kspace``.
+
+    Every solver reads its samples through here, so this is where they are
+    checked: one finite value per sampled index, in the row-major order of
+    mask.sampled.
+    """
+    b = np.asarray(b, dtype=np.complex128).reshape(-1)
+    count = int(np.count_nonzero(mask.sampled))
+    if b.size != count:
+        raise ValueError(f"expected {count} samples, got {b.size}")
+    out = np.zeros(mask.gamma.extents, dtype=np.complex128)
+    out[mask.sampled] = b
+    return KSpaceArray(mask.gamma, out)
 
 
 def add_noise(b: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:

@@ -46,7 +46,6 @@ class IterationRecord:
     cg_iters: int | None = None
     cg_start_residual: float | None = None  # ||r0|| / ||rhs||, the residual CG started from
     cg_residual: float | None = None
-    cg_converged: bool | None = None
     cg_stop_reason: str | None = None  # "converged", "max_iter" or "indefinite"
     surrogate_start: float | None = None
     surrogate_end: float | None = None
@@ -60,10 +59,8 @@ class IterationRecord:
 
 @dataclass
 class SolverReport:
-    solver: str
     iterations: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
-    notes: list[str] = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:

@@ -32,7 +32,7 @@ from slrecon.giraf import (
     normal_apply_exact,
     weight_matrix,
 )
-from slrecon.baselines import SVTConfig, svt_solve, tv_solve, zero_fill
+from slrecon.baselines import SVTConfig, svt_solve, tv_solve
 from slrecon.phantom import (
     Phantom,
     dirac_fourier,
@@ -40,6 +40,7 @@ from slrecon.phantom import (
     phantom_fourier,
     random_edge_polynomial,
     sample_kspace,
+    zero_fill,
 )
 from slrecon.analysis import (
     phase_transition,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig, lift_dense
-from slrecon.baselines import SVTConfig, _threshold, delift, svt_solve, tv_solve, zero_fill
+from slrecon.baselines import SVTConfig, _threshold, delift, svt_solve, tv_solve
 from slrecon.giraf import IRLSConfig, giraf_solve
 from slrecon.phantom import (
     EdgePolynomial,
@@ -15,10 +15,17 @@ from slrecon.phantom import (
     phantom_fourier,
     random_edge_polynomial,
     sample_kspace,
+    zero_fill,
 )
 from slrecon.report import snr_db
 
 from conftest import lifting_configs, random_kspace
+
+
+def undetermined(cfg):
+    """The k-space indices, as [k1, k2] pairs, where ``cfg.normal_diag`` is
+    zero: those ``delift`` cannot recover."""
+    return cfg.gamma.indices[cfg.normal_diag.ravel() == 0].tolist()
 
 
 def rel_err(a, b):
@@ -83,13 +90,13 @@ class TestDelift:
         gamma = IndexSet2D.rect(10, 10)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), weighting)
         x = random_kspace(gamma, 3)
-        back, flagged = delift(lift_dense(x, cfg), cfg)
+        back = delift(lift_dense(x, cfg), cfg)
         if weighting == "identity":
-            assert not flagged
+            assert not undetermined(cfg)
             assert rel_err(back.values, x.values) < 1e-12
         else:
             # only the DC entry is invisible to the gradient weighting
-            assert flagged == [(0, 0)]
+            assert undetermined(cfg) == [[0, 0]]
             fixed = back.values.copy()
             rel = (-gamma.kmin[0], -gamma.kmin[1])
             fixed[rel[0], rel[1]] = x.values[rel[0], rel[1]]
@@ -101,9 +108,9 @@ class TestDelift:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), weighting)
         rng = np.random.default_rng(5)
         raw = rng.standard_normal(cfg.lifted_shape) + 1j * rng.standard_normal(cfg.lifted_shape)
-        once, _ = delift(raw, cfg)
+        once = delift(raw, cfg)
         proj = lift_dense(once, cfg)
-        twice, _ = delift(proj, cfg)
+        twice = delift(proj, cfg)
         assert rel_err(lift_dense(twice, cfg), proj) < 1e-10
 
     @given(st.integers(0, 10_000))
@@ -112,19 +119,35 @@ class TestDelift:
         gamma = IndexSet2D.rect(7, 5)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         x = random_kspace(gamma, seed)
-        back, flagged = delift(lift_dense(x, cfg), cfg)
-        assert not flagged
+        back = delift(lift_dense(x, cfg), cfg)
+        assert not undetermined(cfg)
         assert rel_err(back.values, x.values) < 1e-11
 
     def test_even_filter_flags_unreferenced_row(self):
         # the windows of an even-extent filter read every row of gamma too,
-        # so nothing is flagged and delift inverts the lifting
+        # so no index is undetermined and delift inverts the lifting
         gamma = IndexSet2D.rect(6, 5)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(2, 3))
         x = random_kspace(gamma, 0)
-        back, flagged = delift(lift_dense(x, cfg), cfg)
-        assert flagged == []
+        back = delift(lift_dense(x, cfg), cfg)
+        assert undetermined(cfg) == []
         assert rel_err(back.values, x.values) < 1e-11
+
+    @given(lifting_configs(), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_inverts_lift_wherever_normal_diag_is_positive(self, cfg, seed):
+        # odd, even and off-centre filters, 1-D grids, both weightings: the
+        # undetermined set is DC (when gamma holds it) under gradient
+        # weighting and empty under identity weighting, and delift returns
+        # x everywhere else and 0 there
+        x = random_kspace(cfg.gamma, seed)
+        back = delift(lift_dense(x, cfg), cfg).values
+        known = cfg.normal_diag > 0
+        dc_in_gamma = [0, 0] in cfg.gamma.indices.tolist()
+        expect = [[0, 0]] if cfg.weighting == "gradient" and dc_in_gamma else []
+        assert undetermined(cfg) == expect
+        assert np.all(back[~known] == 0)
+        assert np.allclose(back[known], x.values[known], rtol=0, atol=1e-11 * np.abs(x.values).max())
 
 
 def svd_threshold(y, relative):
@@ -229,7 +252,7 @@ class TestSVT:
         zf = zero_fill(b, mask)
         u, s, vh = np.linalg.svd(lift_dense(zf, lifting), full_matrices=False)
         s_shrunk = np.maximum(s - threshold * s[0], 0.0)
-        expect, _ = delift((u * s_shrunk) @ vh, lifting)
+        expect = delift((u * s_shrunk) @ vh, lifting)
         expect = expect.values - (mask.sampled * expect.values - zf.values)
 
         (it,) = rep.iterations

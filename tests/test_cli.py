@@ -212,9 +212,14 @@ class TestRecoverCmd:
     def test_mask_file_replays_sampling(self, phantom_dir, tmp_path):
         out1, out2 = tmp_path / "drawn", tmp_path / "from_file"
         base = ["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill"]
-        assert run([*base, "--accel", "2", "--mask-seed", "6", "--out", out1]) == 0
+        assert run([*base, "--scheme", "variable_density", "--accel", "2", "--mask-seed", "6",
+                    "--out", out1]) == 0
         assert run([*base, "--mask", out1 / "mask.json", "--out", out2]) == 0
         assert (out2 / "recovered.ksar").read_bytes() == (out1 / "recovered.ksar").read_bytes()
+        # both mask files hold the sampling alone, and the same sampling
+        for out in (out1, out2):
+            assert list(fileio.read_json(out / "mask.json")) == ["gamma", "indices"]
+        assert (out2 / "mask.json").read_bytes() == (out1 / "mask.json").read_bytes()
 
     def test_mask_for_another_grid_exits_two(self, phantom_dir, tmp_path, capsys):
         from slrecon.grid import IndexSet2D
@@ -235,7 +240,7 @@ class TestRecoverCmd:
         records = read_strict(out / "report.jsonl")
         assert len(records) == 4
         for rec in records:  # SVT runs no CG and has no smoothing level
-            assert rec["cg_iters"] is None and rec["cg_converged"] is None
+            assert rec["cg_iters"] is None and rec["cg_stop_reason"] is None
             assert rec["eps"] is None and rec["surrogate_end"] is None
             assert rec["mse_vs_reference"] >= 0
 
@@ -361,7 +366,6 @@ class TestBadInput:
         return path
 
     @pytest.mark.parametrize("edit,needle", [
-        (lambda d: {k: v for k, v in d.items() if k != "seed"}, "'seed'"),
         (lambda d: [d], "JSON object"),
         (lambda d: {**d, "gamma": {"extents": [33, 33]}}, "'kind'"),
         (lambda d: {**d, "gamma": {"kind": "rect", "extents": ["a", 33]}}, "'extents'"),
@@ -369,7 +373,7 @@ class TestBadInput:
         (lambda d: {**d, "indices": [[0, 0], [-17, 3]]}, "(-17, 3) lies outside gamma"),
         (lambda d: {**d, "indices": []}, "lists no index"),
         (lambda d: {**d, "gamma": {"kind": "list", "elements": [[0, 0]]}}, "kind 'list'"),
-    ], ids=["no-seed", "list", "gamma-no-kind", "gamma-ill-typed-extents",
+    ], ids=["list", "gamma-no-kind", "gamma-ill-typed-extents",
             "non-integer-indices", "index-outside-gamma", "no-indices", "gamma-list-kind"])
     def test_malformed_mask(self, phantom_dir, tmp_path, capsys, edit, needle):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",

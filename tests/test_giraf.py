@@ -13,7 +13,6 @@ from slrecon.lifting import (
     lift_adjoint,
     lift_dense,
 )
-from slrecon.baselines import zero_fill
 from slrecon.report import snr_db
 from slrecon.giraf import (
     CG_RESIDUAL_CUT,
@@ -30,7 +29,7 @@ from slrecon.giraf import (
     _spectral_weights,
 )
 from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
-                             random_edge_polynomial, sample_kspace)
+                             random_edge_polynomial, sample_kspace, zero_fill)
 
 from conftest import adjoint_apply, apply_filter, lifting_configs, random_kspace
 
@@ -634,18 +633,17 @@ class TestGirafSolve:
         cfg = IRLSConfig(p=0.0, lam=1e8, cg_tol=1e-4, max_outer=3)
         _, rep = giraf_solve(b, mask, lifting, cfg, reference=truth)
         assert all(rec.cg_iters >= 1 for rec in rep.iterations)
-        assert not any("0 iterations" in note for note in rep.notes)
         assert rep.final_snr_db >= snr_db(zero_fill(b, mask), truth) + 20
 
-    def test_capped_cg_is_named_in_notes(self):
+    def test_capped_cg_is_named_in_its_record(self):
         gamma = IndexSet2D.rect(12, 12)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         mask = make_mask(gamma, "uniform", 1.5, seed=13)
         b = sample_kspace(random_kspace(gamma, 53), mask)
         cfg = IRLSConfig(p=1.0, lam=1e4, max_outer=1, cg_tol=1e-9, cg_max=1)
         _, rep = giraf_solve(b, mask, lifting, cfg)
-        assert rep.notes and "(max_iter)" in rep.notes[0]
-        assert rep.iterations[0].cg_stop_reason == "max_iter"
+        (it,) = rep.iterations
+        assert it.cg_stop_reason == "max_iter" and it.cg_iters == 1
 
     @pytest.mark.parametrize("operator", ["approximate", "exact"])
     def test_unsampled_dc_with_gradient_weighting(self, operator):
@@ -661,4 +659,4 @@ class TestGirafSolve:
         cfg = IRLSConfig(p=1.0, lam=1e4, operator=operator, max_outer=2, cg_max=2000)
         rec, rep = giraf_solve(b, mask, lifting, cfg)
         assert np.all(np.isfinite(rec.values))
-        assert all(r.cg_converged and r.cg_stop_reason == "converged" for r in rep.iterations)
+        assert all(r.cg_stop_reason == "converged" for r in rep.iterations)

@@ -302,7 +302,25 @@ class TestMakeMask:
     def test_json_roundtrip(self):
         mask = make_mask(IndexSet2D.rect(11, 11), "variable_density", 2.5, seed=4)
         back = SamplingMask.from_json_dict(mask.to_json_dict())
-        assert np.array_equal(back.sampled, mask.sampled) and back.sigma == mask.sigma
+        assert back.gamma == mask.gamma and np.array_equal(back.sampled, mask.sampled)
+
+    def test_json_holds_gamma_and_indices_only(self):
+        # how the indices were drawn is the run's argv, not the mask's
+        gamma = IndexSet2D.rect(7, 6, offset=(1, -1))
+        d = make_mask(gamma, "variable_density", 2.0, seed=9).to_json_dict()
+        assert list(d) == ["gamma", "indices"]
+        assert d["gamma"] == gamma.to_json_dict()
+
+    @pytest.mark.parametrize("scheme", ["uniform", "variable_density"])
+    def test_mask_file_with_the_old_keys_loads_the_same_sampling(self, scheme):
+        # mask files once also carried how the indices were drawn; those keys
+        # are read by nothing and ignored, whatever they claim
+        mask = make_mask(IndexSet2D.rect(9, 8), scheme, 3.0, seed=5)
+        old = {"scheme": "variable_density", "seed": 99, "acceleration": 1.0, "sigma": 0.5,
+               **mask.to_json_dict()}
+        back = SamplingMask.from_json_dict(old)
+        assert back.gamma == mask.gamma and np.array_equal(back.sampled, mask.sampled)
+        assert back.to_json_dict() == mask.to_json_dict()
 
     def test_sample_kspace_alignment(self):
         gamma = IndexSet2D.rect(9, 9)
@@ -363,7 +381,7 @@ class TestMakeMask:
         expect[[0, 1, 2, 2, 4], [0, 2, 2, 3, 3]] = True
         assert mask.gamma == IndexSet2D.rect(5, 4)
         assert np.array_equal(mask.sampled, expect)
-        assert mask.to_json_dict() == d
+        assert mask.to_json_dict() == {"gamma": d["gamma"], "indices": d["indices"]}
 
     @pytest.mark.parametrize("indices, needle", [
         ([[0, 0], [3, 0]], r"\(3, 0\) lies outside gamma"),

@@ -12,7 +12,7 @@ from conftest import random_kspace
 
 
 def make_report():
-    rep = SolverReport(solver="test")
+    rep = SolverReport()
     for i in range(1, 4):
         rep.iterations.append(IterationRecord(
             iteration=i, objective=10.0 / i, eps=0.1 / i,
@@ -32,7 +32,7 @@ def test_final_scores_read_the_last_record():
     assert rep.final_mse == 1e-3 and rep.final_snr_db == pytest.approx(30.0, rel=1e-12)
     rep.iterations[-1].mse_vs_reference = None  # a solve without a reference
     assert rep.final_mse is None and rep.final_snr_db is None
-    assert SolverReport(solver="empty").final_snr_db is None
+    assert SolverReport().final_snr_db is None
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -55,7 +55,7 @@ def test_jsonl_writes_unmeasured_fields_as_null(tmp_path):
     make_report().to_jsonl(path)
     for line in path.read_text().splitlines():
         rec = json.loads(line, parse_constant=_reject)
-        assert rec["cg_iters"] is None and rec["cg_converged"] is None
+        assert rec["cg_iters"] is None and rec["cg_stop_reason"] is None
         assert rec["surrogate_start"] is None and rec["sigma_max"] is None
 
 
