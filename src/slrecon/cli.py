@@ -2,7 +2,8 @@
 validation, all reproducible from an emitted manifest.
 
 Every run writes ``manifest.json`` holding its command line as ``argv``,
-every option spelt out (``--out`` aside); ``slrecon rerun manifest.json
+every option spelt out (``--out`` aside) and every input file by its
+absolute path, so it replays from any directory; ``slrecon rerun manifest.json
 --out DIR`` parses that line with the parser ``main`` uses and replays it
 bit-exactly (timings aside), refusing a line that the parser refuses or
 that this version would not write.  Exit codes: 0 success, 1 invariant
@@ -361,12 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="phantom_out")
 
     r = sub.add_parser("recover", help="recover k-space from undersampled data")
-    r.add_argument("--kspace", required=True, help="ground-truth .ksar file")
+    # input files are held as absolute paths, so the manifest's line names
+    # the same files from any working directory
+    r.add_argument("--kspace", required=True, type=os.path.abspath,
+                   help="ground-truth .ksar file")
     r.add_argument("--solver", choices=["giraf", "svt", "tv", "zerofill"], default="giraf")
     r.add_argument("--scheme", choices=["uniform", "variable_density"], default="uniform")
     r.add_argument("--accel", type=float, default=2.0)
     r.add_argument("--mask-seed", type=int, default=0)
-    r.add_argument("--mask", help="JSON mask file (overrides scheme/accel/mask-seed)")
+    r.add_argument("--mask", type=os.path.abspath,
+                   help="JSON mask file (overrides scheme/accel/mask-seed)")
     r.add_argument("--noise", type=float, default=0.0)
     r.add_argument("--noise-seed", type=int, default=0)
     r.add_argument("--p", type=float, default=0.0)

@@ -1,18 +1,20 @@
 """Iteratively reweighted annihilating-filter solver.
 
 Each outer iteration eigen-decomposes the lifting's Gram matrix into the
-IRLS weight matrix W = V diag(alpha) V^H, then solves a weighted
-least-squares annihilation problem by conjugate gradients.  W is the only
-weight representation and both normal operators read it.  The default
-operator condenses W into a single spatial sum-of-squares mask, built from
-the lag sums of W with one inverse FFT, and costs 2 FFTs per application
-and weighting block; both work on gamma's array, the lifting's only grid.
-The exact operator is the definition, the gradient T^*(T(x) W) of
+IRLS weight matrix W = V diag(alpha) V^H, then solves the weighted
+least-squares system (lam P + A_W) x = lam P^T b by conjugate gradients, P
+the sampling indicator.  ``giraf_solve`` assembles that system, adding
+lam P to the annihilation term A_W once; the operator functions below
+return A_W alone, and W is the only weight representation they read.  The
+default term condenses W into a single spatial sum-of-squares mask, built
+from the lag sums of W with one inverse FFT, and costs 2 FFTs per
+application and weighting block; both work on gamma's array, the lifting's
+only grid.  The exact term is the definition, the gradient T^*(T(x) W) of
 (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept for validation
 and small grids, and holds the memory of ``lift_dense``.
 
-CG is Jacobi-preconditioned by the diagonal of the operator in use, which
-costs at most about one application to compute.  The stopping
+CG is Jacobi-preconditioned by lam P plus the diagonal of the term in use,
+read from W at no cost beyond its diagonal or trace.  The stopping
 test stays on the unpreconditioned residual r = rhs - A x, whatever the
 preconditioner: a solve stops once ||r|| <= cg_tol ||rhs|| or
 ||r|| <= CG_RESIDUAL_CUT ||r0||, whichever bound is tighter, so every solve
@@ -123,57 +125,40 @@ def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     return values
 
 
-def normal_apply_approx(
-    xv: np.ndarray,
-    mask: np.ndarray,
-    cfg: LiftingConfig,
-    lam: float,
-    sampled: np.ndarray,
-) -> np.ndarray:
-    """Mask-condensed normal operator: 2 FFTs per weighting block.
+def normal_apply_approx(xv: np.ndarray, mask: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Mask-condensed annihilation term: 2 FFTs per weighting block.
 
     The mask multiplies in the image domain of gamma's array; where gamma
     sits among the signed indices only modulates that domain, which commutes
     with the multiply, so no placement is needed.
     """
-    out = lam * sampled * xv
-    for w in cfg.multipliers:
-        out = out + w * fft2(mask * ifft2(w * xv))
-    return out
+    return sum(w * fft2(mask * ifft2(w * xv)) for w in cfg.multipliers)
 
 
-def normal_apply_exact(
-    xv: np.ndarray,
-    wm: np.ndarray,
-    cfg: LiftingConfig,
-    lam: float,
-    sampled: np.ndarray,
-) -> np.ndarray:
-    """Unapproximated normal operator, lam P x + T^*(T(x) W), with P the
-    sampling indicator.
+def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Unapproximated annihilation term T^*(T(x) W).
 
     The gradient of (1/2) tr(T(x) W T(x)^H) on the dense lifting, with the
     restriction to the valid output set kept; for W = F F^H it equals the
     sum over the bank's filters f of T^*((T(x) f) f^H), which the tests
     evaluate filter by filter through an FFT-convolution oracle.
     """
-    tx = lift_dense(KSpaceArray(cfg.gamma, xv), cfg)
-    return lam * sampled * xv + lift_adjoint(tx @ wm, cfg)
+    return lift_adjoint(lift_dense(KSpaceArray(cfg.gamma, xv), cfg) @ wm, cfg)
 
 
-def normal_diag_approx(mask: np.ndarray, cfg: LiftingConfig, lam: float,
-                       sampled: np.ndarray) -> np.ndarray:
-    """Diagonal of ``normal_apply_approx``.  The circulant part has a
-    constant diagonal, the mask's mean over gamma's array."""
-    return lam * sampled + mask.mean() * (cfg.multipliers**2).sum(axis=0)
+def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """Diagonal of ``normal_apply_approx``: trace(W) sum_b w_b^2.  Each
+    block is circulant with the mask's mean on its diagonal, and that mean
+    is the mask's lag-0 coefficient, trace(W): a lag k - l between taps
+    wraps to 0 on gamma's array only at k = l."""
+    return np.trace(wm).real * (cfg.multipliers**2).sum(axis=0)
 
 
-def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig, lam: float,
-                      sampled: np.ndarray) -> np.ndarray:
+def normal_diag_exact(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Diagonal of ``normal_apply_exact``: entry i sums w_b(i)^2 W[k, k] over
-    the taps k whose window reads index i.  Every index is read, so the
-    lifting part vanishes only at DC under gradient weighting."""
-    return lam * sampled + lift_normal_diag(np.diag(wm).real, cfg)
+    the taps k whose window reads index i.  Every index is read, so it
+    vanishes only at DC under gradient weighting."""
+    return lift_normal_diag(np.diag(wm).real, cfg)
 
 
 def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
@@ -187,22 +172,22 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     unpreconditioned residual r = rhs - A x satisfies
     ||r|| <= min(tol ||rhs||, CG_RESIDUAL_CUT ||r0||), r0 the residual at x0.
 
-    Returns (x, info) where info carries the iteration count, the starting
-    and final residuals relative to ||rhs|| (``start_residual``,
-    ``relative_residual``), why the iteration stopped (``stop_reason``:
-    "converged", "max_iter", or "indefinite" when a search direction had
-    p^H A p <= 0), and the quadratic objective 0.5<x,Ax> - Re<rhs,x> at
-    entry and exit (monotone for exact arithmetic CG).
+    Returns (x, info); info is keyed by ``IterationRecord``'s field names:
+    the iteration count (``cg_iters``), the starting and final residuals
+    relative to ||rhs|| (``cg_start_residual``, ``cg_residual``), why the
+    iteration stopped (``cg_stop_reason``: "converged", "max_iter", or
+    "indefinite" when a search direction had p^H A p <= 0), and the
+    quadratic objective 0.5<x,Ax> - Re<rhs,x> at entry and exit
+    (``surrogate_start``, ``surrogate_end``; monotone for exact arithmetic CG).
     """
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     x = x0.copy()
     r = rhs - op(x)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros_like(x0), {"iterations": 0, "start_residual": 0.0,
-                                   "relative_residual": 0.0, "converged": True,
-                                   "stop_reason": "converged",
-                                   "phi_start": 0.0, "phi_end": 0.0}
+        return np.zeros_like(x0), {"cg_iters": 0, "cg_start_residual": 0.0,
+                                   "cg_residual": 0.0, "cg_stop_reason": "converged",
+                                   "surrogate_start": 0.0, "surrogate_end": 0.0}
 
     def phi(xc, rc):
         # 0.5<x, Ax> - Re<rhs, x> evaluated from the residual: Ax = rhs - r
@@ -216,10 +201,10 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     rs = np.vdot(r, r).real
     start_norm = float(np.sqrt(rs))
     stop_norm = min(tol * rhs_norm, CG_RESIDUAL_CUT * start_norm)
-    converged = start_norm <= stop_norm
-    stop_reason = "converged" if converged else "max_iter"
+    # "max_iter" stands until the residual bound is met
+    stop_reason = "converged" if start_norm <= stop_norm else "max_iter"
     it = 0
-    while not converged and it < maxiter:
+    while stop_reason == "max_iter" and it < maxiter:
         ap = op(p)
         denom = np.vdot(p, ap).real
         if denom <= 0:
@@ -231,23 +216,20 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
         rs = np.vdot(r, r).real
         it += 1
         if np.sqrt(rs) <= stop_norm:
-            converged = True
             stop_reason = "converged"
         z = inv_diag * r
         rz_new = np.vdot(r, z).real
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    info = {
-        "iterations": it,
-        "start_residual": start_norm / rhs_norm,
-        "relative_residual": float(np.sqrt(rs) / rhs_norm),
-        "converged": bool(converged),
-        "stop_reason": stop_reason,
-        "phi_start": float(phi_start),
-        "phi_end": float(phi(x, r)),
+    return x, {
+        "cg_iters": it,
+        "cg_start_residual": start_norm / rhs_norm,
+        "cg_residual": float(np.sqrt(rs) / rhs_norm),
+        "cg_stop_reason": stop_reason,
+        "surrogate_start": float(phi_start),
+        "surrogate_end": float(phi(x, r)),
     }
-    return x, info
 
 
 def giraf_solve(
@@ -269,7 +251,7 @@ def giraf_solve(
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    sampled = mask.sampled
+    data = cfg.lam * mask.sampled  # lam P, the data term of the normal equations
     b_fill = zero_fill(b, mask).values
     x = b_fill
     rhs = cfg.lam * b_fill  # lam * adjoint-sampled data
@@ -293,13 +275,14 @@ def giraf_solve(
         wm = weight_matrix(eigenvalues, vectors, eps, cfg.p)
         if cfg.operator == APPROXIMATE:
             mask_fn = mask_from_filters(wm, lifting)
-            op = lambda v: normal_apply_approx(v, mask_fn, lifting, cfg.lam, sampled)
-            diag = normal_diag_approx(mask_fn, lifting, cfg.lam, sampled)
+            term = lambda v: normal_apply_approx(v, mask_fn, lifting)
+            diag = normal_diag_approx(wm, lifting)
         else:
-            op = lambda v: normal_apply_exact(v, wm, lifting, cfg.lam, sampled)
-            diag = normal_diag_exact(wm, lifting, cfg.lam, sampled)
+            term = lambda v: normal_apply_exact(v, wm, lifting)
+            diag = normal_diag_exact(wm, lifting)
         t3 = time.perf_counter()
-        x_new, cg_info = cg_solve(op, diag, rhs, x, cfg.cg_tol, cfg.cg_max)
+        x_new, cg_info = cg_solve(lambda v: data * v + term(v), data + diag, rhs, x,
+                                  cfg.cg_tol, cfg.cg_max)
         t4 = time.perf_counter()
         if not np.all(np.isfinite(x_new)):
             raise ValueError("solver produced non-finite iterate")
@@ -307,7 +290,7 @@ def giraf_solve(
         # objective fields describe the iterate entering the solve (its
         # spectrum is what the decomposition just produced); change and MSE
         # below describe the iterate it returns
-        data_res = sampled * x - b_fill
+        data_res = mask.sampled * x - b_fill
         sigmas = np.sqrt(np.maximum(eigenvalues, 0.0) + eps)
         penalty = schatten_penalty(sigmas, cfg.p)
         data_fit = 0.5 * cfg.lam * float(np.linalg.norm(data_res) ** 2)
@@ -321,12 +304,7 @@ def giraf_solve(
             eps=eps,
             sigma_max=float(np.sqrt(max(lam_max, 0.0))),
             sigma_min=float(np.sqrt(max(float(eigenvalues[0]), 0.0))),
-            cg_iters=cg_info["iterations"],
-            cg_start_residual=cg_info["start_residual"],
-            cg_residual=cg_info["relative_residual"],
-            cg_stop_reason=cg_info["stop_reason"],
-            surrogate_start=cg_info["phi_start"],
-            surrogate_end=cg_info["phi_end"],
+            **cg_info,
             change=change,
             gram_time=t1 - t0,
             decomp_time=t2 - t1,
@@ -338,7 +316,7 @@ def giraf_solve(
         report.iterations.append(rec)
         x = x_new
         eps = max(eps / cfg.eps_decay, eps_min)
-        if change < cfg.convergence_tol and cg_info["iterations"] > 0:
+        if change < cfg.convergence_tol and cg_info["cg_iters"] > 0:
             report.converged = True
             break
 

@@ -51,10 +51,10 @@ class IterationRecord:
     surrogate_end: float | None = None
     change: float | None = None
     mse_vs_reference: float | None = None
-    gram_time: float = 0.0
-    decomp_time: float = 0.0
-    mask_time: float = 0.0
-    solve_time: float = 0.0
+    gram_time: float | None = None
+    decomp_time: float | None = None
+    mask_time: float | None = None
+    solve_time: float | None = None
 
 
 @dataclass

@@ -247,9 +247,8 @@ def test_criterion_5_approximation_quality(table_problem):
         wm = weight_matrix(w, vecs, eps, 0.0)
         mask_fn = mask_from_filters(wm, cfg)
         xv = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
-        theta = np.zeros((g, g))
-        exact = normal_apply_exact(xv, wm, cfg, 0.0, theta)
-        approx = normal_apply_approx(xv, mask_fn, cfg, 0.0, theta)
+        exact = normal_apply_exact(xv, wm, cfg)
+        approx = normal_apply_approx(xv, mask_fn, cfg)
         discs.append(rel(approx, exact))
     monotone = discs[0] > discs[1] > discs[2]
 

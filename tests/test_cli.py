@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ class TestRecoverCmd:
         m1 = fileio.read_json(out1 / "mask.json")
         m2 = fileio.read_json(out2 / "mask.json")
         assert m1 == m2
+
+    def test_rerun_from_another_directory(self, phantom_dir, tmp_path, monkeypatch):
+        # input files typed relative to one working directory are recorded by
+        # absolute path, so the manifest replays from any other
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        shutil.copy(phantom_dir / "phantom.ksar", work / "phantom.ksar")
+        monkeypatch.chdir(work)
+        assert run(["recover", "--kspace", "phantom.ksar", "--solver", "zerofill",
+                    "--out", "drawn"]) == 0
+        assert run(["recover", "--kspace", "phantom.ksar", "--mask", "drawn/mask.json",
+                    "--solver", "tv", "--tv-iters", "5", "--out", "run"]) == 0
+        argv = fileio.read_json(work / "run" / "manifest.json")["argv"]
+        inputs = [e.split("=", 1)[1] for e in argv if e.startswith(("--kspace=", "--mask="))]
+        assert len(inputs) == 2 and all(os.path.isabs(path) for path in inputs)
+        monkeypatch.chdir(elsewhere)
+        assert rerun(work / "run" / "manifest.json", "replay") == 0
+        replayed = (elsewhere / "replay" / "recovered.ksar").read_bytes()
+        assert replayed == (work / "run" / "recovered.ksar").read_bytes()
 
     def test_giraf_manifest_replays_its_cg_tol(self, phantom_dir, tmp_path):
         # a manifest records cg_tol explicitly, so one written under another

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from slrecon.lifting import (
     lift_adjoint,
     lift_dense,
 )
-from slrecon.report import snr_db
+from slrecon.report import IterationRecord, snr_db
 from slrecon.giraf import (
     CG_RESIDUAL_CUT,
+    EPS0_FACTOR,
     IRLSConfig,
     cg_solve,
     giraf_solve,
@@ -121,6 +124,18 @@ class TestLagDomainMask:
             assert mask.min() >= 0.0
             assert np.abs(mask - oracle).max() <= 1e-13 * oracle.max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_mean_is_trace(self, cfg, seed):
+        # the mask's mean is its lag-0 coefficient, and a lag between two taps
+        # wraps to 0 on gamma's array only when the taps coincide
+        rng = np.random.default_rng(seed)
+        n = cfg.n_filter
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wm = f @ f.conj().T / n
+        trace = np.trace(wm).real
+        assert abs(mask_from_filters(wm, cfg).mean() - trace) <= 1e-12 * trace
+
     def test_indefinite_weights_rejected(self):
         # -I is no W = F F^H: its mask is a negative constant, past any clamp
         cfg = LiftingConfig.make(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3))
@@ -223,16 +238,8 @@ class TestNormalOperators:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         x = random_kspace(gamma, 11)
         flat = np.ones(gamma.extents)
-        out = normal_apply_approx(x.values, flat, cfg, 0.0, np.zeros(gamma.extents))
+        out = normal_apply_approx(x.values, flat, cfg)
         assert rel_err(out, x.values) < 1e-12
-
-    def test_zero_mask_leaves_data_term(self):
-        gamma = IndexSet2D.rect(9, 9)
-        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
-        mask = make_mask(gamma, "uniform", 3.0, seed=1)
-        x = random_kspace(gamma, 13)
-        out = normal_apply_approx(x.values, np.zeros(gamma.extents), cfg, 1.0, mask.sampled)
-        assert rel_err(out, mask.sampled * x.values) < 1e-13
 
     @pytest.mark.parametrize("weighting", ["identity", "gradient"])
     def test_approx_matches_dense_dft_assembly(self, weighting):
@@ -246,15 +253,12 @@ class TestNormalOperators:
             g = gram_matrix(x, cfg)
             eps = 1e-2 * np.linalg.eigvalsh(g)[-1]
             mask = weight_mask(g, eps, 0.0, cfg)
-            smask = make_mask(gamma, "uniform", 2.0, seed=3)
-            lam = 2.5
-            theta = smask.sampled
-            out = normal_apply_approx(x.values, mask, cfg, lam, theta)
+            out = normal_apply_approx(x.values, mask, cfg)
             # independent dense route: explicit DFT matrices
             n1, n2 = gamma.extents
             f1, f2 = dft_matrix(n1), dft_matrix(n2)
             f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2
-            acc = lam * theta * x.values
+            acc = np.zeros_like(x.values)
             for w in cfg.multipliers:
                 grid = embed(w * x.values, gamma, gamma.extents)
                 spatial = f1i @ grid @ f2i.T
@@ -270,11 +274,8 @@ class TestNormalOperators:
         g = gram_matrix(x, cfg)
         w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
         filters = vecs * np.sqrt(_spectral_weights(w, 1e-2 * w[-1], 0.0))
-        smask = make_mask(gamma, "uniform", 2.0, seed=5)
-        lam = 0.7
-        theta = smask.sampled
         m = gamma.extents[0] * gamma.extents[1]
-        r_dense = lam * np.diag(theta.ravel()).astype(complex)
+        r_dense = np.zeros((m, m), dtype=complex)
         for i in range(filters.shape[1]):
             li = np.zeros((cfg.lifted_shape[0], m), dtype=complex)
             for c in range(m):
@@ -282,7 +283,7 @@ class TestNormalOperators:
                 e[c] = 1.0
                 li[:, c] = lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg) @ filters[:, i]
             r_dense += li.conj().T @ li
-        out = normal_apply_exact(x.values, weight_matrix(w, vecs, 1e-2 * w[-1], 0.0), cfg, lam, theta)
+        out = normal_apply_exact(x.values, weight_matrix(w, vecs, 1e-2 * w[-1], 0.0), cfg)
         expect = (r_dense @ x.values.ravel()).reshape(gamma.extents)
         assert rel_err(out, expect) < 1e-9
 
@@ -292,7 +293,7 @@ class TestNormalOperators:
         h = np.zeros((9, 1), dtype=complex)
         h[4, 0] = 1.0
         x = random_kspace(gamma, 23)
-        out = normal_apply_exact(x.values, h @ h.conj().T, cfg, 0.0, np.zeros(gamma.extents))
+        out = normal_apply_exact(x.values, h @ h.conj().T, cfg)
         window = np.zeros(gamma.extents)
         rel = cfg.lambda2.indices - gamma.kmin
         window[rel[:, 0], rel[:, 1]] = 1.0
@@ -301,21 +302,20 @@ class TestNormalOperators:
 
 class TestExactOperatorOracle:
     @settings(max_examples=60, deadline=None)
-    @given(weighted_banks(), st.integers(0, 2**16), st.sampled_from([0.0, 0.7]))
-    def test_matches_per_filter_fft_oracle(self, bank, seed, lam):
+    @given(weighted_banks(), st.integers(0, 2**16))
+    def test_matches_per_filter_fft_oracle(self, bank, seed):
         filters, cfg = bank
         x = random_kspace(cfg.gamma, seed)
-        theta = (np.random.default_rng([seed, 1]).random(cfg.gamma.extents) < 0.5).astype(float)
         wm = filters @ filters.conj().T
-        out = normal_apply_exact(x.values, wm, cfg, lam, theta)
-        expect = lam * theta * x.values
+        out = normal_apply_exact(x.values, wm, cfg)
+        expect = np.zeros_like(x.values)
         for f in filters.T:
             expect = expect + adjoint_apply(apply_filter(x, f, cfg), f, cfg).values
         # relative to a bound on the operator's norm: T^*T is diagonal with
         # entries at most N max|w|^2, and T(x) may vanish (or nearly so) while
         # the FFT oracle still rounds at the scale of x
         lift_sq = cfg.n_filter * max(np.abs(w).max() ** 2 for w in cfg.multipliers)
-        scale = (lam + lift_sq * np.linalg.norm(wm, 2)) * np.linalg.norm(x.values)
+        scale = lift_sq * np.linalg.norm(wm, 2) * np.linalg.norm(x.values)
         assert np.linalg.norm(out - expect) <= 1e-12 * scale
 
 
@@ -327,7 +327,7 @@ class TestCG:
         rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         op = lambda v: (mat @ v.ravel()).reshape(v.shape)
         x, info = cg_solve(op, np.ones(12), rhs, np.zeros_like(rhs), 1e-12, 200)
-        assert info["converged"]
+        assert info["cg_stop_reason"] == "converged"
         assert rel_err(x, np.linalg.solve(mat, rhs)) < 1e-10
 
     def test_quadratic_objective_decreases(self):
@@ -361,20 +361,30 @@ class TestCG:
         op = lambda v: v
         x, info = cg_solve(op, np.ones(5), np.zeros(5), np.ones(5), 1e-10, 10)
         assert np.allclose(x, 0.0)
-        assert info["converged"]
-        assert info["stop_reason"] == "converged"
+        assert info["cg_stop_reason"] == "converged"
 
     def test_indefinite_operator_reports_stop_reason(self):
         x, info = cg_solve(lambda v: -v, np.ones(5), np.ones(5), np.zeros(5), 1e-10, 10)
-        assert not info["converged"]
-        assert info["stop_reason"] == "indefinite"
-        assert info["iterations"] == 0
+        assert info["cg_stop_reason"] == "indefinite"
+        assert info["cg_iters"] == 0
 
     def test_iteration_cap_reports_stop_reason(self):
         mat = np.diag(np.arange(1.0, 9.0))
         _, info = cg_solve(lambda v: mat @ v, np.ones(8), np.ones(8), np.zeros(8), 1e-14, 2)
-        assert info["stop_reason"] == "max_iter"
-        assert info["iterations"] == 2
+        assert info["cg_stop_reason"] == "max_iter"
+        assert info["cg_iters"] == 2
+
+    @pytest.mark.parametrize("op, rhs, maxiter, reason", [
+        (lambda v: 2.0 * v, np.ones(5), 10, "converged"),
+        (lambda v: np.arange(1.0, 6.0) * v, np.ones(5), 2, "max_iter"),
+        (lambda v: -v, np.ones(5), 10, "indefinite"),
+        (lambda v: v, np.zeros(5), 10, "converged"),
+    ], ids=["converged", "capped", "indefinite", "zero-rhs"])
+    def test_info_is_keyed_by_record_fields(self, op, rhs, maxiter, reason):
+        # giraf_solve builds each record from the info dict as it stands
+        _, info = cg_solve(op, np.ones(5), rhs, np.zeros(5), 1e-14, maxiter)
+        assert info["cg_stop_reason"] == reason
+        assert set(info) <= {f.name for f in dataclasses.fields(IterationRecord)}
 
     def test_stops_on_the_unpreconditioned_residual(self):
         # a badly scaled diagonal makes the preconditioned residual D^-1 r
@@ -387,9 +397,9 @@ class TestCG:
         tol = 1e-6
         x, info = cg_solve(lambda v: mat @ v, np.diag(mat).real, rhs, np.zeros(30), tol, 500)
         true_rel = np.linalg.norm(rhs - mat @ x) / np.linalg.norm(rhs)
-        assert info["converged"] and info["iterations"] > 1
+        assert info["cg_stop_reason"] == "converged" and info["cg_iters"] > 1
         assert true_rel <= tol
-        assert info["relative_residual"] == pytest.approx(true_rel, rel=1e-3)
+        assert info["cg_residual"] == pytest.approx(true_rel, rel=1e-3)
 
     def test_start_within_tol_still_cuts_its_residual(self):
         # a warm start already within tol ||rhs|| must not return unchanged
@@ -402,9 +412,9 @@ class TestCG:
         tol = 1e-3
         assert r0 <= tol * np.linalg.norm(rhs)
         x, info = cg_solve(lambda v: mat @ v, np.diag(mat), rhs, x0, tol, 100)
-        assert info["converged"] and info["iterations"] >= 1
+        assert info["cg_stop_reason"] == "converged" and info["cg_iters"] >= 1
         assert np.linalg.norm(rhs - mat @ x) <= CG_RESIDUAL_CUT * r0
-        assert info["start_residual"] == pytest.approx(r0 / np.linalg.norm(rhs), rel=1e-6)
+        assert info["cg_start_residual"] == pytest.approx(r0 / np.linalg.norm(rhs), rel=1e-6)
 
 
 def dense_matrix(op, extents):
@@ -414,24 +424,23 @@ def dense_matrix(op, extents):
 
 
 def random_normal_problem(cfg, seed, definite):
-    """Both normal operators, with their diagonals, for a random positive
-    definite weight matrix, lam and sampling pattern.  If ``definite``, the
-    pattern also samples every row the lifting leaves empty (DC under
-    gradient weighting), which makes both operators positive definite."""
+    """A data term lam P for a random lam and sampling pattern, and both
+    annihilation terms, with their diagonals, for a random positive definite
+    weight matrix.  If ``definite``, the pattern also samples every row the
+    lifting leaves empty (DC under gradient weighting), which makes both
+    systems, lam P plus a term, positive definite."""
     rng = np.random.default_rng(seed)
     n = cfg.n_filter
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     wm = f @ f.conj().T / n
     theta = (rng.random(cfg.gamma.extents) < 0.5).astype(float)
     if definite:
-        theta[normal_diag_exact(wm, cfg, 0.0, theta) == 0.0] = 1.0
-    lam = float(rng.uniform(0.1, 10.0))
+        theta[normal_diag_exact(wm, cfg) == 0.0] = 1.0
+    data = float(rng.uniform(0.1, 10.0)) * theta
     mask = mask_from_filters(wm, cfg)
-    return {
-        "approximate": (lambda v: normal_apply_approx(v, mask, cfg, lam, theta),
-                        normal_diag_approx(mask, cfg, lam, theta)),
-        "exact": (lambda v: normal_apply_exact(v, wm, cfg, lam, theta),
-                  normal_diag_exact(wm, cfg, lam, theta)),
+    return data, {
+        "approximate": (lambda v: normal_apply_approx(v, mask, cfg), normal_diag_approx(wm, cfg)),
+        "exact": (lambda v: normal_apply_exact(v, wm, cfg), normal_diag_exact(wm, cfg)),
     }
 
 
@@ -448,7 +457,7 @@ class TestJacobiDiagonal:
         rng = np.random.default_rng(seed)
         n = cfg.n_filter
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        diag = normal_diag_exact(f @ f.conj().T, cfg, 1.0, np.zeros(cfg.gamma.extents))
+        diag = normal_diag_exact(f @ f.conj().T, cfg)
         empty = np.argwhere(diag <= 0) + cfg.gamma.kmin
         has_dc = cfg.gamma.contains(IndexSet2D.rect(1, 1))
         assert empty.tolist() == ([[0, 0]] if cfg.weighting == "gradient" and has_dc else [])
@@ -456,8 +465,9 @@ class TestJacobiDiagonal:
     @settings(max_examples=30, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_equals_dense_diagonal(self, cfg, seed):
-        for op, diag in random_normal_problem(cfg, seed, definite=False).values():
-            dense = np.diag(dense_matrix(op, cfg.gamma.extents))
+        _, terms = random_normal_problem(cfg, seed, definite=False)
+        for term, diag in terms.values():
+            dense = np.diag(dense_matrix(term, cfg.gamma.extents))
             assert np.abs(diag.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @settings(max_examples=30, deadline=None)
@@ -467,20 +477,25 @@ class TestJacobiDiagonal:
         # differ by at most 2 tol ||rhs|| / lambda_min(A)
         tol = 1e-8
         rhs = random_kspace(cfg.gamma, seed + 1).values
-        for op, diag in random_normal_problem(cfg, seed, definite=True).values():
+        data, terms = random_normal_problem(cfg, seed, definite=True)
+        for term, term_diag in terms.values():
+            op = lambda v: data * v + term(v)
+            diag = data + term_diag
             lam_min = np.linalg.eigvalsh(dense_matrix(op, cfg.gamma.extents))[0]
             x0 = np.zeros_like(rhs)
             maxiter = 20 * rhs.size
             x_pcg, info_pcg = cg_solve(op, diag, rhs, x0, tol, maxiter)
             x_cg, info_cg = cg_solve(op, np.ones(rhs.shape), rhs, x0, tol, maxiter)
-            assert info_pcg["converged"] and info_cg["converged"]
+            assert info_pcg["cg_stop_reason"] == info_cg["cg_stop_reason"] == "converged"
             bound = 2 * tol * np.linalg.norm(rhs) / lam_min
             assert np.linalg.norm(x_pcg - x_cg) <= 1.01 * bound
 
 
-def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
+def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor, condensed=False):
     """Dense reference for one IRLS iteration: dense weight matrix from the
-    Gram eigen-decomposition, dense normal equations, direct solve."""
+    Gram eigen-decomposition, dense normal equations, direct solve.  The
+    annihilation term is the dense lifting's or, if ``condensed``, the
+    matrix of ``normal_apply_approx`` on the mask of the same weights."""
     gamma = cfg_lift.gamma
     m = gamma.extents[0] * gamma.extents[1]
     x0 = zero_fill(b, mask).values
@@ -490,12 +505,15 @@ def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor):
     eps = eps0_factor * w[-1]
     alpha = (np.maximum(w, 0.0) + eps) ** (p / 2.0 - 1.0)
     wm = (vecs * alpha) @ vecs.conj().T
-    # dense normal matrix R[a, b] = <T(e_a), T(e_b) W> from the lifted basis
-    basis = np.stack([lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg_lift)
-                      for e in np.eye(m)])
-    theta = mask.sampled.ravel()
-    r_dense = lam * np.diag(theta).astype(complex)
-    r_dense += basis.conj().reshape(m, -1) @ (basis @ wm).reshape(m, -1).T
+    if condensed:
+        cmask = mask_from_filters(wm, cfg_lift)
+        term = dense_matrix(lambda v: normal_apply_approx(v, cmask, cfg_lift), gamma.extents)
+    else:
+        # dense normal matrix R[a, b] = <T(e_a), T(e_b) W> from the lifted basis
+        basis = np.stack([lift_dense(KSpaceArray(gamma, e.reshape(gamma.extents)), cfg_lift)
+                          for e in np.eye(m)])
+        term = basis.conj().reshape(m, -1) @ (basis @ wm).reshape(m, -1).T
+    r_dense = lam * np.diag(mask.sampled.ravel()) + term
     rhs = lam * x0.ravel()
     return np.linalg.solve(r_dense, rhs).reshape(gamma.extents)
 
@@ -548,6 +566,20 @@ class TestGirafSolve:
         rec, rep = giraf_solve(b, mask, lifting, cfg)
         tol = 1e-6 if operator == "exact" else 0.2
         assert rel_err(rec.values, dense) < tol
+
+    def test_one_iteration_matches_dense_condensed_solve(self):
+        # approximate mode solves lam P plus the condensed term, assembled in
+        # giraf_solve; the direct solve of that dense system is its oracle
+        gamma = IndexSet2D.rect(16, 16)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
+        truth = random_kspace(gamma, 41)
+        mask = make_mask(gamma, "uniform", 1.5, seed=7)
+        b = sample_kspace(truth, mask)
+        lam, p = 10.0, 1.0
+        dense = brute_force_irls_iteration(b, mask, lifting, p, lam, EPS0_FACTOR, condensed=True)
+        cfg = IRLSConfig(p=p, lam=lam, max_outer=1, cg_tol=1e-13, cg_max=5000)
+        rec, _ = giraf_solve(b, mask, lifting, cfg)
+        assert rel_err(rec.values, dense) < 1e-6
 
     def test_surrogate_nonincreasing_per_iteration(self):
         gamma = IndexSet2D.rect(24, 24)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from slrecon.baselines import SVTConfig, svt_solve
 from slrecon.giraf import CG_RESIDUAL_CUT, IRLSConfig, giraf_solve
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig
@@ -87,3 +88,23 @@ def test_jsonl_shows_the_bound_that_stopped_cg(tmp_path):
         assert 0 < line["cg_start_residual"]
         bound = min(cfg.cg_tol, CG_RESIDUAL_CUT * line["cg_start_residual"])
         assert line["cg_residual"] <= bound
+
+
+def test_stage_times_are_null_where_unmeasured(tmp_path):
+    # SVT's Gram product is inside its decomp_time and it builds no mask, so
+    # it measures no gram_time or mask_time; GIRAF measures all four stages
+    gamma = IndexSet2D.rect(12, 12)
+    lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
+    mask = make_mask(gamma, "uniform", 1.5, seed=13)
+    b = sample_kspace(random_kspace(gamma, 53), mask)
+    _, svt = svt_solve(b, mask, lifting, SVTConfig(threshold=3e-2, max_iter=2))
+    _, giraf = giraf_solve(b, mask, lifting, IRLSConfig(p=1.0, lam=1e4, max_outer=2))
+    times = ("gram_time", "decomp_time", "mask_time", "solve_time")
+    for rep, measured in ((svt, {"decomp_time", "solve_time"}), (giraf, set(times))):
+        path = tmp_path / "report.jsonl"
+        rep.to_jsonl(path)
+        for line in path.read_text().splitlines():
+            rec = json.loads(line, parse_constant=_reject)
+            for name in times:
+                assert (rec[name] is None) == (name not in measured)
+                assert rec[name] is None or rec[name] >= 0.0
