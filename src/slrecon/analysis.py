@@ -70,13 +70,6 @@ def rho2(edge: EdgePolynomial, lambda1: IndexSet2D) -> float:
     return float(np.abs(blocks).sum()) ** 2 / lam_min
 
 
-def rho2_quadratic_form(edge: EdgePolynomial, lambda1: IndexSet2D) -> np.ndarray:
-    """Hermitian matrix Q with Q[k, l] = Fourier coefficient of |grad mu0|^2
-    at k - l, for k, l in lambda1 (a Toeplitz-structured form): the Gram of
-    the zero-padded gradient lifting of the edge coefficients."""
-    return _gradient_form(edge, lambda1)[1]
-
-
 def rho2_rayleigh_search(
     edge: EdgePolynomial, lambda1: IndexSet2D, n_starts: int = 50, refine_steps: int = 200, seed: int = 0
 ) -> float:
@@ -296,10 +289,14 @@ def subspace_check(
 @dataclass
 class PhaseTransitionResult:
     sample_counts: list[int]
-    success_fractions: list[float]
     trials: int
     per_trial: list[list[bool]]
     seeds: list[list[int]]
+
+    @property
+    def success_fractions(self) -> list[float]:
+        """Each level's share of successful trials."""
+        return [sum(level) / self.trials for level in self.per_trial]
 
     def wilson_halfwidth(self, i: int) -> float:
         """Half-width of the 95% Wilson score interval (z = 1.96) of level i's
@@ -347,7 +344,7 @@ def phase_transition(
     lifting = LiftingConfig.make(gamma, lambda1, "gradient")
     truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=oversample), gamma)
     m = len(gamma)
-    fractions, outcomes, seeds = [], [], []
+    outcomes, seeds = [], []
     for li, count in enumerate(sample_counts):
         if not 1 <= count <= m:
             raise ValueError(f"sample count {count} outside 1..{m}")
@@ -363,10 +360,8 @@ def phase_transition(
             level_outcomes.append(bool(err < 1e-3))
         outcomes.append(level_outcomes)
         seeds.append(level_seeds)
-        fractions.append(sum(level_outcomes) / trials)
     return PhaseTransitionResult(
         sample_counts=list(sample_counts),
-        success_fractions=fractions,
         trials=trials,
         per_trial=outcomes,
         seeds=seeds,

@@ -3,7 +3,8 @@ minimal primal-dual total-variation solver.
 
 Each SVT step reads the lifted matrix's singular values and right singular
 vectors from its N×N Gram, not from the tall matrix itself, and rebuilds the
-thresholded matrix from the kept rank only.
+thresholded matrix from the kept rank only; at most three lifted matrices
+are live at once.
 
 These exist for comparison and oracle duty, not performance; SVT refuses
 problems whose dense lifted matrix would be unreasonably large.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2
-from .lifting import KSpaceArray, LiftingConfig, gather, lift_adjoint, lift_dense
+from .lifting import KSpaceArray, LiftingConfig, gather, gram_matrix, lift_adjoint, lift_dense
 from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
 
@@ -97,7 +98,9 @@ def svt_solve(
     Each step takes ``s`` and ``V`` from ``eigh`` of the N×N Gram ``yᴴy``
     (N the filter size) and rebuilds the thresholded matrix from the kept
     rank; ``decomp_time`` covers the Gram product and that ``eigh``.  The
-    threshold's sigma_1 comes from the same Gram of the zero-filled lifting.
+    threshold's sigma_1 comes from ``gram_matrix`` of the zero-filled data.
+    The state is three lifted matrices: the multiplier U, y = T(x) + U in
+    T(x)'s buffer, and the thresholded z, which becomes the next U.
     """
     rows, cols = lifting.lifted_shape
     if rows * cols > DENSE_ENTRY_CAP:
@@ -107,19 +110,20 @@ def svt_solve(
         )
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
-    bfill = zero_fill(b, mask).values
+    zf = zero_fill(b, mask)
+    bfill = zf.values
     sampled = mask.sampled
-    x = bfill.copy()
-    tx = lift_dense(KSpaceArray(lifting.gamma, x), lifting)
-    tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(tx.conj().T @ tx)[-1]))
+    x = bfill  # never written in place
+    tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(gram_matrix(zf, lifting))[-1]))
+    tx = lift_dense(zf, lifting)
     multiplier = np.zeros_like(tx)
-    y = np.empty_like(tx)
     report = SolverReport()
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        np.add(tx, multiplier, out=y)
-        z, s, decomp_time = _threshold(y, tau_abs)
+        tx += multiplier  # y = T(x) + U, in T(x)'s buffer
+        z, s, decomp_time = _threshold(tx, tau_abs)
+        del tx  # y is spent: the new T(x) takes its place
         z -= multiplier
         x_new = delift(z, lifting).values
         # data-consistency step; it also fixes the DC entry the gradient

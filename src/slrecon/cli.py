@@ -1,13 +1,14 @@
 """Command-line entry points: phantom generation, recovery and theory
 validation, all reproducible from an emitted manifest.
 
-Every run writes ``manifest.json`` holding its command line as ``argv``,
-every option spelt out (``--out`` aside) and every input file by its
-absolute path, so it replays from any directory; ``slrecon rerun manifest.json
---out DIR`` parses that line with the parser ``main`` uses and replays it
-bit-exactly (timings aside), refusing a line that the parser refuses or
-that this version would not write.  Exit codes: 0 success, 1 invariant
-failure, 2 usage error (including unreadable or malformed input files).
+Every run writes ``manifest.json`` holding its command line as ``argv``:
+each option that took effect (``--out`` aside), input files by absolute
+path and a ``--mask`` run's mask as its own ``mask.json``, so the run
+directory replays from anywhere.  ``slrecon rerun manifest.json --out DIR``
+parses that line with ``main``'s parser and replays it bit-exactly (timings
+aside), refusing a line the parser refuses or this version would not
+write.  Exit codes: 0 success, 1 invariant failure, 2 usage error
+(including unreadable or malformed input files).
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .report import relative_mse, snr_db
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the options parse_extents reads; every other list is comma-separated
 _EXTENT_OPTIONS = ("lambda0", "grid", "filter")
+# the options that draw a mask, which a --mask run ignores
+_MASK_DRAW_OPTIONS = ("scheme", "accel", "mask_seed")
 
 
 def parse_extents(text: str) -> list[int]:
@@ -114,11 +117,12 @@ def _command_line(command: str, params: dict) -> list[str]:
     Each option is one ``--name=value`` entry, so a negative value is not
     read as a flag: an extent ``WxH``, another list comma-joined, a float by
     ``str`` (which round-trips exactly).  An option at ``None`` is left to its
-    ``None`` default; validate's suite is its positional argument.
+    ``None`` default, a ``--mask`` run's line drops the options that draw a
+    mask, and validate's suite is its positional argument.
     """
     line = [command]
     for key, value in params.items():
-        if key == "out" or value is None:
+        if key == "out" or value is None or (params.get("mask") and key in _MASK_DRAW_OPTIONS):
             continue
         if isinstance(value, list):
             value = ("x" if key in _EXTENT_OPTIONS else ",").join(map(str, value))
@@ -225,6 +229,8 @@ def cmd_recover(params: dict) -> int:
         "samples": int(np.count_nonzero(mask.sampled)),
     }
     fileio.write_json(out / "summary.json", summary)
+    if params.get("mask"):  # the run's own copy replays it once the input is gone
+        params = {**params, "mask": os.path.abspath(out / "mask.json")}
     _write_manifest(out, "recover", params, outputs)
     print(f"recover[{solver}]: SNR {snr:.2f} dB, MSE {mse:.3e}, {wall:.1f} s")
     return 0

@@ -105,14 +105,6 @@ def _axis_phases(k: np.ndarray, n: int, offset: float) -> np.ndarray:
     return np.exp(2j * np.pi * (np.multiply.outer(m, k) % n) / n)
 
 
-def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate the polynomial at arbitrary points in [0,1)^2 (direct sum)."""
-    pts = np.atleast_2d(points)
-    phases = np.exp(2j * np.pi * (pts @ edge.lambda0.indices.T.astype(float)))
-    vals = phases @ edge.coeffs.ravel()
-    return vals.real
-
-
 @dataclass(frozen=True)
 class Phantom:
     """Piecewise-constant image: one amplitude per sign region of the edge set."""

@@ -5,6 +5,15 @@ from hypothesis import strategies as st
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
 from slrecon.lifting import KSpaceArray, LiftingConfig
+from slrecon.phantom import EdgePolynomial
+
+
+def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
+    """The edge polynomial's values at arbitrary points in [0,1)^2, by the
+    direct sum over its coefficients: an oracle for ``rasterize_mu``."""
+    pts = np.atleast_2d(points)
+    phases = np.exp(2j * np.pi * (pts @ edge.lambda0.indices.T.astype(float)))
+    return (phases @ edge.coeffs.ravel()).real
 
 
 def random_kspace(gamma: IndexSet2D, seed: int) -> KSpaceArray:

@@ -11,18 +11,19 @@ from slrecon.phantom import (
     random_edge_polynomial,
 )
 from slrecon.analysis import (
+    _gradient_form,
     dirichlet_gram,
     numerical_rank,
     phase_transition,
     rho1_estimate,
     rho2,
-    rho2_quadratic_form,
     rho2_rayleigh_search,
     subspace_check,
     zero_set_points,
 )
 from slrecon.report import snr_db
-from slrecon.phantom import mu_values_at
+
+from conftest import mu_values_at
 
 
 class TestNumericalRank:
@@ -144,7 +145,7 @@ class TestLagHelpers:
         for lam0 in ((3, 3), (5, 3), (3, 1)):
             edge = random_edge_polynomial(IndexSet2D.rect(*lam0), seed=6)
             ref = quadratic_form_loop(edge, lambda1)
-            q = rho2_quadratic_form(edge, lambda1)
+            q = _gradient_form(edge, lambda1)[1]
             assert np.abs(q - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -166,7 +167,7 @@ class TestRho2:
         # for the DC-only filter the Rayleigh quotient is the full gradient
         # energy; check the Q entry against a direct fine-raster integral
         edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=12)
-        q = rho2_quadratic_form(edge, IndexSet2D.rect(1, 1))
+        q = _gradient_form(edge, IndexSet2D.rect(1, 1))[1]
         n = 512
         u = np.arange(n) / n
         grad2 = np.zeros((n, n))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,25 @@ class TestSVT:
         b = np.zeros(np.count_nonzero(mask.sampled))
         with pytest.raises(ValueError, match="giraf"):
             svt_solve(b, mask, lifting, SVTConfig())
+
+    def test_holds_three_lifted_matrices(self):
+        # the splitting's state is U, T(x) + U in T(x)'s buffer and the
+        # thresholded z; a one-step warm-up builds the lifting's cached
+        # geometry, which outlives the solve
+        gamma = IndexSet2D.rect(33, 33)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(7, 7), "gradient")
+        mask = make_mask(gamma, "uniform", 1.5, seed=0)
+        b = sample_kspace(random_kspace(gamma, 1), mask)
+        svt_solve(b, mask, lifting, SVTConfig(max_iter=1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            svt_solve(b, mask, lifting, SVTConfig(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows, cols = lifting.lifted_shape
+        assert peak < 4 * rows * cols * np.dtype(np.complex128).itemsize
 
     def test_deterministic(self):
         gamma = IndexSet2D.rect(16, 16)

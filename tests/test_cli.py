@@ -242,6 +242,23 @@ class TestRecoverCmd:
             assert list(fileio.read_json(out / "mask.json")) == ["gamma", "indices"]
         assert (out2 / "mask.json").read_bytes() == (out1 / "mask.json").read_bytes()
 
+    def test_mask_run_replays_from_its_own_directory(self, phantom_dir, tmp_path):
+        # a --mask run's line names the run's own mask.json and none of the
+        # options that draw a mask, so it replays once the input file is gone
+        drawn, out, replay = tmp_path / "drawn", tmp_path / "run", tmp_path / "replay"
+        base = ["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
+                "--tv-iters", "5"]
+        assert run([*base, "--accel", "1.5", "--mask-seed", "4", "--out", drawn]) == 0
+        copy = tmp_path / "m.json"
+        shutil.copy(drawn / "mask.json", copy)
+        assert run([*base, "--mask", copy, "--out", out]) == 0
+        copy.unlink()
+        argv = fileio.read_json(out / "manifest.json")["argv"]
+        assert f"--mask={os.path.abspath(out / 'mask.json')}" in argv
+        assert not [e for e in argv if e.startswith(("--scheme=", "--accel=", "--mask-seed="))]
+        assert rerun(out / "manifest.json", replay) == 0
+        assert (replay / "recovered.ksar").read_bytes() == (out / "recovered.ksar").read_bytes()
+
     def test_mask_for_another_grid_exits_two(self, phantom_dir, tmp_path, capsys):
         from slrecon.grid import IndexSet2D
         from slrecon.phantom import make_mask
@@ -546,7 +563,7 @@ class TestValidateCmd:
 
         def record(*a, **kw):
             seen.update(kw)
-            return PhaseTransitionResult([289], [1.0], 1, [[True]], [[0]])
+            return PhaseTransitionResult([289], 1, [[True]], [[0]])
 
         monkeypatch.setattr(cli, "phase_transition", record)
         out = tmp_path / "phase"

@@ -11,12 +11,13 @@ from slrecon.phantom import (
     dirac_fourier,
     kspace_of_image,
     make_mask,
-    mu_values_at,
     phantom_fourier,
     random_edge_polynomial,
     rasterize_mu,
     sample_kspace,
 )
+
+from conftest import mu_values_at
 
 
 def sin_x_edge() -> EdgePolynomial:
