@@ -227,6 +227,7 @@ def cmd_recover(params: dict) -> int:
         "mse": mse,
         "wall_time_s": wall,
         "samples": int(np.count_nonzero(mask.sampled)),
+        "converged": None if report is None else report.converged,  # tv and zerofill report none
     }
     fileio.write_json(out / "summary.json", summary)
     if params.get("mask"):  # the run's own copy replays it once the input is gone

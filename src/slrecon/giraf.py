@@ -1,7 +1,11 @@
 """Iteratively reweighted annihilating-filter solver.
 
-Each outer iteration eigen-decomposes the lifting's Gram matrix into the
-IRLS weight matrix W = V diag(alpha) V^H, then solves the weighted
+Each outer iteration turns the lifting's Gram matrix G into the IRLS weight
+matrix W = (G + eps I)^(p/2 - 1).  At p > 0 that takes the eigen-
+decomposition, W = V diag(alpha) V^H; at p = 0 (the log-det weights) W is
+the inverse (G + eps I)^-1, formed from a Cholesky factor with no
+eigenvectors, and only the first iteration reads the spectrum, for the
+largest eigenvalue that scales eps.  Then it solves the weighted
 least-squares system (lam P + A_W) x = lam P^T b by conjugate gradients, P
 the sampling indicator.  ``giraf_solve`` assembles that system, adding
 lam P to the annihilation term A_W once; the operator functions below
@@ -40,9 +44,12 @@ EXACT = "exact"
 
 
 # the first smoothing level, and the floor of its geometric decay, relative
-# to the largest Gram eigenvalue at the initialization (scale-free)
+# to the largest Gram eigenvalue at the initialization (scale-free); the floor
+# is the p = 0 Cholesky's round-off margin: the phantom Grams' negative
+# round-off eigenvalues reach -3.6e-16 lambda_max (129^2 grid, 15^2 filter),
+# far inside it, so G + eps I stays positive definite
 EPS0_FACTOR = 1e-2
-EPS_MIN_FACTOR = 1e-15
+EPS_MIN_FACTOR = 1e-12
 # the most a CG solve may leave of its starting residual, whatever cg_tol
 # allows: a warm start within cg_tol ||rhs|| still takes real steps
 CG_RESIDUAL_CUT = 0.1
@@ -100,6 +107,27 @@ def weight_matrix(eigenvalues: np.ndarray, vectors: np.ndarray, eps: float, p: f
         raise ValueError("eps must be positive")
     alpha = _spectral_weights(eigenvalues, eps, p)
     return (vectors * alpha) @ vectors.conj().T
+
+
+def log_det_weights(gram: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """The p = 0 IRLS weight matrix W = (G + eps I)^-1 and its penalty,
+    without eigenvectors.
+
+    With the Cholesky factor G + eps I = L L^H, W = L^-H L^-1 is a Gram
+    product, so it is PSD by construction, and the log-det penalty
+    sum_i log sqrt(lambda_i + eps) = log det(G + eps I) / 2 is
+    sum_i log L_ii.  A factorization that breaks down (G + eps I not
+    numerically positive definite) raises ValueError.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    try:
+        chol = np.linalg.cholesky(gram + eps * np.eye(len(gram)))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"Cholesky of the Gram plus eps I broke down at eps {eps:.3e}: "
+                         f"{exc}") from None
+    linv = np.linalg.inv(chol)
+    return linv.conj().T @ linv, float(np.log(np.diag(chol).real).sum())
 
 
 def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -241,13 +269,14 @@ def giraf_solve(
 ) -> tuple[KSpaceArray, SolverReport]:
     """Recover k-space data on gamma from samples on the mask's sampled indices.
 
-    Alternates the Gram eigen-decomposition / mask update with a CG solve of
-    the (approximate or exact) normal equations, on a geometrically decaying
-    smoothing schedule.  CG non-convergence is recorded (the record's
-    ``cg_stop_reason``) and iteration continues from the last iterate; any
-    NaN is a hard error.  A solve that takes no CG iteration (its start
-    already exact, or its first direction indefinite) changes nothing, so its
-    record reads ``cg_iters`` 0 and it never counts as convergence.
+    Alternates the weight update (the Gram, its decomposition, the mask)
+    with a CG solve of the (approximate or exact) normal equations, on a
+    geometrically decaying smoothing schedule.  CG non-convergence is
+    recorded (the record's ``cg_stop_reason``) and iteration continues from
+    the last iterate; any NaN is a hard error.  A solve that takes no CG
+    iteration (its start already exact, or its first direction indefinite)
+    changes nothing, so its record reads ``cg_iters`` 0 and it never counts
+    as convergence.
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
@@ -263,16 +292,28 @@ def giraf_solve(
         t0 = time.perf_counter()
         gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
         t1 = time.perf_counter()
-        eigenvalues, vectors = np.linalg.eigh(gram)
-        if not np.all(np.isfinite(eigenvalues)):
+        # the spectrum where this iteration measures it: every iteration at
+        # p > 0, whose weights need the eigenvectors, and at p = 0 only the
+        # first, since eps is scaled by lambda_max
+        spectrum = None
+        if cfg.p > 0:
+            spectrum, vectors = np.linalg.eigh(gram)
+        elif eps is None:
+            spectrum = np.linalg.eigvalsh(gram)
+        if spectrum is not None and not np.all(np.isfinite(spectrum)):
             raise ValueError("non-finite eigenvalues in Gram matrix")
-        t2 = time.perf_counter()
-        lam_max = float(eigenvalues[-1])
         if eps is None:
-            scale = lam_max if lam_max > 0 else 1.0
+            scale = float(spectrum[-1]) if spectrum[-1] > 0 else 1.0
             eps = EPS0_FACTOR * scale
             eps_min = EPS_MIN_FACTOR * scale
-        wm = weight_matrix(eigenvalues, vectors, eps, cfg.p)
+        # decomp_time ends after the eigh at p > 0, and after W at p = 0
+        if cfg.p > 0:
+            t2 = time.perf_counter()
+            wm = weight_matrix(spectrum, vectors, eps, cfg.p)
+            penalty = schatten_penalty(np.sqrt(np.maximum(spectrum, 0.0) + eps), cfg.p)
+        else:
+            wm, penalty = log_det_weights(gram, eps)
+            t2 = time.perf_counter()
         if cfg.operator == APPROXIMATE:
             mask_fn = mask_from_filters(wm, lifting)
             term = lambda v: normal_apply_approx(v, mask_fn, lifting)
@@ -291,9 +332,10 @@ def giraf_solve(
         # spectrum is what the decomposition just produced); change and MSE
         # below describe the iterate it returns
         data_res = mask.sampled * x - b_fill
-        sigmas = np.sqrt(np.maximum(eigenvalues, 0.0) + eps)
-        penalty = schatten_penalty(sigmas, cfg.p)
         data_fit = 0.5 * cfg.lam * float(np.linalg.norm(data_res) ** 2)
+        sigma_min = sigma_max = None
+        if spectrum is not None:
+            sigma_min, sigma_max = np.sqrt(np.maximum(spectrum[[0, -1]], 0.0)).tolist()
 
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
         rec = IterationRecord(
@@ -302,8 +344,8 @@ def giraf_solve(
             penalty=penalty,
             data_fit=data_fit,
             eps=eps,
-            sigma_max=float(np.sqrt(max(lam_max, 0.0))),
-            sigma_min=float(np.sqrt(max(float(eigenvalues[0]), 0.0))),
+            sigma_max=sigma_max,
+            sigma_min=sigma_min,
             **cg_info,
             change=change,
             gram_time=t1 - t0,

@@ -131,7 +131,7 @@ class LiftingConfig:
     def n_out(self) -> int:
         return len(self.lambda2)
 
-    @property
+    @cached_property
     def lifted_shape(self) -> tuple[int, int]:
         return (len(self.multipliers) * self.n_out, self.n_filter)
 

@@ -41,8 +41,10 @@ class IterationRecord:
     penalty: float | None = None
     data_fit: float | None = None
     eps: float | None = None
+    # read from a Gram, where the iteration decomposes one (GIRAF at p = 0
+    # only on its first); sigma_min is unresolved below about sqrt(eps)·sigma_max
     sigma_max: float | None = None
-    sigma_min: float | None = None  # read from a Gram, unresolved below about sqrt(eps)·sigma_max
+    sigma_min: float | None = None
     cg_iters: int | None = None
     cg_start_residual: float | None = None  # ||r0|| / ||rhs||, the residual CG started from
     cg_residual: float | None = None

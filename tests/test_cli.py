@@ -282,6 +282,23 @@ class TestRecoverCmd:
             assert rec["eps"] is None and rec["surrogate_end"] is None
             assert rec["mse_vs_reference"] >= 0
 
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_giraf_records_the_spectrum_it_measures(self, phantom_dir, tmp_path, p):
+        # at p = 0 the weights come from a Cholesky factor, and only the first
+        # iteration reads the Gram's spectrum (for eps); at p = 1 every one does
+        out = tmp_path / "giraf"
+        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--filter", "5x5",
+                    "--p", p, "--max-iter", "4", "--out", out])
+        assert code == 0
+        first, *rest = read_strict(out / "report.jsonl")
+        assert len(rest) == 3
+        for rec in [first] + (rest if p == "1" else []):
+            assert rec["sigma_max"] >= rec["sigma_min"] >= 0
+        if p == "0":
+            assert all(r["sigma_max"] is None and r["sigma_min"] is None for r in rest)
+        for rec in [first, *rest]:
+            assert rec["decomp_time"] > 0 and rec["mask_time"] > 0
+
 
 def _reject(token):
     raise ValueError(f"not strict JSON: {token}")
@@ -339,6 +356,20 @@ class TestRunOutputs:
         manifests = [fileio.read_json(d / "manifest.json") for d in (out1, out2)]
         assert manifests[0]["argv"] == manifests[1]["argv"]
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
+    @pytest.mark.parametrize("args, converged", [
+        (["--solver", "giraf", "--filter", "5x5", "--max-iter", "2"], False),
+        (["--solver", "giraf", "--filter", "5x5", "--max-iter", "40"], True),
+        (["--solver", "svt", "--filter", "5x5", "--max-iter", "2"], False),
+        (["--solver", "tv", "--tv-iters", "5"], None),
+        (["--solver", "zerofill"], None),
+    ], ids=["giraf-capped", "giraf-converged", "svt", "tv", "zerofill"])
+    def test_summary_states_convergence(self, phantom_dir, tmp_path, args, converged):
+        # the solver report's verdict; tv and zerofill write no report
+        out = tmp_path / "run"
+        assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", *args,
+                    "--out", out]) == 0
+        assert read_strict(out / "summary.json")[0]["converged"] is converged
 
     def test_exact_recovery_writes_null_snr(self, phantom_dir, tmp_path):
         out = tmp_path / "full"

@@ -19,9 +19,11 @@ from slrecon.report import IterationRecord, snr_db
 from slrecon.giraf import (
     CG_RESIDUAL_CUT,
     EPS0_FACTOR,
+    EPS_MIN_FACTOR,
     IRLSConfig,
     cg_solve,
     giraf_solve,
+    log_det_weights,
     mask_from_filters,
     normal_apply_approx,
     normal_apply_exact,
@@ -154,6 +156,54 @@ class TestWeightMatrix:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps"):
             weight_matrix(np.ones(2), np.eye(2), 0.0, 1.0)
+
+
+class TestLogDetWeights:
+    """The p = 0 weights by Cholesky against the eigen-decomposition's.
+
+    Both are backward-stable inverses of G + eps I, so beyond the 1e-10 the
+    comparison allows where the Gram has full rank, they may differ by about
+    N u lambda_max / eps (u the unit round-off): a rank-deficient Gram's
+    null-space eigenvalues are only resolved to about N u lambda_max, a
+    relative error of that size in (lambda + eps)^-1."""
+
+    @staticmethod
+    def gram_and_spectrum(cfg, seed):
+        gram = gram_matrix(random_kspace(cfg.gamma, seed), cfg)
+        return gram, np.linalg.eigh(gram)
+
+    @staticmethod
+    def round_off(gram, lam_max, eps):
+        return len(gram) * np.finfo(float).eps * lam_max / eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16), st.sampled_from([1e-2, 1e-6, 1e-12]))
+    def test_equals_eigen_weights(self, cfg, seed, factor):
+        gram, (w, vecs) = self.gram_and_spectrum(cfg, seed)
+        eps = factor * w[-1]
+        wm, _ = log_det_weights(gram, eps)
+        assert rel_err(wm, weight_matrix(w, vecs, eps, 0.0)) <= (
+            1e-10 + self.round_off(gram, w[-1], eps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16), st.sampled_from([1e-2, 1e-6, 1e-8]))
+    def test_penalty_is_log_penalty(self, cfg, seed, factor):
+        # sum log diag(L) = sum_i log sqrt(lambda_i + eps); each term may move
+        # by the round-off above, so it bounds the sum's absolute error
+        gram, (w, _) = self.gram_and_spectrum(cfg, seed)
+        eps = factor * w[-1]
+        _, penalty = log_det_weights(gram, eps)
+        expected = schatten_penalty(np.sqrt(np.maximum(w, 0.0) + eps), 0.0)
+        assert abs(penalty - expected) <= (
+            1e-9 * abs(expected) + self.round_off(gram, w[-1], eps))
+
+    def test_breakdown_names_eps(self):
+        with pytest.raises(ValueError, match="broke down at eps 1.000e-03"):
+            log_det_weights(-np.eye(3, dtype=complex), 1e-3)
+
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            log_det_weights(np.eye(2, dtype=complex), 0.0)
 
 
 def dft_matrix(n):
@@ -580,6 +630,44 @@ class TestGirafSolve:
         cfg = IRLSConfig(p=p, lam=lam, max_outer=1, cg_tol=1e-13, cg_max=5000)
         rec, _ = giraf_solve(b, mask, lifting, cfg)
         assert rel_err(rec.values, dense) < 1e-6
+
+    @pytest.mark.parametrize("operator", ["exact", "approximate"])
+    def test_one_iteration_at_p0_matches_brute_force(self, operator):
+        # the Cholesky weights against the dense step's eigen-decomposition:
+        # the exact operator against the dense lifting, the condensed one
+        # against the dense matrix of its own term
+        gamma = IndexSet2D.rect(16, 16)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
+        truth = random_kspace(gamma, 41)
+        mask = make_mask(gamma, "uniform", 1.5, seed=7)
+        b = sample_kspace(truth, mask)
+        lam = 10.0
+        dense = brute_force_irls_iteration(b, mask, lifting, 0.0, lam, EPS0_FACTOR,
+                                           condensed=operator == "approximate")
+        cfg = IRLSConfig(p=0.0, lam=lam, operator=operator, max_outer=1,
+                         cg_tol=1e-13, cg_max=5000)
+        rec, _ = giraf_solve(b, mask, lifting, cfg)
+        assert rel_err(rec.values, dense) < 1e-6
+
+    def test_p0_smoothing_stops_at_its_floor(self):
+        # at decay 2 eps reaches EPS_MIN_FACTOR lambda_max at iteration 35; the
+        # shifted Gram's Cholesky and the mask's non-negativity check must hold
+        # there on a phantom's near-singular Gram (a convergence_tol never met
+        # runs all 45 iterations)
+        gamma = IndexSet2D.rect(17, 17)
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=0)
+        truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
+        mask = make_mask(gamma, "uniform", 2.0, seed=0)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(5, 5), "gradient")
+        cfg = IRLSConfig(p=0.0, lam=1e8, max_outer=45, eps_decay=2.0, convergence_tol=1e-300)
+        rec, rep = giraf_solve(sample_kspace(truth, mask), mask, lifting, cfg)
+        floor = EPS_MIN_FACTOR * rep.iterations[0].sigma_max**2
+        eps = np.array([r.eps for r in rep.iterations])
+        assert rep.n_iterations == 45
+        assert eps.min() >= floor * (1 - 1e-12)
+        assert np.count_nonzero(np.isclose(eps, floor, rtol=1e-12, atol=0.0)) == 11
+        assert np.all(np.isfinite(rec.values))
+        assert all(np.isfinite(r.objective) for r in rep.iterations)
 
     def test_surrogate_nonincreasing_per_iteration(self):
         gamma = IndexSet2D.rect(24, 24)
