@@ -17,11 +17,13 @@ if not _RAW_WORKERS.strip().isdecimal() or int(_RAW_WORKERS) < 1:
 WORKERS = int(_RAW_WORKERS)
 
 
-def fft2(a, axes=(-2, -1)):
-    """FFT over ``axes`` (the last two by default; one axis gives a 1-D FFT)."""
-    return scipy.fft.fft2(a, axes=axes, workers=WORKERS)
+def fft2(a, axes=(-2, -1), s=None):
+    """FFT over ``axes`` (the last two by default; one axis gives a 1-D FFT).
+    ``s`` gives the transform's length per axis: ``a`` is zero-padded at the
+    end of an axis to it (or cropped), as in ``scipy.fft``."""
+    return scipy.fft.fft2(a, s=s, axes=axes, workers=WORKERS)
 
 
-def ifft2(a, axes=(-2, -1)):
+def ifft2(a, axes=(-2, -1), s=None):
     """Inverse FFT over ``axes``, as ``fft2``."""
-    return scipy.fft.ifft2(a, axes=axes, workers=WORKERS)
+    return scipy.fft.ifft2(a, s=s, axes=axes, workers=WORKERS)

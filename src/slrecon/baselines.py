@@ -117,7 +117,7 @@ def svt_solve(
     tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(gram_matrix(zf, lifting))[-1]))
     tx = lift_dense(zf, lifting)
     multiplier = np.zeros_like(tx)
-    report = SolverReport()
+    report = SolverReport(converged=None)  # a fixed step count: nothing to converge
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()

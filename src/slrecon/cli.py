@@ -227,7 +227,8 @@ def cmd_recover(params: dict) -> int:
         "mse": mse,
         "wall_time_s": wall,
         "samples": int(np.count_nonzero(mask.sampled)),
-        "converged": None if report is None else report.converged,  # tv and zerofill report none
+        # null where there is no stopping test: svt's report says so, tv and zerofill write none
+        "converged": None if report is None else report.converged,
     }
     fileio.write_json(out / "summary.json", summary)
     if params.get("mask"):  # the run's own copy replays it once the input is gone

@@ -12,10 +12,12 @@ lam P to the annihilation term A_W once; the operator functions below
 return A_W alone, and W is the only weight representation they read.  The
 default term condenses W into a single spatial sum-of-squares mask, built
 from the lag sums of W with one inverse FFT, and costs 2 FFTs per
-application and weighting block; both work on gamma's array, the lifting's
-only grid.  The exact term is the definition, the gradient T^*(T(x) W) of
-(1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept for validation
-and small grids, and holds the memory of ``lift_dense``.
+application and weighting block.  It stays the circular convolution on
+gamma's array; only its FFT length changes (``LiftingConfig.mask_shape``):
+the transforms compute the linear convolution on a fast length, folded
+back onto gamma's array.  The exact term is the definition, the gradient
+T^*(T(x) W) of (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept
+for validation and small grids, and holds the memory of ``lift_dense``.
 
 CG is Jacobi-preconditioned by lam P plus the diagonal of the term in use,
 read from W at no cost beyond its diagonal or trace.  The stopping
@@ -53,6 +55,11 @@ EPS_MIN_FACTOR = 1e-12
 # the most a CG solve may leave of its starting residual, whatever cg_tol
 # allows: a warm start within cg_tol ||rhs|| still takes real steps
 CG_RESIDUAL_CUT = 0.1
+# the most rows a triangular inverse hands to np.linalg.inv whole, chosen so
+# that small Grams (N = 25 and 8 in the giraf-exact-small benchmark) keep
+# np.linalg.inv's result bit for bit; no crossover with the blocked form was
+# measured
+TRIANGULAR_BLOCK = 32
 
 
 @dataclass
@@ -126,26 +133,44 @@ def log_det_weights(gram: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Cholesky of the Gram plus eps I broke down at eps {eps:.3e}: "
                          f"{exc}") from None
-    linv = np.linalg.inv(chol)
+    linv = _lower_inverse(chol)
     return linv.conj().T @ linv, float(np.log(np.diag(chol).real).sum())
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by blocks,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: two half-size
+    inverses and two products in place of a general LU solve.  Up to
+    ``TRIANGULAR_BLOCK`` rows it is ``np.linalg.inv``, exactly."""
+    n = len(low)
+    if n <= TRIANGULAR_BLOCK:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv, c_inv = _lower_inverse(low[:h, :h]), _lower_inverse(low[h:, h:])
+    inv = np.zeros_like(low)
+    inv[:h, :h] = a_inv
+    inv[h:, h:] = c_inv
+    inv[h:, :h] = -c_inv @ (low[h:, :h] @ a_inv)
+    return inv
 
 
 def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Sum of squared spatial responses of a filter bank F, sum_j |gamma_j|^2,
-    given through its weight matrix W = F F^H, sampled on gamma's array.
+    given through its weight matrix W = F F^H, sampled on the condensed
+    operator's FFT grid, ``cfg.mask_shape``.
 
     Rows and columns of ``wm`` are aligned with cfg.lambda1.  The mask is the
     trigonometric polynomial whose coefficient at lag d is the lag sum of W,
-    so it is built in the lag domain: the lag sums wrapped onto gamma's array
-    through ``cfg.circular_lags``, the Gram's lag map, then one inverse FFT.
-    Negative rounding within 1e-12 of the maximum is clamped to zero;
-    anything below that is rejected.
+    so it is built in the lag domain: the lag sums wrapped onto the grid
+    through ``cfg.mask_lags``, then one inverse FFT.  Negative rounding
+    within 1e-12 of the maximum is clamped to zero; anything below that is
+    rejected.
     """
     wm = np.asarray(wm, dtype=np.complex128)
     if wm.shape != (cfg.n_filter, cfg.n_filter):
         raise ValueError(f"weight matrix must be {cfg.n_filter} x {cfg.n_filter}")
-    wrapped = scatter_sum(cfg.circular_lags, wm, cfg.gamma.extents)
-    values = (ifft2(wrapped) * len(cfg.gamma)).real
+    wrapped = scatter_sum(cfg.mask_lags, wm, cfg.mask_shape)
+    values = (ifft2(wrapped) * wrapped.size).real
     tiny = 1e-12 * max(float(values.max()), 0.0)
     values[(values < 0.0) & (values >= -tiny)] = 0.0
     if values.min() < 0.0:
@@ -154,13 +179,32 @@ def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
 
 
 def normal_apply_approx(xv: np.ndarray, mask: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """Mask-condensed annihilation term: 2 FFTs per weighting block.
+    """Mask-condensed annihilation term: each weighted block circularly
+    convolved on gamma's array with the mask's lags, by 2 FFTs per block.
 
-    The mask multiplies in the image domain of gamma's array; where gamma
-    sits among the signed indices only modulates that domain, which commutes
-    with the multiply, so no placement is needed.
+    The mask multiplies in the image domain of the ``cfg.mask_shape`` grid;
+    where gamma sits among the signed indices only modulates that domain,
+    which commutes with the multiply, so no placement is needed.  On that
+    grid, at least e + 2f - 2 long along an axis of gamma's extent e, the
+    product is the linear convolution with the lags |d| <= f - 1, which
+    ``_fold`` wraps back onto gamma's array.
     """
-    return sum(w * fft2(mask * ifft2(w * xv)) for w in cfg.multipliers)
+    return sum(w * _fold(fft2(mask * ifft2(w * xv, s=cfg.mask_shape)), cfg)
+               for w in cfg.multipliers)
+
+
+def _fold(lin: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """A linear convolution on ``cfg.mask_shape`` wrapped mod gamma's
+    extents: along each axis (length M, gamma's extent e), the outputs past
+    the end, lin[e:e+f-1], onto [0, f-1), and those before the start,
+    stored last, lin[M-f+1:], onto [e-f+1, e)."""
+    for axis, (e, f) in enumerate(zip(cfg.gamma.extents, cfg.lambda1.extents)):
+        lin = np.moveaxis(lin, axis, 0)
+        out = lin[:e].copy()
+        out[:f - 1] += lin[e:e + f - 1]
+        out[e - f + 1:] += lin[len(lin) - f + 1:]
+        lin = np.moveaxis(out, 0, axis)
+    return lin
 
 
 def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -176,9 +220,9 @@ def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
 
 def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``: trace(W) sum_b w_b^2.  Each
-    block is circulant with the mask's mean on its diagonal, and that mean
-    is the mask's lag-0 coefficient, trace(W): a lag k - l between taps
-    wraps to 0 on gamma's array only at k = l."""
+    block is circulant on gamma's array with the mask's lag-0 coefficient
+    on its diagonal, trace(W): a lag k - l between taps wraps to 0 on
+    gamma's array only at k = l."""
     return np.trace(wm).real * (cfg.multipliers**2).sum(axis=0)
 
 

@@ -22,12 +22,16 @@ as (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular
 Gram (Toeplitz in the circular autocorrelation: one forward FFT per block,
 one inverse in all) minus the row strips' and the column strips' Grams
 (each circular along the other axis, so 1-D FFTs and one small product per
-frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share, the
-rule on the rows [0, f - 1) and the only ones still multiplied out.
+frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share
+(``corner_reads``, the rule on the rows [0, f - 1)), the only ones still
+multiplied out.
 The tests check the rule against an independent oracle, the same maps by
 circular FFT convolution on gamma's array, where the valid outputs are the
-slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  Gamma's array is the
-only grid: the solver's mask and condensed operator work on it too.
+slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  The solver's
+condensed operator is a circular convolution on gamma's array too; only
+its FFT length differs.  ``mask_shape`` is a fast length per axis that
+holds the linear convolution unwrapped, to be folded back onto gamma's
+array; ``mask_lags`` is the lag map on that grid.
 A ``LiftingConfig`` is a function of gamma, lambda1 and the weighting:
 lambda2 is derived from them at construction, not accepted and checked.
 The arrays derived from its geometry are computed on first use and cached
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from ._fft import fft2, ifft2
 from .grid import IndexSet2D, valid_output_set
@@ -156,6 +161,29 @@ class LiftingConfig:
         extents, between taps k and l of lambda1 (the rule on the rows [0, f))."""
         f1, f2 = self.lambda1.extents
         return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.gamma.extents))
+
+    @cached_property
+    def corner_reads(self) -> np.ndarray:
+        """((f1 - 1)(f2 - 1), N) flat offsets into gamma's array of the
+        outputs in both wrapped strips (the rule on the rows [0, f - 1))."""
+        f1, f2 = self.lambda1.extents
+        return _read_only(read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2),
+                                       self.gamma.extents))
+
+    @cached_property
+    def mask_shape(self) -> tuple[int, int]:
+        """FFT grid of the condensed operator, per axis the fast length
+        ``next_fast_len(e + 2f - 2)``, which holds the linear convolution of
+        an axis of e samples with the mask's lags |d| <= f - 1 unwrapped."""
+        return tuple(next_fast_len(e + 2 * f - 2)
+                     for e, f in zip(self.gamma.extents, self.lambda1.extents))
+
+    @cached_property
+    def mask_lags(self) -> np.ndarray:
+        """(N, N) flat offsets into the ``mask_shape`` grid of the lag k - l
+        between taps k and l of lambda1 (``circular_lags`` on that grid)."""
+        f1, f2 = self.lambda1.extents
+        return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.mask_shape))
 
     @cached_property
     def normal_diag(self) -> np.ndarray:
@@ -277,21 +305,20 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
       m2 < f2 - 1) are each circular along the other axis: 1-D FFTs and one
       f x f product per frequency (``_strip_gram``);
     - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips (the read
-      rule on the rows [0, f - 1)), is added back one block at a time, so
-      the lifted matrix is never held whole.
+      rule on the rows [0, f - 1), ``cfg.corner_reads``), is added back one
+      block at a time, so the lifted matrix is never held whole.
 
     The result is symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
     ys = cfg.multipliers * x.values
-    (f1, f2), (e1, e2) = cfg.lambda1.extents, cfg.gamma.extents
+    f1, f2 = cfg.lambda1.extents
     gram = np.take(ifft2((np.abs(fft2(ys)) ** 2).sum(axis=0)), cfg.circular_lags)
     taps = gram.reshape(f1, f2, f1, f2)  # a view: gram[(k1, k2), (l1, l2)]
     taps -= _strip_gram(ys, f1, f2)
     taps -= _strip_gram(ys.swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
-    corner = read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2), (e1, e2))
     for y in ys:
-        t = np.take(y, corner)
+        t = np.take(y, cfg.corner_reads)
         gram += t.conj().T @ t
     gram += gram.conj().T
     gram *= 0.5

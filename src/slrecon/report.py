@@ -62,7 +62,8 @@ class IterationRecord:
 @dataclass
 class SolverReport:
     iterations: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
+    # None where the solver has no stopping test (SVT runs a fixed step count)
+    converged: bool | None = False
 
     @property
     def n_iterations(self) -> int:

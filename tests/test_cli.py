@@ -360,12 +360,13 @@ class TestRunOutputs:
     @pytest.mark.parametrize("args, converged", [
         (["--solver", "giraf", "--filter", "5x5", "--max-iter", "2"], False),
         (["--solver", "giraf", "--filter", "5x5", "--max-iter", "40"], True),
-        (["--solver", "svt", "--filter", "5x5", "--max-iter", "2"], False),
+        (["--solver", "svt", "--filter", "5x5", "--max-iter", "2"], None),
         (["--solver", "tv", "--tv-iters", "5"], None),
         (["--solver", "zerofill"], None),
     ], ids=["giraf-capped", "giraf-converged", "svt", "tv", "zerofill"])
     def test_summary_states_convergence(self, phantom_dir, tmp_path, args, converged):
-        # the solver report's verdict; tv and zerofill write no report
+        # the solver report's verdict; svt runs a fixed step count and tv and
+        # zerofill write no report, so none of them has a verdict
         out = tmp_path / "run"
         assert run(["recover", "--kspace", phantom_dir / "phantom.ksar", *args,
                     "--out", out]) == 0

@@ -21,6 +21,7 @@ from slrecon.giraf import (
     EPS0_FACTOR,
     EPS_MIN_FACTOR,
     IRLSConfig,
+    TRIANGULAR_BLOCK,
     cg_solve,
     giraf_solve,
     log_det_weights,
@@ -31,6 +32,7 @@ from slrecon.giraf import (
     normal_diag_exact,
     schatten_penalty,
     weight_matrix,
+    _lower_inverse,
     _spectral_weights,
 )
 from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
@@ -64,12 +66,15 @@ def weight_mask(gram, eps, p, cfg):
     return mask_from_filters(weight_matrix(w, vecs, eps, p), cfg)
 
 
-def per_filter_mask(filters, cfg):
-    """Oracle: sum_j |size * ifft2(embed f_j)|^2, one filter at a time."""
-    acc = np.zeros(cfg.gamma.extents)
+def per_filter_mask(filters, cfg, shape=None):
+    """Oracle: sum_j |size * ifft2(embed f_j)|^2, one filter at a time, on a
+    grid of ``shape`` (the condensed operator's, ``cfg.mask_shape``, by
+    default)."""
+    shape = cfg.mask_shape if shape is None else shape
+    acc = np.zeros(shape)
     for f in np.asarray(filters).T:
-        g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, cfg.gamma.extents)
-        acc += np.abs(np.fft.ifft2(g) * len(cfg.gamma)) ** 2
+        g = embed(f.reshape(cfg.lambda1.extents), cfg.lambda1, shape)
+        acc += np.abs(np.fft.ifft2(g) * g.size) ** 2
     return acc
 
 
@@ -130,13 +135,23 @@ class TestLagDomainMask:
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_mean_is_trace(self, cfg, seed):
         # the mask's mean is its lag-0 coefficient, and a lag between two taps
-        # wraps to 0 on gamma's array only when the taps coincide
+        # wraps to 0 on the mask's grid only when the taps coincide
         rng = np.random.default_rng(seed)
         n = cfg.n_filter
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         wm = f @ f.conj().T / n
         trace = np.trace(wm).real
         assert abs(mask_from_filters(wm, cfg).mean() - trace) <= 1e-12 * trace
+
+    @pytest.mark.parametrize("extent,filt,length", [
+        (129, 15, 160), (127, 15, 160), (257, 15, 288), (65, 15, 96), (17, 5, 25),
+        (14, 3, 18), (5, 1, 5), (17, 1, 18)])
+    def test_grid_length_rule(self, extent, filt, length):
+        # the fast length next_fast_len(e + 2f - 2), which holds the linear
+        # convolution with the lags |d| <= f - 1 unwrapped; 129 = 3 * 43 is
+        # slow for pocketfft, 160 = 2^5 * 5 is not
+        cfg = LiftingConfig.make(IndexSet2D.rect(extent, 1), IndexSet2D.rect(filt, 1))
+        assert cfg.mask_shape == (length, 1)
 
     def test_indefinite_weights_rejected(self):
         # -I is no W = F F^H: its mask is a negative constant, past any clamp
@@ -197,6 +212,18 @@ class TestLogDetWeights:
         assert abs(penalty - expected) <= (
             1e-9 * abs(expected) + self.round_off(gram, w[-1], eps))
 
+    @pytest.mark.parametrize("n", [1, 32, 33, 225])
+    def test_blocked_inverse_matches_inv(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        low = np.linalg.cholesky(a @ a.conj().T + n * np.eye(n))
+        inv = _lower_inverse(low)
+        if n <= TRIANGULAR_BLOCK:
+            assert np.array_equal(inv, np.linalg.inv(low))
+        else:
+            assert rel_err(inv, np.linalg.inv(low)) <= 1e-12
+            assert not np.triu(inv, 1).any()
+
     def test_breakdown_names_eps(self):
         with pytest.raises(ValueError, match="broke down at eps 1.000e-03"):
             log_det_weights(-np.eye(3, dtype=complex), 1e-3)
@@ -226,7 +253,7 @@ class TestWeightUpdate:
         mask = weight_mask(g, eps, 0.0, cfg)
         w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
         alpha = (np.maximum(w, 0) + eps) ** (-1.0)
-        n1, n2 = gamma.extents
+        n1, n2 = cfg.mask_shape
         u1 = np.arange(n1)
         u2 = np.arange(n2)
         direct = np.zeros((n1, n2))
@@ -287,7 +314,7 @@ class TestNormalOperators:
         gamma = IndexSet2D.rect(9, 9)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
         x = random_kspace(gamma, 11)
-        flat = np.ones(gamma.extents)
+        flat = np.ones(cfg.mask_shape)
         out = normal_apply_approx(x.values, flat, cfg)
         assert rel_err(out, x.values) < 1e-12
 
@@ -295,16 +322,25 @@ class TestNormalOperators:
     def test_approx_matches_dense_dft_assembly(self, weighting):
         # the oracle places gamma at its signed indices mod n; the operator
         # works unplaced on gamma's array, so off-centre and odd-by-even
-        # gammas check that the placement drops out
-        for gamma in (IndexSet2D.rect(16, 16), IndexSet2D.rect(12, 9, offset=(3, -2)),
-                      IndexSet2D.rect(16, 15)):
-            cfg = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), weighting)
+        # gammas check that the placement drops out.  The operator's FFTs run
+        # on a longer grid and fold back, while the oracle samples the mask
+        # on gamma's array itself: odd, even and 1-D filters, and prime
+        # extents, check that the fold leaves the circular convolution there
+        for extents, offset, filt, filt_offset in [
+                ((16, 16), (0, 0), (3, 3), (0, 0)), ((12, 9), (3, -2), (3, 3), (0, 0)),
+                ((16, 15), (0, 0), (3, 3), (0, 0)), ((17, 17), (0, 0), (5, 5), (0, 0)),
+                ((19, 6), (3, -2), (3, 3), (1, -1)), ((43, 1), (0, 0), (7, 1), (0, 0)),
+                ((17, 17), (0, 0), (4, 4), (0, 0))]:
+            gamma = IndexSet2D.rect(*extents, offset=offset)
+            cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt, offset=filt_offset),
+                                     weighting)
             x = random_kspace(gamma, 17)
-            g = gram_matrix(x, cfg)
-            eps = 1e-2 * np.linalg.eigvalsh(g)[-1]
-            mask = weight_mask(g, eps, 0.0, cfg)
+            w, vecs = np.linalg.eigh(gram_matrix(x, cfg))
+            filters = vecs * np.sqrt(_spectral_weights(w, 1e-2 * w[-1], 0.0))
+            mask = mask_from_filters(filters @ filters.conj().T, cfg)
             out = normal_apply_approx(x.values, mask, cfg)
             # independent dense route: explicit DFT matrices
+            mask = per_filter_mask(filters, cfg, gamma.extents)
             n1, n2 = gamma.extents
             f1, f2 = dft_matrix(n1), dft_matrix(n2)
             f1i, f2i = np.conj(f1) / n1, np.conj(f2) / n2

@@ -228,12 +228,13 @@ class TestConfigInvariants:
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         # built on first use, not when the config is made
-        assert "circular_lags" not in vars(cfg) and "normal_diag" not in vars(cfg)
-        assert cfg.circular_lags is cfg.circular_lags
-        assert cfg.normal_diag is cfg.normal_diag
+        lazy = ("circular_lags", "corner_reads", "mask_lags", "normal_diag")
+        assert not set(lazy) & set(vars(cfg))
+        for name in lazy:
+            assert getattr(cfg, name) is getattr(cfg, name)
         assert np.array_equal(cfg.normal_diag, lift_normal_diag(np.ones(cfg.n_filter), cfg))
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
-        for a in (cfg.multipliers, cfg.lift_geometry, cfg.circular_lags, cfg.normal_diag):
+        for a in (cfg.multipliers, cfg.lift_geometry, *(getattr(cfg, name) for name in lazy)):
             assert not a.flags.writeable
 
     @settings(max_examples=60, deadline=None)
