@@ -3,8 +3,8 @@ minimal primal-dual total-variation solver.
 
 Each SVT step reads the lifted matrix's singular values and right singular
 vectors from its N×N Gram, not from the tall matrix itself, and rebuilds the
-thresholded matrix from the kept rank only; at most three lifted matrices
-are live at once.
+thresholded matrix from the kept rank only; SVT carries one lifted matrix
+between steps and at most two are live at once.
 
 These exist for comparison and oracle duty, not performance; SVT refuses
 problems whose dense lifted matrix would be unreasonably large.
@@ -87,20 +87,20 @@ def svt_solve(
 ) -> tuple[KSpaceArray, SolverReport]:
     """Singular value thresholding on the dense lifted matrix.
 
-    Splitting iteration with a running multiplier: soft-threshold the
-    singular values of lift(x) + U, de-lift by the lifting's pseudo-inverse,
-    replace the sampled entries by the data (x <- x - (P x - b)), then
-    update the multiplier.  With this hard data step the fixed point is the
-    data-consistent nuclear norm minimizer for any positive threshold; the
-    threshold (relative to sigma_1 of the zero-filled lifting) only sets the
-    convergence speed.
+    Splitting iteration with a multiplier U: soft-threshold the singular
+    values of y = T(x) + U, de-lift by the lifting's pseudo-inverse, replace
+    the sampled entries by the data (Π_b: x <- x - (P x - b)), update U.
+    With this hard data step the fixed point is the data-consistent nuclear
+    norm minimizer for any positive threshold; the threshold (relative to
+    sigma_1 of the zero-filled lifting) only sets the convergence speed.
 
-    Each step takes ``s`` and ``V`` from ``eigh`` of the N×N Gram ``yᴴy``
-    (N the filter size) and rebuilds the thresholded matrix from the kept
-    rank; ``decomp_time`` covers the Gram product and that ``eigh``.  The
+    U = y - T(x) adds nothing to y, which is the only lifted state.  T^*T is
+    diagonal, so delift(T(x)) is x where ``normal_diag`` > 0 and 0 where it
+    is zero (DC under gradient weighting); with Q = y - S_tau(y), formed in
+    y's buffer, a step is x' = Π_b(x·[normal_diag > 0] - delift(Q)) and
+    y <- Q + T(2x' - x).  At most two lifted matrices are live at once.
+    ``decomp_time`` covers the N×N Gram ``yᴴy`` and its ``eigh``; the
     threshold's sigma_1 comes from ``gram_matrix`` of the zero-filled data.
-    The state is three lifted matrices: the multiplier U, y = T(x) + U in
-    T(x)'s buffer, and the thresholded z, which becomes the next U.
     """
     rows, cols = lifting.lifted_shape
     if rows * cols > DENSE_ENTRY_CAP:
@@ -113,24 +113,22 @@ def svt_solve(
     zf = zero_fill(b, mask)
     bfill = zf.values
     sampled = mask.sampled
+    known = lifting.normal_diag > 0
     x = bfill  # never written in place
     tau_abs = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(gram_matrix(zf, lifting))[-1]))
-    tx = lift_dense(zf, lifting)
-    multiplier = np.zeros_like(tx)
+    y = lift_dense(zf, lifting)  # T(x) + U with U = 0
     report = SolverReport(converged=None)  # a fixed step count: nothing to converge
 
     for n in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        tx += multiplier  # y = T(x) + U, in T(x)'s buffer
-        z, s, decomp_time = _threshold(tx, tau_abs)
-        del tx  # y is spent: the new T(x) takes its place
-        z -= multiplier
-        x_new = delift(z, lifting).values
+        z, s, decomp_time = _threshold(y, tau_abs)
+        y -= z  # Q, in y's buffer
+        del z
+        x_new = known * x - delift(y, lifting).values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
         x_new = x_new - (sampled * x_new - bfill)
-        tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
-        multiplier = np.subtract(tx, z, out=z)  # U + T(x) - Z, in z's buffer
+        y += lift_dense(KSpaceArray(lifting.gamma, 2.0 * x_new - x), lifting)
         solve_time = time.perf_counter() - t0 - decomp_time
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
         data_fit = float(np.linalg.norm(sampled * x_new - bfill) ** 2)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from slrecon.baselines import _threshold, delift
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
-from slrecon.lifting import KSpaceArray, LiftingConfig
-from slrecon.phantom import EdgePolynomial
+from slrecon.lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_dense
+from slrecon.phantom import EdgePolynomial, zero_fill
 
 
 def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
@@ -101,6 +102,33 @@ def adjoint_apply(v: np.ndarray, h: np.ndarray, cfg: LiftingConfig) -> KSpaceArr
     g[:, f1 - 1:, f2 - 1:] = v.reshape(nb, *cfg.lambda2.extents)
     corr = ifft2(fft2(g) * hhat_conj)
     return KSpaceArray(cfg.gamma, (cfg.multipliers * corr).sum(axis=0))
+
+
+def svt_oracle(b, mask, lifting, cfg):
+    """SVT's splitting with its multiplier held apart, an oracle for the
+    one-matrix recurrence in ``svt_solve``: three lifted matrices, U,
+    y = T(x) + U in T(x)'s buffer and the thresholded z, which becomes the
+    next U.  Returns the final iterate and each step's
+    ``(sigma_max, penalty, change)``."""
+    zf = zero_fill(b, mask)
+    bfill, sampled = zf.values, mask.sampled
+    x = bfill
+    tau = cfg.threshold * float(np.sqrt(np.linalg.eigvalsh(gram_matrix(zf, lifting))[-1]))
+    tx = lift_dense(zf, lifting)
+    multiplier = np.zeros_like(tx)
+    records = []
+    for _ in range(cfg.max_iter):
+        tx += multiplier
+        z, s, _ = _threshold(tx, tau)
+        z -= multiplier
+        x_new = delift(z, lifting).values
+        x_new = x_new - (sampled * x_new - bfill)
+        tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
+        multiplier = tx - z
+        change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
+        records.append((s[0], np.maximum(s - tau, 0.0).sum(), change))
+        x = x_new
+    return x, records
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from slrecon.phantom import (
 )
 from slrecon.report import snr_db
 
-from conftest import lifting_configs, random_kspace
+from conftest import lifting_configs, random_kspace, svt_oracle
 
 
 def undetermined(cfg):
@@ -277,12 +277,31 @@ class TestSVT:
         with pytest.raises(ValueError, match="giraf"):
             svt_solve(b, mask, lifting, SVTConfig())
 
-    def test_holds_three_lifted_matrices(self):
-        # the splitting's state is U, T(x) + U in T(x)'s buffer and the
-        # thresholded z; a one-step warm-up builds the lifting's cached
-        # geometry, which outlives the solve
+    @settings(max_examples=40, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16), st.sampled_from([0.0, 3e-2, 0.7, 2.0]))
+    def test_matches_three_matrix_oracle(self, lifting, seed, threshold):
+        # ten steps against the loop that holds U apart; sigma_max and the
+        # penalty are compared on the scale of the first sigma_1, and change,
+        # itself relative to the iterate, absolutely (2.0 keeps no rank, so
+        # the oracle's change can be exactly zero)
+        mask = make_mask(lifting.gamma, "uniform", 1.5, seed=seed)
+        b = sample_kspace(random_kspace(lifting.gamma, seed), mask)
+        cfg = SVTConfig(threshold=threshold, max_iter=10)
+        rec, rep = svt_solve(b, mask, lifting, cfg)
+        expect, records = svt_oracle(b, mask, lifting, cfg)
+        assert rel_err(rec.values, expect) < 1e-10
+        scale = 1e-10 * records[0][0]
+        for it, (sigma_max, penalty, change) in zip(rep.iterations, records, strict=True):
+            assert it.sigma_max == pytest.approx(sigma_max, rel=1e-10, abs=scale)
+            assert it.penalty == pytest.approx(penalty, rel=1e-10, abs=scale)
+            assert it.change == pytest.approx(change, rel=1e-10, abs=1e-10)
+
+    @staticmethod
+    def _peak_in_lifted_matrices(weighting):
+        # a one-step warm-up builds the lifting's cached geometry, which
+        # outlives the solve
         gamma = IndexSet2D.rect(33, 33)
-        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(7, 7), "gradient")
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(7, 7), weighting)
         mask = make_mask(gamma, "uniform", 1.5, seed=0)
         b = sample_kspace(random_kspace(gamma, 1), mask)
         svt_solve(b, mask, lifting, SVTConfig(max_iter=1))
@@ -294,7 +313,18 @@ class TestSVT:
         finally:
             tracemalloc.stop()
         rows, cols = lifting.lifted_shape
-        assert peak < 4 * rows * cols * np.dtype(np.complex128).itemsize
+        return peak / (rows * cols * np.dtype(np.complex128).itemsize)
+
+    def test_holds_three_lifted_matrices(self):
+        # the state is y = T(x) + U; beside it live, one at a time, the
+        # Gram product's conjugate copy of y, the thresholded z, the new lift
+        assert self._peak_in_lifted_matrices("gradient") < 4
+
+    @pytest.mark.parametrize("weighting", ["gradient", "identity"])
+    def test_holds_two_lifted_matrices(self, weighting):
+        # Q = y - S_tau(y) is formed in y's buffer and the new lift added
+        # to it, so no third lifted matrix is ever live
+        assert self._peak_in_lifted_matrices(weighting) < 3
 
     def test_deterministic(self):
         gamma = IndexSet2D.rect(16, 16)
