@@ -4,18 +4,22 @@ adjoint (``sample_kspace`` and ``zero_fill``).
 
 Fourier coefficients of the piecewise-constant phantoms are computed by
 midpoint-rule quadrature on an oversampled raster (error O(1/oversample));
-the acceptance thresholds downstream are set accordingly.  Each step
-computes only what it reads: the edge polynomial is evaluated one axis at a
-time (two small matrix products, O(e0 n1 n2) for e0 coefficients per
-axis), and the quadrature takes a real-to-complex FFT along the rows, keeps
-gamma's e2 columns and transforms only those down the columns
-(O(n1 n2 log n2 + e2 n1 log n1)); no full-raster 2-D FFT is taken.  Dirac
-streams are exact to rounding.  All randomness flows through counter-based
-Philox generators so results are independent of thread placement.
+the acceptance thresholds downstream are set accordingly.  The raster is
+streamed in blocks of rows and never held whole, so the quadrature's memory
+is O(block + n1 e2) rather than O(n1 n2).  Each step computes only what it
+reads: a block's edge polynomial is evaluated one axis at a time (small
+matrix products, O(e0 n1 n2) in all for e0 coefficients per axis), and the
+quadrature takes an FFT along the block's rows (real to complex, as scipy
+runs it on real input), keeps gamma's e2 columns and, once all blocks are
+in, transforms only those down the columns (O(n1 n2 log n2 + e2 n1 log n1));
+no full-raster 2-D FFT is taken.  Dirac streams are exact to rounding.  All
+randomness flows through counter-based Philox generators so results are
+independent of thread placement.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,10 @@ import numpy as np
 from ._fft import fft2
 from .grid import IndexSet2D, int_pair, is_int, json_field
 from .lifting import KSpaceArray
+
+# Raster entries per block of the phantom quadrature: the raster is
+# evaluated and row-transformed this many entries at a time, never whole.
+QUADRATURE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,7 @@ class EdgePolynomial:
         if np.allclose(c, 0.0):
             raise ValueError("edge polynomial must not be identically zero")
         sym = _conj_reflect(self.lambda0, c)
-        if sym is None or not np.allclose(c, sym, atol=1e-12 * max(1.0, np.abs(c).max())):
+        if sym is None or not np.allclose(c, sym, rtol=0, atol=1e-12 * max(1.0, np.abs(c).max())):
             raise ValueError("coefficients must satisfy c[-k] == conj(c[k])")
 
     def to_json_dict(self) -> dict:
@@ -121,40 +129,61 @@ class Phantom:
         if not all(np.isfinite(self.region_values)):
             raise ValueError("region amplitudes must be finite")
 
-    def rasterize(self, gamma_extents: tuple[int, int]) -> np.ndarray:
-        """Indicator raster on the oversampled midpoint grid."""
-        shape = (self.oversample * gamma_extents[0], self.oversample * gamma_extents[1])
-        mu = rasterize_mu(self.edge, shape, offset=0.5)
-        a_pos, a_neg = self.region_values
-        return np.where(mu > 0, a_pos, a_neg)
 
-
-def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
-    """Fourier coefficients of a [0,1)^2 image sampled at pixel midpoints.
+def _quadrature(rows_of: Callable[[int, int], np.ndarray], shape: tuple[int, int],
+                gamma: IndexSet2D) -> KSpaceArray:
+    """Fourier coefficients on gamma of an (n1, n2) raster over [0,1)^2
+    sampled at pixel midpoints, read a block of rows at a time: ``rows_of(i,
+    j)`` returns the raster's rows [i, j), about QUADRATURE_BLOCK entries.
 
     Midpoint-rule quadrature of the Fourier integral; the half-pixel offset
     is compensated with the matching phase so the estimate is second order
     in the grid spacing away from discontinuities.
 
-    Computes only gamma's coefficients: a 1-D FFT along the rows (real to
-    complex for a real raster), gamma's columns ``r2 % n2`` kept, then a 1-D
-    FFT down those e2 columns alone and gamma's rows ``r1 % n1`` kept, so
-    O(n1 n2 log n2 + e2 n1 log n1) work in place of a full 2-D FFT.  Indices
-    wrap mod the raster as a gather off the 2-D FFT would, also for a gamma
-    wider than the image.
+    Each block takes a 1-D FFT along its rows (scipy runs it real to complex
+    on a real raster) and keeps gamma's columns ``r2 % n2`` in an (n1, e2)
+    buffer; then a 1-D FFT down those e2 columns alone, and gamma's rows
+    ``r1 % n1`` kept.  So the work is O(n1 n2 log n2 + e2 n1 log n1) and the
+    memory O(block + n1 e2): no full-raster array or 2-D FFT.  Indices wrap mod the raster as a gather
+    off the 2-D FFT would, also for a gamma wider than the raster.
     """
-    n1, n2 = img.shape
+    n1, n2 = shape
     r1, r2 = gamma.axis_ranges()
-    cols = fft2(img, axes=(-1,))[:, r2 % n2]
+    cols = np.empty((n1, len(r2)), dtype=np.complex128)
+    h = max(1, QUADRATURE_BLOCK // n2)
+    for i in range(0, n1, h):
+        cols[i:i + h] = fft2(rows_of(i, i + h), axes=(-1,))[:, r2 % n2]
     vals = fft2(cols, axes=(0,))[r1 % n1] / (n1 * n2)
     ph1 = np.exp(-1j * np.pi * r1 / n1)
     ph2 = np.exp(-1j * np.pi * r2 / n2)
     return KSpaceArray(gamma, vals * ph1[:, None] * ph2[None, :])
 
 
+def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
+    """Fourier coefficients of a [0,1)^2 image sampled at pixel midpoints,
+    by the streamed quadrature (``_quadrature``) over the image's rows."""
+    return _quadrature(lambda i, j: img[i:j], img.shape, gamma)
+
+
 def phantom_fourier(ph: Phantom, gamma: IndexSet2D) -> KSpaceArray:
-    """Quadrature Fourier samples of the phantom on gamma."""
-    return kspace_of_image(ph.rasterize(gamma.extents), gamma)
+    """Quadrature Fourier samples of the phantom on gamma, from its raster on
+    the ``oversample``-times finer midpoint grid (the region value on each
+    midpoint's side of the edge set's zero level), made a block of rows at
+    a time and never held whole.
+
+    A block's polynomial values are ``E1[i:j] @ (coeffs @ E2^T)`` in the
+    notation of ``rasterize_mu``, of which only the real part is formed, as
+    one real product of the stacked real and imaginary parts: the
+    coefficients are conjugate-symmetric, which ``EdgePolynomial`` checks,
+    so the imaginary part is rounding.
+    """
+    shape = (ph.oversample * gamma.extents[0], ph.oversample * gamma.extents[1])
+    r1, r2 = ph.edge.lambda0.axis_ranges()
+    rows = _axis_phases(r1, shape[0], 0.5)
+    cols = ph.edge.coeffs @ _axis_phases(r2, shape[1], 0.5).T
+    left, right = np.hstack([rows.real, -rows.imag]), np.vstack([cols.real, cols.imag])
+    a_pos, a_neg = ph.region_values
+    return _quadrature(lambda i, j: np.where(left[i:j] @ right > 0, a_pos, a_neg), shape, gamma)
 
 
 def dirac_fourier(locations, amps, gamma: IndexSet2D) -> KSpaceArray:

@@ -224,6 +224,20 @@ class TestLogDetWeights:
             assert rel_err(inv, np.linalg.inv(low)) <= 1e-12
             assert not np.triu(inv, 1).any()
 
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, 225])
+    def test_weights_are_the_inverse_factor_gram(self, n):
+        # W = Linv^H Linv by triangular blocks: the plain product itself up
+        # to TRIANGULAR_BLOCK rows
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gram, eps = a @ a.conj().T, 1e-2 * n
+        wm, _ = log_det_weights(gram, eps)
+        linv = _lower_inverse(np.linalg.cholesky(gram + eps * np.eye(n)))
+        if n <= TRIANGULAR_BLOCK:
+            assert np.array_equal(wm, linv.conj().T @ linv)
+        else:
+            assert rel_err(wm, linv.conj().T @ linv) <= 1e-12
+
     def test_breakdown_names_eps(self):
         with pytest.raises(ValueError, match="broke down at eps 1.000e-03"):
             log_det_weights(-np.eye(3, dtype=complex), 1e-3)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from slrecon import phantom
 from slrecon.grid import IndexSet2D, predicted_rank
 from slrecon.lifting import KSpaceArray, LiftingConfig, embed, gather, lift_dense
 from slrecon.phantom import (
@@ -34,6 +37,15 @@ class TestEdgePolynomial:
         c[0, 0] = 1.0  # c[(-1,-1)] set without its mirror
         with pytest.raises(ValueError, match="conj"):
             EdgePolynomial(lam0, c)
+
+    def test_rejects_slightly_asymmetric_coeffs(self):
+        # the phantom's quadrature keeps only the polynomial's real part, so
+        # the symmetry check has no relative slack: an asymmetry of 1e-7 of
+        # the largest coefficient is refused
+        c = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1).coeffs.copy()
+        c[0, 1] += 1e-7 * np.abs(c).max()
+        with pytest.raises(ValueError, match="conj"):
+            EdgePolynomial(IndexSet2D.rect(3, 3), c)
 
     def test_json_roundtrip(self):
         edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1)
@@ -165,6 +177,46 @@ class TestAxisWiseKernels:
             ks = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
             oracle = kspace_of_image_oracle(np.where(region, 1.0, 0.0), gamma)
             assert rel_err(ks.values, oracle) < 1e-12, seed
+
+
+class TestStreamedQuadrature:
+    # the quadrature runs over blocks of raster rows; a block of 1000 entries
+    # splits these rasters into many blocks, the last one partial
+    @pytest.mark.parametrize("block", [phantom.QUADRATURE_BLOCK, 1000], ids=["default", "small"])
+    @pytest.mark.parametrize("gamma, oversample, support, values", [
+        (IndexSet2D.rect(65, 33), 5, (3, 3), (1.0, 0.0)),
+        (IndexSet2D.rect(64, 1), 8, (3, 1), (1.0, 0.0)),
+        (IndexSet2D.rect(33, 33, offset=(2, -1)), 4, (3, 3), (0.8, -2.5)),
+    ], ids=["65x33-partial-blocks", "1-D-64x1", "region-values"])
+    def test_phantom_matches_full_raster(self, monkeypatch, block, gamma, oversample, support, values):
+        monkeypatch.setattr(phantom, "QUADRATURE_BLOCK", block)
+        edge = random_edge_polynomial(IndexSet2D.rect(*support), seed=4)
+        shape = (oversample * gamma.extents[0], oversample * gamma.extents[1])
+        img = np.where(rasterize_mu_oracle(edge, shape, offset=0.5) > 0, *values)
+        ks = phantom_fourier(Phantom(edge, values, oversample=oversample), gamma)
+        assert rel_err(ks.values, kspace_of_image_oracle(img, gamma)) < 1e-12
+
+    def test_image_in_blocks_matches_full_fft_gather(self, monkeypatch):
+        monkeypatch.setattr(phantom, "QUADRATURE_BLOCK", 100)
+        rng = np.random.default_rng(8)
+        img = rng.standard_normal((41, 30)) + 1j * rng.standard_normal((41, 30))
+        gamma = IndexSet2D.rect(9, 16, offset=(1, -2))
+        assert rel_err(kspace_of_image(img, gamma).values, kspace_of_image_oracle(img, gamma)) < 1e-12
+
+    @pytest.mark.parametrize("grid", [129, 255])
+    def test_peak_below_one_float64_raster(self, grid):
+        # the raster is streamed: only a block of rows and gamma's columns
+        # of it are held, never the (8 grid)^2 raster itself
+        ph = Phantom(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=11), oversample=8)
+        gamma = IndexSet2D.rect(grid, grid)
+        phantom_fourier(ph, gamma)
+        tracemalloc.start()
+        try:
+            phantom_fourier(ph, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 * grid) ** 2 * 8
 
 
 class TestPhantomFourier:
