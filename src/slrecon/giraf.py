@@ -30,7 +30,6 @@ cuts its own starting residual r0 at least tenfold however loose cg_tol is.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +90,13 @@ class IRLSConfig:
 
 
 def schatten_penalty(sigmas, p: float) -> float:
-    """(1/p) sum sigma_i^p for p in (0, 1]; sum log sigma_i at p = 0."""
+    """(1/p) sum sigma_i^p for p in (0, 1]; at p = 0 the (log-det) penalty
+    comes from ``log_det_weights``."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p}")
     s = np.asarray(sigmas, dtype=float)
     if (s < 0).any():
         raise ValueError("singular values must be non-negative")
-    if p == 0.0:
-        if (s == 0.0).any():
-            warnings.warn("zero singular value in log penalty; returning -inf", RuntimeWarning)
-            return float("-inf")
-        return float(np.log(s).sum())
     return float((s**p).sum() / p)
 
 
@@ -133,7 +130,8 @@ def log_det_weights(gram: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Cholesky of the Gram plus eps I broke down at eps {eps:.3e}: "
                          f"{exc}") from None
-    return _lower_gram(_lower_inverse(chol)), float(np.log(np.diag(chol).real).sum())
+    linv = _lower_inverse(chol)
+    return linv.conj().T @ linv, float(np.log(np.diag(chol).real).sum())
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -151,24 +149,6 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     inv[h:, h:] = c_inv
     inv[h:, :h] = -c_inv @ (low[h:, :h] @ a_inv)
     return inv
-
-
-def _lower_gram(low: np.ndarray) -> np.ndarray:
-    """L^H L of a lower-triangular L, by the blocks of ``_lower_inverse``:
-    with L = [[A, 0], [B, C]], L^H L = [[A^H A + B^H B, B^H C], [C^H B, C^H C]],
-    whose diagonal blocks recurse, so about a third of a general product's
-    flops.  Up to ``TRIANGULAR_BLOCK`` rows it is the plain product, exactly."""
-    n = len(low)
-    if n <= TRIANGULAR_BLOCK:
-        return low.conj().T @ low
-    h = n // 2
-    b, c = low[h:, :h], low[h:, h:]
-    out = np.empty_like(low)
-    out[:h, :h] = _lower_gram(low[:h, :h]) + b.conj().T @ b
-    out[h:, :h] = c.conj().T @ b
-    out[:h, h:] = out[h:, :h].conj().T
-    out[h:, h:] = _lower_gram(c)
-    return out
 
 
 def mask_from_filters(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:

@@ -7,14 +7,15 @@ midpoint-rule quadrature on an oversampled raster (error O(1/oversample));
 the acceptance thresholds downstream are set accordingly.  The raster is
 streamed in blocks of rows and never held whole, so the quadrature's memory
 is O(block + n1 e2) rather than O(n1 n2).  Each step computes only what it
-reads: a block's edge polynomial is evaluated one axis at a time (small
-matrix products, O(e0 n1 n2) in all for e0 coefficients per axis), and the
-quadrature takes an FFT along the block's rows (real to complex, as scipy
-runs it on real input), keeps gamma's e2 columns and, once all blocks are
-in, transforms only those down the columns (O(n1 n2 log n2 + e2 n1 log n1));
-no full-raster 2-D FFT is taken.  Dirac streams are exact to rounding.  All
-randomness flows through counter-based Philox generators so results are
-independent of thread placement.
+reads: one evaluator gives the edge polynomial's real values on any block of
+raster rows, one axis at a time (small real matrix products, O(e0 n1 n2) in
+all for e0 coefficients per axis), and ``rasterize_mu`` is its call on all
+rows.  The quadrature takes an FFT along the block's rows (real to complex,
+as scipy runs it on real input), keeps gamma's e2 columns and, once all
+blocks are in, transforms only those down the columns (O(n1 n2 log n2 +
+e2 n1 log n1)); no full-raster 2-D FFT is taken.  Dirac streams are exact
+to rounding.  All randomness flows through counter-based Philox generators
+so results are independent of thread placement.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ class EdgePolynomial:
         if c.shape != self.lambda0.extents:
             raise ValueError("coefficient shape does not match support extents")
         object.__setattr__(self, "coeffs", c)
-        if np.allclose(c, 0.0):
+        if not np.isfinite(c).all():
+            raise ValueError("edge polynomial coefficients must be finite")
+        if not c.any():
             raise ValueError("edge polynomial must not be identically zero")
         sym = _conj_reflect(self.lambda0, c)
-        if sym is None or not np.allclose(c, sym, rtol=0, atol=1e-12 * max(1.0, np.abs(c).max())):
+        if sym is None or not np.allclose(c, sym, rtol=0, atol=1e-12 * np.abs(c).max()):
             raise ValueError("coefficients must satisfy c[-k] == conj(c[k])")
 
     def to_json_dict(self) -> dict:
@@ -89,21 +92,29 @@ def _conj_reflect(iset: IndexSet2D, c: np.ndarray) -> np.ndarray | None:
 def rasterize_mu(edge: EdgePolynomial, shape: tuple[int, int], offset: float = 0.0) -> np.ndarray:
     """Sample the polynomial on the uniform (n1, n2) grid over [0,1)^2.
     ``offset`` shifts the sample points by a fraction of a pixel per axis
-    (0.5 = midpoints).
+    (0.5 = midpoints).  No FFT is taken, so any grid size is allowed; see
+    ``_mu_rows``."""
+    return _mu_rows(edge, shape, offset)(0, shape[0])
 
-    Evaluated one axis at a time as ``(E1 @ coeffs) @ E2``, with
-    ``E1[m, k1] = exp(2 pi i k1 (m + offset) / n1)`` and
-    ``E2[k2, m] = exp(2 pi i k2 (m + offset) / n2)``: O(n1 e1 e2 + n1 e2 n2)
-    work for e1 x e2 coefficients, and no FFT, so any grid size is allowed.
+
+def _mu_rows(edge: EdgePolynomial, shape: tuple[int, int],
+             offset: float) -> Callable[[int, int], np.ndarray]:
+    """The polynomial's values on the rows [i, j) of the (n1, n2) grid of
+    ``rasterize_mu``, as ``rows_of(i, j)``.
+
+    The values are ``E1[i:j] @ (coeffs @ E2^T)``, evaluated one axis at a
+    time with ``E1[m, k1] = exp(2 pi i k1 (m + offset) / n1)`` and
+    ``E2[m, k2] = exp(2 pi i k2 (m + offset) / n2)``: O(n1 e1 e2 + n1 e2 n2)
+    work for e1 x e2 coefficients.  Only the real part is formed, as one
+    real product of the stacked real and imaginary parts: the coefficients
+    are conjugate-symmetric, which ``EdgePolynomial`` checks, so the
+    imaginary part is rounding.
     """
     r1, r2 = edge.lambda0.axis_ranges()
     rows = _axis_phases(r1, shape[0], offset)
-    cols = _axis_phases(r2, shape[1], offset)
-    vals = (rows @ edge.coeffs) @ cols.T
-    scale = max(np.abs(vals).max(), 1e-300)
-    if np.abs(vals.imag).max() > 1e-10 * scale:
-        raise ValueError("edge polynomial raster has non-negligible imaginary part")
-    return vals.real
+    cols = edge.coeffs @ _axis_phases(r2, shape[1], offset).T
+    left, right = np.hstack([rows.real, -rows.imag]), np.vstack([cols.real, cols.imag])
+    return lambda i, j: left[i:j] @ right
 
 
 def _axis_phases(k: np.ndarray, n: int, offset: float) -> np.ndarray:
@@ -159,31 +170,15 @@ def _quadrature(rows_of: Callable[[int, int], np.ndarray], shape: tuple[int, int
     return KSpaceArray(gamma, vals * ph1[:, None] * ph2[None, :])
 
 
-def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
-    """Fourier coefficients of a [0,1)^2 image sampled at pixel midpoints,
-    by the streamed quadrature (``_quadrature``) over the image's rows."""
-    return _quadrature(lambda i, j: img[i:j], img.shape, gamma)
-
-
 def phantom_fourier(ph: Phantom, gamma: IndexSet2D) -> KSpaceArray:
     """Quadrature Fourier samples of the phantom on gamma, from its raster on
     the ``oversample``-times finer midpoint grid (the region value on each
     midpoint's side of the edge set's zero level), made a block of rows at
-    a time and never held whole.
-
-    A block's polynomial values are ``E1[i:j] @ (coeffs @ E2^T)`` in the
-    notation of ``rasterize_mu``, of which only the real part is formed, as
-    one real product of the stacked real and imaginary parts: the
-    coefficients are conjugate-symmetric, which ``EdgePolynomial`` checks,
-    so the imaginary part is rounding.
-    """
+    a time by ``_mu_rows`` and never held whole."""
     shape = (ph.oversample * gamma.extents[0], ph.oversample * gamma.extents[1])
-    r1, r2 = ph.edge.lambda0.axis_ranges()
-    rows = _axis_phases(r1, shape[0], 0.5)
-    cols = ph.edge.coeffs @ _axis_phases(r2, shape[1], 0.5).T
-    left, right = np.hstack([rows.real, -rows.imag]), np.vstack([cols.real, cols.imag])
+    mu = _mu_rows(ph.edge, shape, 0.5)
     a_pos, a_neg = ph.region_values
-    return _quadrature(lambda i, j: np.where(left[i:j] @ right > 0, a_pos, a_neg), shape, gamma)
+    return _quadrature(lambda i, j: np.where(mu(i, j) > 0, a_pos, a_neg), shape, gamma)
 
 
 def dirac_fourier(locations, amps, gamma: IndexSet2D) -> KSpaceArray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from slrecon import phantom
 from slrecon.baselines import _threshold, delift
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
@@ -15,6 +16,18 @@ def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(points)
     phases = np.exp(2j * np.pi * (pts @ edge.lambda0.indices.T.astype(float)))
     return (phases @ edge.coeffs.ravel()).real
+
+
+def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
+    """Fourier coefficients of a [0,1)^2 image sampled at pixel midpoints,
+    by the phantom's streamed quadrature over the image's rows."""
+    return phantom._quadrature(lambda i, j: img[i:j], img.shape, gamma)
+
+
+def log_penalty(sigmas) -> float:
+    """The p = 0 (log-det) penalty sum_i log sigma_i: an oracle for the
+    penalty of ``log_det_weights``."""
+    return float(np.log(np.asarray(sigmas, dtype=float)).sum())
 
 
 def random_kspace(gamma: IndexSet2D, seed: int) -> KSpaceArray:

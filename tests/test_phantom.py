@@ -12,7 +12,6 @@ from slrecon.phantom import (
     SamplingMask,
     add_noise,
     dirac_fourier,
-    kspace_of_image,
     make_mask,
     phantom_fourier,
     random_edge_polynomial,
@@ -20,7 +19,7 @@ from slrecon.phantom import (
     sample_kspace,
 )
 
-from conftest import mu_values_at
+from conftest import kspace_of_image, mu_values_at
 
 
 def sin_x_edge() -> EdgePolynomial:
@@ -46,6 +45,30 @@ class TestEdgePolynomial:
         c[0, 1] += 1e-7 * np.abs(c).max()
         with pytest.raises(ValueError, match="conj"):
             EdgePolynomial(IndexSet2D.rect(3, 3), c)
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 2.0**-30])
+    def test_any_scale_is_accepted_and_gives_the_same_phantom(self, scale):
+        # scaling by a power of two is exact, so the raster keeps every sign
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1)
+        small = EdgePolynomial(edge.lambda0, edge.coeffs * scale)
+        gamma = IndexSet2D.rect(17, 17)
+        assert np.array_equal(phantom_fourier(Phantom(small), gamma).values,
+                              phantom_fourier(Phantom(edge), gamma).values)
+
+    def test_asymmetry_is_relative_to_the_coefficients(self):
+        c = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1).coeffs * 2.0**-20
+        c[0, 1] += 1e-7 * np.abs(c).max()
+        with pytest.raises(ValueError, match="conj"):
+            EdgePolynomial(IndexSet2D.rect(3, 3), c)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_coeffs(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EdgePolynomial(IndexSet2D.rect(3, 1), np.array([[bad], [1.0], [bad]]))
+
+    def test_rejects_zero_coeffs(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            EdgePolynomial(IndexSet2D.rect(3, 1), np.zeros((3, 1)))
 
     def test_json_roundtrip(self):
         edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=1)
@@ -109,7 +132,9 @@ class TestRasterizeMu:
 
 # The full-raster formulations the phantom kernels replaced, kept as oracles:
 # the polynomial by a zero-padded inverse FFT over the whole raster, and the
-# quadrature by a gather off the image's full 2-D FFT.
+# quadrature by a gather off the image's full 2-D FFT.  ``rasterize_mu`` is
+# the one evaluator that ``phantom_fourier`` also reads, a block of rows at a
+# time.
 
 
 def rasterize_mu_oracle(edge: EdgePolynomial, shape, offset=0.0) -> np.ndarray:
