@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2
+from .grid import is_int
 from .lifting import KSpaceArray, LiftingConfig, gather, gram_matrix, lift_adjoint, lift_dense
 from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
@@ -35,8 +36,8 @@ class SVTConfig:
     def __post_init__(self):
         if not self.threshold >= 0:  # NaN fails too
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (is_int(self.max_iter) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 def delift(X: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:

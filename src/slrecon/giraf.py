@@ -18,9 +18,15 @@ the transforms compute the linear convolution on a fast length, folded
 back onto gamma's array.  The exact term is the definition, the gradient
 T^*(T(x) W) of (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept
 for validation and small grids, and holds the memory of ``lift_dense``.
+Per CG step it gathers the iterate once through ``lift_geometry``, with
+no ``KSpaceArray`` check (``giraf_solve`` refuses a non-finite iterate),
+and scatters the product back with ``lift_adjoint``.
 
 CG is Jacobi-preconditioned by lam P plus the diagonal of the term in use,
-read from W at no cost beyond its diagonal or trace.  The stopping
+read from W at no cost beyond its diagonal or trace.  It updates only its
+own buffers (x, r, z and p) in place: what the operator returns and its
+own arguments are read, never written, and ``giraf_solve``'s operator adds
+lam P v into the term's fresh output.  The stopping
 test stays on the unpreconditioned residual r = rhs - A x, whatever the
 preconditioner: a solve stops once ||r|| <= cg_tol ||rhs|| or
 ||r|| <= CG_RESIDUAL_CUT ||r0||, whichever bound is tighter, so every solve
@@ -35,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .lifting import (KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense,
+from .grid import is_int
+from .lifting import (KSpaceArray, LiftingConfig, _lift, gram_matrix, lift_adjoint,
                       lift_normal_diag, scatter_sum)
 from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
@@ -85,8 +92,10 @@ class IRLSConfig:
             raise ValueError(f"eps_decay must exceed 1, got {self.eps_decay}")
         if self.operator not in (APPROXIMATE, EXACT):
             raise ValueError(f"operator must be '{APPROXIMATE}' or '{EXACT}'")
-        if self.max_outer < 1 or self.cg_max < 1:
-            raise ValueError("iteration caps must be at least 1")
+        for name in ("max_outer", "cg_max"):
+            cap = getattr(self, name)
+            if not (is_int(cap) and cap >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
 def schatten_penalty(sigmas, p: float) -> float:
@@ -210,9 +219,11 @@ def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
     The gradient of (1/2) tr(T(x) W T(x)^H) on the dense lifting, with the
     restriction to the valid output set kept; for W = F F^H it equals the
     sum over the bank's filters f of T^*((T(x) f) f^H), which the tests
-    evaluate filter by filter through an FFT-convolution oracle.
+    evaluate filter by filter through an FFT-convolution oracle.  It runs
+    once per CG step, so ``xv`` is gathered unchecked: ``giraf_solve``
+    refuses a non-finite iterate.
     """
-    return lift_adjoint(lift_dense(KSpaceArray(cfg.gamma, xv), cfg) @ wm, cfg)
+    return lift_adjoint(_lift(xv, cfg) @ wm, cfg)
 
 
 def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
@@ -250,7 +261,9 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     (``surrogate_start``, ``surrogate_end``; monotone for exact arithmetic CG).
     """
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
-    x = x0.copy()
+    # x, r, z and p are this solve's own buffers, updated in place; what op
+    # returns and the arguments are only read
+    x = x0.astype(np.complex128)
     r = rhs - op(x)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
@@ -280,17 +293,18 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
             stop_reason = "indefinite"  # numerically lost positive-definiteness
             break
         alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         rs = np.vdot(r, r).real
         it += 1
         if np.sqrt(rs) <= stop_norm:
             stop_reason = "converged"
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = np.vdot(r, z).real
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     return x, {
         "cg_iters": it,
         "cg_start_residual": start_norm / rhs_norm,
@@ -362,9 +376,14 @@ def giraf_solve(
         else:
             term = lambda v: normal_apply_exact(v, wm, lifting)
             diag = normal_diag_exact(wm, lifting)
+
+        def normal(v):
+            out = term(v)  # a fresh array, so lam P v is added in place
+            out += data * v
+            return out
+
         t3 = time.perf_counter()
-        x_new, cg_info = cg_solve(lambda v: data * v + term(v), data + diag, rhs, x,
-                                  cfg.cg_tol, cfg.cg_max)
+        x_new, cg_info = cg_solve(normal, data + diag, rhs, x, cfg.cg_tol, cfg.cg_max)
         t4 = time.perf_counter()
         if not np.all(np.isfinite(x_new)):
             raise ValueError("solver produced non-finite iterate")

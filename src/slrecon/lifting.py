@@ -214,13 +214,16 @@ def read_offsets(rows: tuple[range, range], taps: tuple[int, int],
 
 def scatter_sum(offsets: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Each value summed onto the entry of a ``shape`` array at its flat
-    offset (the adjoint of reading through ``offsets``): a bincount of the
-    real parts, then one of the imaginary parts when the values are complex."""
+    offset, in input order (the adjoint of reading through ``offsets``): a
+    bincount of real values; complex values are added into one complex
+    output by ``np.add.at``, which sums the real and the imaginary parts in
+    that same order and is faster than a bincount of each."""
     # array methods, not np.ravel/np.iscomplexobj: this runs per block on every CG step
     flat, values, size = offsets.ravel(), values.ravel(), shape[0] * shape[1]
-    out = np.bincount(flat, weights=values.real, minlength=size)
-    if values.dtype.kind == "c":
-        out = out + 1j * np.bincount(flat, weights=values.imag, minlength=size)
+    if values.dtype.kind != "c":
+        return np.bincount(flat, weights=values, minlength=size).reshape(shape)
+    out = np.zeros(size, dtype=np.complex128)
+    np.add.at(out, flat, values)
     return out.reshape(shape)
 
 
@@ -240,23 +243,30 @@ def lift_dense(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     Entry ((b, l), k) holds the block-b weighted sample at index l - k.
     """
     _check_input(x, cfg)
-    g = cfg.multipliers * x.values
-    lifted = np.take(g.reshape(len(g), -1), cfg.lift_geometry, axis=1)
-    return lifted.reshape(cfg.lifted_shape)
+    return _lift(x.values, cfg)
+
+
+def _lift(values: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """``lift_dense`` of gamma-shaped complex values, unchecked: one gather
+    of every weighted block through ``cfg.lift_geometry``."""
+    g = cfg.multipliers * values
+    return g.reshape(len(g), -1).take(cfg.lift_geometry, axis=1).reshape(cfg.lifted_shape)
 
 
 def lift_adjoint(X: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Adjoint of x -> lift_dense(x, cfg), as a gamma-shaped array.
 
     Every lifted entry is summed onto the index it reads (``scatter_sum``
-    per block), then weighted by that block's real multiplier.
+    per block), weighted by that block's real multiplier, and each later
+    block is added into the first block's output.
     """
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=np.complex128)
     if X.shape != cfg.lifted_shape:
         raise ValueError(f"lifted matrix shape {X.shape} does not match config")
-    out = np.zeros(cfg.gamma.extents, dtype=np.complex128)
-    for xb, w in zip(X.reshape(len(cfg.multipliers), -1), cfg.multipliers):
-        out += w * scatter_sum(cfg.lift_geometry, xb, cfg.gamma.extents)
+    blocks, geometry = X.reshape(len(cfg.multipliers), -1), cfg.lift_geometry
+    out = cfg.multipliers[0] * scatter_sum(geometry, blocks[0], cfg.gamma.extents)
+    for xb, w in zip(blocks[1:], cfg.multipliers[1:]):
+        out += w * scatter_sum(geometry, xb, cfg.gamma.extents)
     return out
 
 

@@ -6,7 +6,7 @@ from slrecon import phantom
 from slrecon.baselines import _threshold, delift
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
-from slrecon.lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_dense
+from slrecon.lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense
 from slrecon.phantom import EdgePolynomial, zero_fill
 
 
@@ -48,6 +48,23 @@ def lifting_configs(draw):
     shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     gamma = IndexSet2D.rect(g1, g2, offset=draw(shift))
     return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2, offset=draw(shift)), weighting)
+
+
+def exact_apply_oracle(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """The exact annihilation term T^*(T(x) W) through the checked lifting,
+    x wrapped as a ``KSpaceArray``: an oracle for ``normal_apply_exact``,
+    which gathers unchecked."""
+    return lift_adjoint(lift_dense(KSpaceArray(cfg.gamma, xv), cfg) @ wm, cfg)
+
+
+def scatter_oracle(offsets: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Each value added, one at a time in input order, onto a zero array at
+    its flat offset: a float array for real values, complex otherwise.  An
+    oracle for ``scatter_sum``, which must sum in this order."""
+    out = np.zeros(shape[0] * shape[1], dtype=np.complex128 if np.iscomplexobj(values) else float)
+    for offset, value in zip(np.ravel(offsets).tolist(), np.ravel(values).tolist()):
+        out[offset] += value
+    return out.reshape(shape)
 
 
 def conv_oracle(x: KSpaceArray, h: np.ndarray, lambda1: IndexSet2D, out_set: IndexSet2D) -> np.ndarray:

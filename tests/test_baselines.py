@@ -269,6 +269,16 @@ class TestSVT:
         with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
             SVTConfig(threshold=float("nan"))
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True, 0],
+                             ids=["nan", "fraction", "bool", "zero"])
+    def test_non_integer_or_zero_max_iter_rejected(self, value):
+        # a fractional or NaN count would fail in range() mid-solve
+        with pytest.raises(ValueError, match=f"max_iter must be an integer .*, got {value!r}"):
+            SVTConfig(max_iter=value)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert SVTConfig(max_iter=np.int64(3)).max_iter == 3
+
     def test_dense_cap_refuses_large_problems(self):
         gamma = IndexSet2D.rect(513, 513)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(45, 45), "gradient")

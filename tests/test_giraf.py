@@ -39,7 +39,8 @@ from slrecon.giraf import (
 from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
                              random_edge_polynomial, sample_kspace, zero_fill)
 
-from conftest import adjoint_apply, apply_filter, lifting_configs, log_penalty, random_kspace
+from conftest import (adjoint_apply, apply_filter, exact_apply_oracle, lifting_configs, log_penalty,
+                      random_kspace)
 
 
 def rel_err(a, b):
@@ -419,6 +420,21 @@ class TestExactOperatorOracle:
         assert np.linalg.norm(out - expect) <= 1e-12 * scale
 
 
+class TestExactApplyComposition:
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_equals_the_checked_composition(self, cfg, seed):
+        # the unchecked gather changes no bit of the checked lifting's result
+        rng = np.random.default_rng(seed)
+        n = cfg.n_filter
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wm = f @ f.conj().T
+        xv = random_kspace(cfg.gamma, seed + 1).values
+        out = normal_apply_exact(xv, wm, cfg)
+        assert out.dtype == np.complex128 and out.shape == cfg.gamma.extents
+        assert np.array_equal(out, exact_apply_oracle(xv, wm, cfg))
+
+
 class TestCG:
     def test_solves_hermitian_system(self):
         rng = np.random.default_rng(29)
@@ -515,6 +531,33 @@ class TestCG:
         assert info["cg_stop_reason"] == "converged" and info["cg_iters"] >= 1
         assert np.linalg.norm(rhs - mat @ x) <= CG_RESIDUAL_CUT * r0
         assert info["cg_start_residual"] == pytest.approx(r0 / np.linalg.norm(rhs), rel=1e-6)
+
+
+    def test_updates_only_its_own_buffers(self):
+        # CG updates x, r, z and p in place: an op that returns its argument
+        # (the identity, several steps under a diagonal of distinct entries)
+        # or one cached buffer on every call must give what a fresh-returning
+        # op gives, and x0, rhs and diag must come back unchanged
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        mat = a.conj().T @ a + 0.5 * np.eye(12)
+        cached = np.empty(12, dtype=complex)
+
+        def cached_op(v):
+            cached[...] = mat @ v
+            return cached
+
+        rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        x0 = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        diag = rng.uniform(1.0, 4.0, 12)
+        for op, fresh in [(lambda v: v, lambda v: v.copy()), (cached_op, lambda v: mat @ v)]:
+            args = (diag, rhs, x0)
+            kept = [arr.copy() for arr in args]
+            x, info = cg_solve(op, diag, rhs, x0, 1e-12, 100)
+            x_ref, info_ref = cg_solve(fresh, *(arr.copy() for arr in kept), 1e-12, 100)
+            assert info["cg_iters"] > 2 and info["cg_stop_reason"] == "converged"
+            assert np.array_equal(x, x_ref) and info == info_ref
+            assert all(np.array_equal(arr, k) for arr, k in zip(args, kept))
 
 
 def dense_matrix(op, extents):
@@ -795,6 +838,23 @@ class TestGirafSolve:
     def test_nan_setting_names_its_field(self, field):
         with pytest.raises(ValueError, match=f"{field} must .*, got nan"):
             IRLSConfig(**{"p": 1.0, "lam": 1.0, field: float("nan")})
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True], ids=["nan", "fraction", "bool"])
+    @pytest.mark.parametrize("field", ["max_outer", "cg_max"])
+    def test_non_integer_cap_names_its_field(self, field, value):
+        # at cg_max NaN every solve would take no CG step and return the
+        # zero-filled data; a fractional or NaN max_outer fails in range()
+        with pytest.raises(ValueError, match=f"{field} must be an integer .*, got {value!r}"):
+            IRLSConfig(**{"p": 1.0, "lam": 1.0, field: value})
+
+    @pytest.mark.parametrize("field", ["max_outer", "cg_max"])
+    def test_cap_below_one_names_its_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1, got 0"):
+            IRLSConfig(**{"p": 1.0, "lam": 1.0, field: 0})
+
+    @pytest.mark.parametrize("field", ["max_outer", "cg_max"])
+    def test_numpy_integer_cap_accepted(self, field):
+        assert getattr(IRLSConfig(**{"p": 1.0, "lam": 1.0, field: np.int64(3)}), field) == 3
 
     def test_report_fields_populated(self):
         gamma = IndexSet2D.rect(12, 12)

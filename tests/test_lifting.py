@@ -14,9 +14,11 @@ from slrecon.lifting import (
     lift_adjoint,
     lift_dense,
     lift_normal_diag,
+    scatter_sum,
 )
 
-from conftest import adjoint_apply, apply_filter, conv_oracle, lifting_configs, random_kspace
+from conftest import (adjoint_apply, apply_filter, conv_oracle, lifting_configs, random_kspace,
+                      scatter_oracle)
 
 
 def rel_err(a, b):
@@ -134,6 +136,24 @@ class TestLiftAdjoint:
         cfg = LiftingConfig.make(IndexSet2D.rect(5, 5), IndexSet2D.rect(3, 3))
         with pytest.raises(ValueError, match="does not match"):
             lift_adjoint(np.zeros((4, 9)), cfg)
+
+
+class TestScatterSum:
+    @settings(max_examples=40, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_sums_in_input_order(self, cfg, seed):
+        # bit for bit: the exact operator's outputs are checked with
+        # np.array_equal, so the order of the sums is part of the contract;
+        # both maps send many values onto each entry
+        rng = np.random.default_rng(seed)
+        for offsets, shape in ((cfg.lift_geometry, cfg.gamma.extents),
+                               (cfg.mask_lags, cfg.mask_shape)):
+            real = rng.standard_normal(offsets.shape)
+            for values, dtype in ((real, np.float64),
+                                  (real + 1j * rng.standard_normal(offsets.shape), np.complex128)):
+                out = scatter_sum(offsets, values, shape)
+                assert out.dtype == dtype and out.shape == shape
+                assert np.array_equal(out, scatter_oracle(offsets, values, shape))
 
 
 class TestApply:
