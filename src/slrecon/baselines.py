@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import fft2
+from ._fft import fft2, ifft2
 from .grid import is_int
-from .lifting import KSpaceArray, LiftingConfig, gather, gram_matrix, lift_adjoint, lift_dense
+from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense
 from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
 
@@ -89,9 +89,9 @@ def svt_solve(
     """Singular value thresholding on the dense lifted matrix.
 
     Splitting iteration with a multiplier U: soft-threshold the singular
-    values of y = T(x) + U, de-lift by the lifting's pseudo-inverse, replace
-    the sampled entries by the data (Π_b: x <- x - (P x - b)), update U.
-    With this hard data step the fixed point is the data-consistent nuclear
+    values of y = T(x) + U, de-lift by the lifting's pseudo-inverse, set the
+    sampled entries to the data bit for bit (Π_b: x <- where(P, b, x)),
+    update U.  With this hard data step the fixed point is the data-consistent nuclear
     norm minimizer for any positive threshold; the threshold (relative to
     sigma_1 of the zero-filled lifting) only sets the convergence speed.
 
@@ -128,7 +128,7 @@ def svt_solve(
         x_new = known * x - delift(y, lifting).values
         # data-consistency step; it also fixes the DC entry the gradient
         # weighting cannot see (DC is always sampled)
-        x_new = x_new - (sampled * x_new - bfill)
+        x_new = np.where(sampled, bfill, x_new)
         y += lift_dense(KSpaceArray(lifting.gamma, 2.0 * x_new - x), lifting)
         solve_time = time.perf_counter() - t0 - decomp_time
         change = float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300))
@@ -169,21 +169,27 @@ def tv_solve(b: np.ndarray, mask: SamplingMask, iters: int = 300) -> KSpaceArray
     Fourier values equalling b.  A fixed primal-dual iteration (Chambolle &
     Pock 2011), sigma = tau = 1/sqrt(8) as ||grad||^2 <= 8, whose primal step
     projects exactly onto the data (SVT's hard data step), from the
-    zero-filled image; deterministic.  Returns the final image's k-space,
-    which holds b exactly.
+    zero-filled image; deterministic.
+
+    The iteration runs on the FFT grid, where index k sits at k mod extents:
+    the mask and the zero-filled data are rolled there by ``gamma.kmin`` once,
+    and each primal step is ``fft2(u)/N``, the sampled coefficients replaced
+    by the data, ``ifft2(.)*N``.  Returns the final image's k-space, rolled
+    back onto gamma's array, which holds b exactly.
     """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    if not (is_int(iters) and iters >= 1):
+        raise ValueError(f"iters must be an integer of at least 1, got {iters!r}")
     gamma = mask.gamma
     ntot = len(gamma)
-    bfill = zero_fill(b, mask).values
+    sampled = np.roll(mask.sampled, gamma.kmin, axis=(0, 1))
+    bfill = np.roll(zero_fill(b, mask).values, gamma.kmin, axis=(0, 1))
 
     def project(u):
-        """The k-space of image u with its sampled entries replaced by b."""
-        return KSpaceArray(gamma, np.where(mask.sampled, bfill, gather(fft2(u) / ntot, gamma)))
+        """The spectrum of image u with its sampled entries replaced by b."""
+        return np.where(sampled, bfill, fft2(u) / ntot)
 
     sigma = tau = 1.0 / np.sqrt(8.0)
-    u = project(np.zeros(gamma.extents, dtype=np.complex128)).image()
+    u = ifft2(bfill) * ntot
     p1, p2 = np.zeros_like(u), np.zeros_like(u)
     ubar = u
     for _ in range(iters):
@@ -193,6 +199,6 @@ def tv_solve(b: np.ndarray, mask: SamplingMask, iters: int = 300) -> KSpaceArray
         mag = np.maximum(1.0, np.sqrt(np.abs(p1) ** 2 + np.abs(p2) ** 2))
         p1, p2 = p1 / mag, p2 / mag
         u_old = u
-        u = project(u + tau * _div(p1, p2)).image()
+        u = ifft2(project(u + tau * _div(p1, p2))) * ntot
         ubar = 2.0 * u - u_old
-    return project(u)
+    return KSpaceArray(gamma, np.roll(project(u), [-k for k in gamma.kmin], axis=(0, 1)))

@@ -68,6 +68,18 @@ def parse_extents(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from exc
 
 
+def parse_count(text: str) -> int:
+    """An integer of at least 1: an iteration count or cap, refused at parse
+    time so the message names the flag the user typed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused as a count below 1 is
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _outdir(params) -> Path:
     """The run's output directory, made once its inputs are accepted and
     its results computed, so a refused run leaves nothing behind."""
@@ -388,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--weighting", choices=["identity", "gradient"], default="gradient")
     r.add_argument("--operator", choices=["approx", "exact"], default="approx")
     # the solver defaults are IRLSConfig's (SVT reads --max-iter too)
-    r.add_argument("--max-iter", type=int, default=IRLSConfig.max_outer)
+    r.add_argument("--max-iter", type=parse_count, default=IRLSConfig.max_outer)
     r.add_argument("--eps-decay", type=float, default=IRLSConfig.eps_decay)
     r.add_argument("--cg-tol", type=float, default=IRLSConfig.cg_tol)
-    r.add_argument("--cg-max", type=int, default=IRLSConfig.cg_max)
+    r.add_argument("--cg-max", type=parse_count, default=IRLSConfig.cg_max)
     r.add_argument("--svt-threshold", type=float, default=3e-2)
-    r.add_argument("--tv-iters", type=int, default=300)
+    r.add_argument("--tv-iters", type=parse_count, default=300)
     r.add_argument("--out", default="recover_out")
 
     v = sub.add_parser("validate", help="run a theory-validation suite")

@@ -76,10 +76,13 @@ class KSpaceArray:
 
     def image(self) -> np.ndarray:
         """Spatial-domain view on the gamma-sized grid: inverse FFT of the
-        grid-embedded samples."""
-        return ifft2(embed(self.values, self.gamma, self.gamma.extents)) * len(self.gamma)
+        samples placed on the FFT grid, where index k sits at k mod extents
+        (gamma's array rolled by ``gamma.kmin``)."""
+        return ifft2(np.roll(self.values, self.gamma.kmin, axis=(0, 1))) * len(self.gamma)
 
 
+# Nothing in the package calls embed or gather (gamma's array is placed on the
+# FFT grid by a roll); they stay while perfbench's tracer wraps them by name.
 def embed(values: np.ndarray, iset: IndexSet2D, shape: tuple[int, int]) -> np.ndarray:
     """Scatter box-aligned values onto an (n1, n2) FFT grid at signed indices mod n."""
     n1, n2 = shape
@@ -213,17 +216,12 @@ def read_offsets(rows: tuple[range, range], taps: tuple[int, int],
 
 
 def scatter_sum(offsets: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Each value summed onto the entry of a ``shape`` array at its flat
-    offset, in input order (the adjoint of reading through ``offsets``): a
-    bincount of real values; complex values are added into one complex
-    output by ``np.add.at``, which sums the real and the imaginary parts in
-    that same order and is faster than a bincount of each."""
-    # array methods, not np.ravel/np.iscomplexobj: this runs per block on every CG step
-    flat, values, size = offsets.ravel(), values.ravel(), shape[0] * shape[1]
-    if values.dtype.kind != "c":
-        return np.bincount(flat, weights=values, minlength=size).reshape(shape)
-    out = np.zeros(size, dtype=np.complex128)
-    np.add.at(out, flat, values)
+    """Each value summed onto the entry of a ``shape`` array of the values'
+    dtype at its flat offset, in input order (the adjoint of reading through
+    ``offsets``), by ``np.add.at``."""
+    # array methods, not np.ravel: this runs per block on every CG step
+    out = np.zeros(shape[0] * shape[1], dtype=values.dtype)
+    np.add.at(out, offsets.ravel(), values.ravel())
     return out.reshape(shape)
 
 

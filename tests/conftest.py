@@ -3,11 +3,12 @@ import pytest
 from hypothesis import strategies as st
 
 from slrecon import phantom
-from slrecon.baselines import _threshold, delift
+from slrecon.baselines import _div, _fwd_diff, _threshold, delift
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
-from slrecon.lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense
-from slrecon.phantom import EdgePolynomial, zero_fill
+from slrecon.lifting import (KSpaceArray, LiftingConfig, embed, gather, gram_matrix, lift_adjoint,
+                             lift_dense)
+from slrecon.phantom import EdgePolynomial, SamplingMask, zero_fill
 
 
 def mu_values_at(edge: EdgePolynomial, points: np.ndarray) -> np.ndarray:
@@ -22,6 +23,37 @@ def kspace_of_image(img: np.ndarray, gamma: IndexSet2D) -> KSpaceArray:
     """Fourier coefficients of a [0,1)^2 image sampled at pixel midpoints,
     by the phantom's streamed quadrature over the image's rows."""
     return phantom._quadrature(lambda i, j: img[i:j], img.shape, gamma)
+
+
+def tv_oracle(b: np.ndarray, mask: SamplingMask, iters: int) -> KSpaceArray:
+    """TV's primal-dual loop with its k-space on gamma's array, moved to the
+    FFT grid and back by ``embed`` and ``gather`` around every FFT and
+    wrapped in a ``KSpaceArray`` at every step: an oracle for ``tv_solve``,
+    which iterates on the FFT grid."""
+    gamma = mask.gamma
+    ntot = len(gamma)
+    bfill = zero_fill(b, mask).values
+
+    def project(u):
+        return KSpaceArray(gamma, np.where(mask.sampled, bfill, gather(fft2(u) / ntot, gamma)))
+
+    def image(x):
+        return ifft2(embed(x.values, gamma, gamma.extents)) * ntot
+
+    sigma = tau = 1.0 / np.sqrt(8.0)
+    u = image(project(np.zeros(gamma.extents, dtype=np.complex128)))
+    p1, p2 = np.zeros_like(u), np.zeros_like(u)
+    ubar = u
+    for _ in range(iters):
+        g1, g2 = _fwd_diff(ubar)
+        p1 = p1 + sigma * g1
+        p2 = p2 + sigma * g2
+        mag = np.maximum(1.0, np.sqrt(np.abs(p1) ** 2 + np.abs(p2) ** 2))
+        p1, p2 = p1 / mag, p2 / mag
+        u_old = u
+        u = image(project(u + tau * _div(p1, p2)))
+        ubar = 2.0 * u - u_old
+    return project(u)
 
 
 def log_penalty(sigmas) -> float:
@@ -151,8 +183,7 @@ def svt_oracle(b, mask, lifting, cfg):
         tx += multiplier
         z, s, _ = _threshold(tx, tau)
         z -= multiplier
-        x_new = delift(z, lifting).values
-        x_new = x_new - (sampled * x_new - bfill)
+        x_new = np.where(sampled, bfill, delift(z, lifting).values)
         tx = lift_dense(KSpaceArray(lifting.gamma, x_new), lifting)
         multiplier = tx - z
         change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)

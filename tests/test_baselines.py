@@ -21,7 +21,7 @@ from slrecon.phantom import (
 )
 from slrecon.report import snr_db
 
-from conftest import lifting_configs, random_kspace, svt_oracle
+from conftest import lifting_configs, random_kspace, svt_oracle, tv_oracle
 
 
 def undetermined(cfg):
@@ -255,7 +255,7 @@ class TestSVT:
         u, s, vh = np.linalg.svd(lift_dense(zf, lifting), full_matrices=False)
         s_shrunk = np.maximum(s - threshold * s[0], 0.0)
         expect = delift((u * s_shrunk) @ vh, lifting)
-        expect = expect.values - (mask.sampled * expect.values - zf.values)
+        expect = np.where(mask.sampled, zf.values, expect.values)
 
         (it,) = rep.iterations
         assert rel_err(rec.values, expect) < 1e-12
@@ -357,16 +357,41 @@ class TestTV:
         self.gamma = IndexSet2D.rect(33, 33)
         self.truth = phantom_fourier(Phantom(self.edge, (1.0, 0.0), oversample=8), self.gamma)
 
-    @pytest.mark.parametrize("gamma", [IndexSet2D.rect(33, 33),
-                                       IndexSet2D.rect(12, 9, offset=(3, -2)),
-                                       IndexSet2D.rect(64, 1)],
-                             ids=["centred-33x33", "off-centre-12x9", "64x1"])
-    def test_samples_enforced_exactly(self, gamma):
-        # each primal step projects onto the data, so the result holds b
+    @pytest.mark.parametrize("solver,gamma,filt", [
+        ("tv", IndexSet2D.rect(33, 33), None),
+        ("tv", IndexSet2D.rect(12, 9, offset=(3, -2)), None),
+        ("tv", IndexSet2D.rect(64, 1), None),
+        ("svt", IndexSet2D.rect(33, 33), (7, 7)),
+        ("svt", IndexSet2D.rect(12, 9, offset=(3, -2)), (3, 3)),
+        ("svt", IndexSet2D.rect(64, 1), (7, 1)),
+    ], ids=["centred-33x33", "off-centre-12x9", "64x1",
+            "svt-centred-33x33", "svt-off-centre-12x9", "svt-64x1"])
+    def test_samples_enforced_exactly(self, solver, gamma, filt):
+        # TV's primal step and SVT's data step set the sampled entries to
+        # b, so the result holds b bit for bit; at this data seed the step
+        # x - (Px - b) misses b by rounding on each of these gammas
         mask = make_mask(gamma, "uniform", 2.0, seed=1)
-        b = sample_kspace(random_kspace(gamma, 4), mask)
-        rec = tv_solve(b, mask, iters=100)
-        assert np.abs(sample_kspace(rec, mask) - b).max() <= 1e-12 * np.abs(b).max()
+        b = sample_kspace(random_kspace(gamma, 9), mask)
+        if solver == "tv":
+            rec = tv_solve(b, mask, iters=100)
+        else:
+            lifting = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), "gradient")
+            rec, _ = svt_solve(b, mask, lifting, SVTConfig(max_iter=5))
+        assert np.array_equal(sample_kspace(rec, mask), b)
+
+    @pytest.mark.parametrize("extents,offset", [
+        ((17, 17), (0, 0)), ((16, 16), (0, 0)), ((65, 65), (0, 0)),
+        ((12, 13), (1, 3)), ((9, 9), (2, -1)), ((64, 1), (0, 0)),
+    ])
+    @pytest.mark.parametrize("iters", [1, 50])
+    def test_matches_oracle_on_gammas_array(self, extents, offset, iters):
+        # the loop on the FFT grid moves the same numbers as the one that
+        # embeds and gathers gamma's array around every FFT
+        gamma = IndexSet2D.rect(*extents, offset=offset)
+        mask = make_mask(gamma, "uniform", 2.0, seed=6)
+        b = sample_kspace(random_kspace(gamma, 8), mask)
+        assert np.array_equal(tv_solve(b, mask, iters=iters).values,
+                              tv_oracle(b, mask, iters).values)
 
     def test_constant_phantom_full_sampling_high_snr(self):
         # one-region phantom: constant image
@@ -385,12 +410,19 @@ class TestTV:
         zf = zero_fill(b, mask)
         assert snr_db(rec, self.truth) > snr_db(zf, self.truth) + 3.0
 
-    @pytest.mark.parametrize("iters", [0, -4])
+    @pytest.mark.parametrize("iters", [0, -4, 2.5, float("nan"), True])
     def test_no_iterations_refused(self, iters):
+        # a fraction or NaN would fail in range() and True would run one step
         mask = make_mask(self.gamma, "uniform", 2.0, seed=3)
         b = sample_kspace(self.truth, mask)
-        with pytest.raises(ValueError, match="iters"):
+        with pytest.raises(ValueError, match=f"iters must be an integer .*, got {iters!r}"):
             tv_solve(b, mask, iters=iters)
+
+    def test_numpy_integer_iters_accepted(self):
+        mask = make_mask(self.gamma, "uniform", 2.0, seed=3)
+        b = sample_kspace(self.truth, mask)
+        assert np.array_equal(tv_solve(b, mask, iters=np.int64(2)).values,
+                              tv_solve(b, mask, iters=2).values)
 
     def test_deterministic(self):
         mask = make_mask(self.gamma, "uniform", 2.0, seed=3)

@@ -158,11 +158,21 @@ class TestRecoverCmd:
         assert (out / "recovered.ksar").exists()
         assert (out / "mask.json").exists()
 
-    def test_tv_without_iterations_exits_two(self, phantom_dir, tmp_path, capsys):
-        code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "tv",
-                    "--tv-iters", "0", "--out", tmp_path / "tv0"])
-        assert code == 2
-        assert "iters" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,solver", [("--max-iter", "giraf"), ("--cg-max", "giraf"),
+                                             ("--tv-iters", "tv")],
+                             ids=["max-iter", "cg-max", "tv-iters"])
+    def test_iteration_count_below_one_exits_two(self, phantom_dir, tmp_path, capsys, flag,
+                                                 solver):
+        # argparse refuses the count, so the message names the flag typed,
+        # not the config field it feeds
+        out = tmp_path / "nested" / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", solver,
+                 flag, "0", "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer of at least 1, got '0'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
 
     def test_negative_noise_exits_two(self, phantom_dir, tmp_path, capsys):
         out = tmp_path / "noisy"

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slrecon._fft import ifft2
 from slrecon.grid import IndexSet2D, dilate, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
+    embed,
     gram_matrix,
     lift_adjoint,
     lift_dense,
@@ -136,6 +138,19 @@ class TestLiftAdjoint:
         cfg = LiftingConfig.make(IndexSet2D.rect(5, 5), IndexSet2D.rect(3, 3))
         with pytest.raises(ValueError, match="does not match"):
             lift_adjoint(np.zeros((4, 9)), cfg)
+
+
+class TestImage:
+    @pytest.mark.parametrize("extents,offset", [((17, 17), (0, 0)), ((16, 16), (0, 0)),
+                                                ((9, 9), (2, -1)), ((12, 13), (1, 3)),
+                                                ((64, 1), (0, 0)), ((5, 4), (-7, 6))])
+    def test_matches_embed_oracle(self, extents, offset):
+        # the roll by gamma.kmin places index k at k mod extents, as the
+        # scatter at signed indices does, so the inverse FFTs agree bit for bit
+        gamma = IndexSet2D.rect(*extents, offset=offset)
+        x = random_kspace(gamma, 3)
+        expect = ifft2(embed(x.values, gamma, gamma.extents)) * len(gamma)
+        assert np.array_equal(x.image(), expect)
 
 
 class TestScatterSum:
