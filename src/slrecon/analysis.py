@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .giraf import IRLSConfig, giraf_solve
-from .grid import IndexSet2D, predicted_rank
+from .grid import IndexSet2D, check_count, predicted_rank
 from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_dense
 from .phantom import EdgePolynomial, Phantom, make_mask, phantom_fourier, rasterize_mu, sample_kspace
 
@@ -124,8 +124,6 @@ def zero_set_points(edge: EdgePolynomial, raster: int = 512) -> np.ndarray:
             pts.append(np.stack([(ii + frac) / raster, jj / raster], axis=1))
         else:
             pts.append(np.stack([ii / raster, (jj + frac) / raster], axis=1))
-    if not pts or sum(p.shape[0] for p in pts) == 0:
-        return np.zeros((0, 2))
     return np.concatenate(pts, axis=0)
 
 
@@ -159,8 +157,7 @@ def rho1_estimate(
     restarts; returns 1 / (best sigma_min of the Dirichlet Gram found) and
     the search metadata.  More search can only lower the estimate.
     """
-    if R < 1:
-        raise ValueError("R must be at least 1")
+    check_count(R, "R")
     pts = zero_set_points(edge, raster)
     if pts.shape[0] < R:
         raise ValueError(f"zero set yields {pts.shape[0]} raster points; need {R}")
@@ -333,8 +330,11 @@ def phase_transition(
     relative k-space error is below 1e-3.  Trials are independent, so
     they may run in any order; results are keyed by trial index.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_count(trials, "trials")
+    m = len(gamma)
+    for count in sample_counts:  # every level, before the first solve
+        if not 1 <= count <= m:
+            raise ValueError(f"sample count {count} outside 1..{m}")
     # the exact operator matters here: phase-transition grids are small, so
     # the mask-condensed approximation is at its least accurate
     defaults = dict(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-8, cg_max=400,
@@ -343,11 +343,8 @@ def phase_transition(
     cfg = IRLSConfig(**defaults)
     lifting = LiftingConfig.make(gamma, lambda1, "gradient")
     truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=oversample), gamma)
-    m = len(gamma)
     outcomes, seeds = [], []
     for li, count in enumerate(sample_counts):
-        if not 1 <= count <= m:
-            raise ValueError(f"sample count {count} outside 1..{m}")
         level_outcomes, level_seeds = [], []
         for t in range(trials):
             trial_seed = int(np.random.default_rng(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import is_int
+from .grid import check_count
 from .lifting import KSpaceArray, LiftingConfig, gram_matrix, lift_adjoint, lift_dense
 from .phantom import SamplingMask, zero_fill
 from .report import IterationRecord, SolverReport, relative_mse
@@ -36,8 +36,7 @@ class SVTConfig:
     def __post_init__(self):
         if not self.threshold >= 0:  # NaN fails too
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
-        if not (is_int(self.max_iter) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+        check_count(self.max_iter, "max_iter")
 
 
 def delift(X: np.ndarray, cfg: LiftingConfig) -> KSpaceArray:
@@ -177,8 +176,7 @@ def tv_solve(b: np.ndarray, mask: SamplingMask, iters: int = 300) -> KSpaceArray
     by the data, ``ifft2(.)*N``.  Returns the final image's k-space, rolled
     back onto gamma's array, which holds b exactly.
     """
-    if not (is_int(iters) and iters >= 1):
-        raise ValueError(f"iters must be an integer of at least 1, got {iters!r}")
+    check_count(iters, "iters")
     gamma = mask.gamma
     ntot = len(gamma)
     sampled = np.roll(mask.sampled, gamma.kmin, axis=(0, 1))

@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .baselines import SVTConfig, svt_solve, tv_solve
 from .giraf import IRLSConfig, giraf_solve
-from .grid import IndexSet2D, json_field, predicted_rank
+from .grid import IndexSet2D, check_count, json_field, predicted_rank
 from .lifting import LiftingConfig, lift_dense
 from .phantom import (
     Phantom,
@@ -60,7 +60,8 @@ _MASK_DRAW_OPTIONS = ("scheme", "accel", "mask_seed")
 
 
 def parse_extents(text: str) -> list[int]:
-    """``WxH`` as ``[W, H]``, the form the manifest's JSON records."""
+    """``WxH`` as ``[W, H]``; the manifest's command line writes the pair
+    back as ``WxH`` (``--grid=WxH``, say)."""
     try:
         a, b = text.lower().split("x")
         return [int(a), int(b)]
@@ -264,8 +265,7 @@ def cmd_validate(params: dict) -> int:
     ok = True
     evidence: dict = {"suite": suite}
     if suite == "rank":
-        if params["seeds"] < 1:
-            raise ValueError(f"seeds must be at least 1, got {params['seeds']}")
+        check_count(params["seeds"], "seeds")
         cfg = LiftingConfig.make(gamma, lam1, "gradient")
         rows = []
         for seed in range(params["seeds"]):
@@ -376,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=parse_extents, default=[3, 3])
     p.add_argument("--grid", type=parse_extents, default=[65, 65])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", type=int, default=8)
-    p.add_argument("--amps", type=lambda s: [float(v) for v in s.split(",")], default=[1.0, 0.0])
+    p.add_argument("--oversample", type=int, default=Phantom.oversample)
+    p.add_argument("--amps", type=lambda s: [float(v) for v in s.split(",")],
+                   default=list(Phantom.region_values))
     p.add_argument("--min-area", type=float, default=0.02)
     p.add_argument("--out", default="phantom_out")
 
@@ -399,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--filter", type=parse_extents, default=[15, 15])
     r.add_argument("--weighting", choices=["identity", "gradient"], default="gradient")
     r.add_argument("--operator", choices=["approx", "exact"], default="approx")
-    # the solver defaults are IRLSConfig's (SVT reads --max-iter too)
+    # the solver defaults are IRLSConfig's and SVTConfig's (SVT reads --max-iter too)
     r.add_argument("--max-iter", type=parse_count, default=IRLSConfig.max_outer)
     r.add_argument("--eps-decay", type=float, default=IRLSConfig.eps_decay)
     r.add_argument("--cg-tol", type=float, default=IRLSConfig.cg_tol)
     r.add_argument("--cg-max", type=parse_count, default=IRLSConfig.cg_max)
-    r.add_argument("--svt-threshold", type=float, default=3e-2)
+    r.add_argument("--svt-threshold", type=float, default=SVTConfig.threshold)
     r.add_argument("--tv-iters", type=parse_count, default=300)
     r.add_argument("--out", default="recover_out")
 
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", type=parse_extents, default=[65, 65])
     v.add_argument("--lambda0", type=parse_extents, default=[3, 3])
     v.add_argument("--filter", type=parse_extents, default=[5, 5])
-    v.add_argument("--oversample", type=int, default=8)
+    v.add_argument("--oversample", type=int, default=Phantom.oversample)
     v.add_argument("--seeds", type=int, default=5)
     v.add_argument("--seed", type=int, default=4)
     v.add_argument("--trials", type=int, default=10)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .grid import is_int
+from .grid import check_count
 from .lifting import (KSpaceArray, LiftingConfig, _lift, gram_matrix, lift_adjoint,
                       lift_normal_diag, scatter_sum)
 from .phantom import SamplingMask, zero_fill
@@ -88,14 +88,14 @@ class IRLSConfig:
         for name in ("lam", "cg_tol", "convergence_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not np.isfinite(self.lam):  # lam P would be inf * 0 = NaN off the samples
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not self.eps_decay > 1.0:
             raise ValueError(f"eps_decay must exceed 1, got {self.eps_decay}")
         if self.operator not in (APPROXIMATE, EXACT):
             raise ValueError(f"operator must be '{APPROXIMATE}' or '{EXACT}'")
         for name in ("max_outer", "cg_max"):
-            cap = getattr(self, name)
-            if not (is_int(cap) and cap >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
+            check_count(getattr(self, name), name)
 
 
 def schatten_penalty(sigmas, p: float) -> float:

@@ -98,6 +98,13 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_count(value, name: str, least: int = 1):
+    """ValueError naming ``name`` unless ``value`` is an integer (``is_int``)
+    of at least ``least``."""
+    if not (is_int(value) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def int_pair(value, key: str) -> tuple[int, int]:
     """A JSON pair of integers (booleans excluded); ValueError naming the
     index-set field otherwise."""

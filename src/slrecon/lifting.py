@@ -23,8 +23,8 @@ Gram (Toeplitz in the circular autocorrelation: one forward FFT per block,
 one inverse in all) minus the row strips' and the column strips' Grams
 (each circular along the other axis, so 1-D FFTs and one small product per
 frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share
-(``corner_reads``, the rule on the rows [0, f - 1)), the only ones still
-multiplied out.
+(the rule on the rows [0, f - 1), read as the leading block of
+``circular_lags``), the only ones still multiplied out.
 The tests check the rule against an independent oracle, the same maps by
 circular FFT convolution on gamma's array, where the valid outputs are the
 slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  The solver's
@@ -35,7 +35,8 @@ array; ``mask_lags`` is the lag map on that grid.
 A ``LiftingConfig`` is a function of gamma, lambda1 and the weighting:
 lambda2 is derived from them at construction, not accepted and checked.
 The arrays derived from its geometry are computed on first use and cached
-read-only, so no per-call map re-derives them.
+read-only, so no per-call map re-derives them; three of them are index
+tables (``lift_geometry``, ``circular_lags`` and ``mask_lags``).
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ class LiftingConfig:
         extents, between taps k and l of lambda1 (the rule on the rows [0, f))."""
         f1, f2 = self.lambda1.extents
         return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.gamma.extents))
-
-    @cached_property
-    def corner_reads(self) -> np.ndarray:
-        """((f1 - 1)(f2 - 1), N) flat offsets into gamma's array of the
-        outputs in both wrapped strips (the rule on the rows [0, f - 1))."""
-        f1, f2 = self.lambda1.extents
-        return _read_only(read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2),
-                                       self.gamma.extents))
 
     @cached_property
     def mask_shape(self) -> tuple[int, int]:
@@ -313,8 +306,9 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
       m2 < f2 - 1) are each circular along the other axis: 1-D FFTs and one
       f x f product per frequency (``_strip_gram``);
     - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips (the read
-      rule on the rows [0, f - 1), ``cfg.corner_reads``), is added back one
-      block at a time, so the lifted matrix is never held whole.
+      rule on the rows [0, f - 1), the leading block of the rows [0, f) that
+      ``cfg.circular_lags`` holds), is added back one block at a time, so
+      the lifted matrix is never held whole.
 
     The result is symmetrised, so it is exactly Hermitian.
     """
@@ -325,8 +319,9 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     taps = gram.reshape(f1, f2, f1, f2)  # a view: gram[(k1, k2), (l1, l2)]
     taps -= _strip_gram(ys, f1, f2)
     taps -= _strip_gram(ys.swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
+    corner = cfg.circular_lags.reshape(f1, f2, -1)[:f1 - 1, :f2 - 1]
     for y in ys:
-        t = np.take(y, cfg.corner_reads)
+        t = np.take(y, corner).reshape(-1, f1 * f2)
         gram += t.conj().T @ t
     gram += gram.conj().T
     gram *= 0.5

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2
-from .grid import IndexSet2D, int_pair, is_int, json_field
+from .grid import IndexSet2D, check_count, int_pair, json_field
 from .lifting import KSpaceArray
 
 # Raster entries per block of the phantom quadrature: the raster is
@@ -133,8 +133,7 @@ class Phantom:
     oversample: int = 8
 
     def __post_init__(self):
-        if not (is_int(self.oversample) and self.oversample >= 4):
-            raise ValueError(f"oversample must be an integer >= 4, got {self.oversample!r}")
+        check_count(self.oversample, "oversample", least=4)
         if len(self.region_values) != 2:
             raise ValueError(f"region_values must hold two amplitudes, got {len(self.region_values)}")
         if not all(np.isfinite(self.region_values)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,19 @@ from slrecon.analysis import (
 from slrecon.report import snr_db
 
 from conftest import mu_values_at
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda: numerical_rank(np.eye(3), 0.0), r"rel_tol must lie in \(0, 1\)"),
+    (lambda: numerical_rank(np.eye(3), 1.0), r"rel_tol must lie in \(0, 1\)"),
+    (lambda: numerical_rank(np.eye(3), float("nan")), r"rel_tol must lie in \(0, 1\)"),
+    (lambda: rho1_estimate(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
+                           IndexSet2D.rect(3, 3), R=0, raster=8),
+     "R must be an integer of at least 1, got 0"),
+], ids=["rel-tol-zero", "rel-tol-one", "rel-tol-nan", "rho1-r-zero"])
+def test_bad_setting_refused(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
 
 
 class TestNumericalRank:
@@ -293,3 +308,22 @@ class TestPhaseTransition:
         assert res.success_fractions[-1] == 1.0  # fully sampled
         assert res.monotone_within_noise()
         assert len(res.seeds) == 2 and len(res.seeds[0]) == 3
+
+    @pytest.mark.parametrize("trials", [0, True, 2.5, np.float64(2.0)])
+    def test_trials_must_be_a_count(self, trials):
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
+        with pytest.raises(ValueError, match=f"trials must be an integer of at least 1, "
+                                             f"got {re.escape(repr(trials))}"):
+            phase_transition(edge, IndexSet2D.rect(3, 3), IndexSet2D.rect(9, 9), [81], trials)
+
+    @pytest.mark.parametrize("levels", [[81, 82], [40, 0, 81]])
+    def test_every_sample_count_checked_before_solving(self, monkeypatch, levels):
+        from slrecon import analysis
+
+        solves = []
+        monkeypatch.setattr(analysis, "giraf_solve", lambda *a, **kw: solves.append(a))
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
+        bad = next(c for c in levels if not 1 <= c <= 81)
+        with pytest.raises(ValueError, match=f"sample count {bad} outside 1..81"):
+            phase_transition(edge, IndexSet2D.rect(3, 3), IndexSet2D.rect(9, 9), levels, 2)
+        assert solves == []

@@ -279,6 +279,17 @@ class TestSVT:
     def test_numpy_integer_max_iter_accepted(self):
         assert SVTConfig(max_iter=np.int64(3)).max_iter == 3
 
+    @pytest.mark.parametrize("solve", [
+        lambda b, mask, lifting: giraf_solve(b, mask, lifting, IRLSConfig(p=1.0, lam=1.0)),
+        lambda b, mask, lifting: svt_solve(b, mask, lifting, SVTConfig()),
+    ], ids=["giraf", "svt"])
+    def test_mask_on_another_gamma_refused(self, solve):
+        lifting = LiftingConfig.make(IndexSet2D.rect(9, 9), IndexSet2D.rect(3, 3))
+        mask = make_mask(IndexSet2D.rect(9, 9, offset=(1, 0)), "uniform", 2.0, seed=0)
+        b = np.ones(np.count_nonzero(mask.sampled), dtype=complex)
+        with pytest.raises(ValueError, match="mask and lifting configs disagree on gamma"):
+            solve(b, mask, lifting)
+
     def test_dense_cap_refuses_large_problems(self):
         gamma = IndexSet2D.rect(513, 513)
         lifting = LiftingConfig.make(gamma, IndexSet2D.rect(45, 45), "gradient")

@@ -7,7 +7,9 @@ import pytest
 
 from slrecon.cli import _command_line, _git_revision, build_parser, main, parse_extents
 from slrecon import fileio
+from slrecon.baselines import SVTConfig
 from slrecon.giraf import IRLSConfig
+from slrecon.phantom import Phantom
 
 
 def run(args):
@@ -48,6 +50,14 @@ class TestParse:
         ns = build_parser().parse_args(["recover", "--kspace", "k.ksar"])
         assert (ns.max_iter, ns.eps_decay, ns.cg_tol, ns.cg_max) == (
             IRLSConfig.max_outer, IRLSConfig.eps_decay, IRLSConfig.cg_tol, IRLSConfig.cg_max)
+
+    def test_defaults_are_the_library_s(self):
+        parser = build_parser()
+        phantom, validate = parser.parse_args(["phantom"]), parser.parse_args(["validate", "rank"])
+        recover = parser.parse_args(["recover", "--kspace", "k.ksar"])
+        assert recover.svt_threshold == SVTConfig.threshold
+        assert phantom.oversample == validate.oversample == Phantom.oversample
+        assert phantom.amps == list(Phantom.region_values)
 
     @pytest.mark.parametrize("args", [
         ["phantom"],
@@ -395,10 +405,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags,field", [
         (["--lambda", "nan"], "lam"),
+        (["--lambda", "inf"], "lam"),
         (["--eps-decay", "nan"], "eps_decay"),
         (["--cg-tol", "nan"], "cg_tol"),
         (["--solver", "svt", "--svt-threshold", "nan"], "threshold"),
-    ], ids=["lambda", "eps-decay", "cg-tol", "svt-threshold"])
+    ], ids=["lambda", "lambda-inf", "eps-decay", "cg-tol", "svt-threshold"])
     def test_nan_solver_setting_exits_two_before_solving(self, phantom_dir, tmp_path, capsys,
                                                          monkeypatch, flags, field):
         from slrecon import cli
@@ -412,6 +423,7 @@ class TestBadInput:
                     *flags, "--out", tmp_path / "out"])
         assert code == 2
         assert f"{field} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_acceleration_exits_two(self, phantom_dir, tmp_path, capsys):
         code = run(["recover", "--kspace", phantom_dir / "phantom.ksar", "--solver", "zerofill",
@@ -596,6 +608,20 @@ class TestValidateCmd:
         assert code == 2
         assert "seeds" in capsys.readouterr().err
         assert not (out / "validate_rank.json").exists()
+
+    @pytest.mark.parametrize("seeds", [True, 2.5])
+    def test_rank_seeds_must_be_a_count(self, tmp_path, seeds):
+        # the parser reads --seeds as an int; the suite refuses any other count
+        from slrecon import cli
+
+        out = tmp_path / "rank"
+        params = vars(build_parser().parse_args(["validate", "rank", "--grid", "9x9",
+                                                 "--filter", "3x3", "--out", str(out)]))
+        params.pop("command")
+        with pytest.raises(ValueError, match=f"seeds must be an integer of at least 1, "
+                                             f"got {seeds!r}"):
+            cli.cmd_validate({**params, "seeds": seeds})
+        assert not out.exists()
 
     def test_phase_suite_passes_oversample(self, tmp_path, monkeypatch):
         from slrecon import cli

@@ -839,6 +839,11 @@ class TestGirafSolve:
         with pytest.raises(ValueError, match=f"{field} must .*, got nan"):
             IRLSConfig(**{"p": 1.0, "lam": 1.0, field: float("nan")})
 
+    def test_infinite_lam_refused(self):
+        # lam P would be inf * 0 = NaN off the samples, failing the solve later
+        with pytest.raises(ValueError, match="lam must be finite, got inf"):
+            IRLSConfig(p=0.0, lam=float("inf"))
+
     @pytest.mark.parametrize("value", [float("nan"), 2.5, True], ids=["nan", "fraction", "bool"])
     @pytest.mark.parametrize("field", ["max_outer", "cg_max"])
     def test_non_integer_cap_names_its_field(self, field, value):

@@ -16,6 +16,7 @@ from slrecon.lifting import (
     lift_adjoint,
     lift_dense,
     lift_normal_diag,
+    read_offsets,
     scatter_sum,
 )
 
@@ -120,6 +121,11 @@ class TestLiftDense:
         x = random_kspace(IndexSet2D.rect(4, 4), 0)
         with pytest.raises(ValueError):
             lift_dense(x, cfg)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (25,), (5, 5, 1)])
+    def test_kspace_values_must_match_gamma(self, shape):
+        with pytest.raises(ValueError, match=r"does not match gamma extents \(5, 5\)"):
+            KSpaceArray(IndexSet2D.rect(5, 5), np.zeros(shape))
 
 
 class TestLiftAdjoint:
@@ -263,7 +269,7 @@ class TestConfigInvariants:
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         # built on first use, not when the config is made
-        lazy = ("circular_lags", "corner_reads", "mask_lags", "normal_diag")
+        lazy = ("circular_lags", "mask_lags", "normal_diag")
         assert not set(lazy) & set(vars(cfg))
         for name in lazy:
             assert getattr(cfg, name) is getattr(cfg, name)
@@ -271,6 +277,16 @@ class TestConfigInvariants:
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
         for a in (cfg.multipliers, cfg.lift_geometry, *(getattr(cfg, name) for name in lazy)):
             assert not a.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs())
+    def test_corner_is_the_leading_block_of_circular_lags(self, cfg):
+        # the Gram reads its corner, the rule on the rows [0, f - 1), out of
+        # circular_lags' rows [0, f): same taps, extents and row-major order
+        f1, f2 = cfg.lambda1.extents
+        corner = cfg.circular_lags.reshape(f1, f2, -1)[:f1 - 1, :f2 - 1].reshape(-1, f1 * f2)
+        expected = read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2), cfg.gamma.extents)
+        assert np.array_equal(corner, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs())

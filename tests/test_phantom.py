@@ -264,7 +264,7 @@ class TestPhantomFourier:
 
     @pytest.mark.parametrize("oversample", [8.5, 8.0, True, 3, np.int64(2)])
     def test_oversample_must_be_an_integer_of_at_least_4(self, oversample):
-        with pytest.raises(ValueError, match="oversample must be an integer >= 4"):
+        with pytest.raises(ValueError, match="oversample must be an integer of at least 4"):
             Phantom(sin_x_edge(), oversample=oversample)
 
     def test_half_plane_matches_analytic_integral(self):
@@ -340,6 +340,16 @@ class TestDiracFourier:
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(K + 1, 1))
         t = lift_dense(ks, cfg)
         assert np.linalg.norm(t @ mu) < 1e-10 * np.linalg.norm(t) * np.linalg.norm(mu)
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda g: dirac_fourier([[0.1, 0.2], [0.3, 0.4]], [1.0], g), "must pair up"),
+    (lambda g: dirac_fourier([[0.1, 0.2], [0.1, 0.2]], [1.0, 2.0], g), "must be distinct"),
+    (lambda g: make_mask(g, "radial", 2.0), "unknown sampling scheme 'radial'"),
+], ids=["dirac-unpaired", "dirac-duplicate", "mask-unknown-scheme"])
+def test_bad_ground_truth_request_refused(make, needle):
+    with pytest.raises(ValueError, match=needle):
+        make(IndexSet2D.rect(5, 5))
 
 
 class TestMakeMask:
