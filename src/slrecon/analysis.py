@@ -77,6 +77,8 @@ def rho2_rayleigh_search(
     plus projected-gradient refinement of the Rayleigh quotient.  A start
     whose step vanishes (a top eigenvector, as every start of a 1 x 1 form
     is) keeps its quotient."""
+    check_count(n_starts, "n_starts")
+    check_count(refine_steps, "refine_steps", least=0)
     blocks, q = _gradient_form(edge, lambda1)
     n = q.shape[0]
     rng = np.random.default_rng(np.random.Philox(key=seed))
@@ -158,13 +160,14 @@ def rho1_estimate(
     the search metadata.  More search can only lower the estimate.
     """
     check_count(R, "R")
+    check_count(n_restarts, "n_restarts")
     pts = zero_set_points(edge, raster)
     if pts.shape[0] < R:
         raise ValueError(f"zero set yields {pts.shape[0]} raster points; need {R}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     best = -math.inf
     best_pts = None
-    starts = [0] + [int(rng.integers(pts.shape[0])) for _ in range(max(0, n_restarts - 1))]
+    starts = [0] + [int(rng.integers(pts.shape[0])) for _ in range(n_restarts - 1)]
     for s in starts:
         cand = _farthest_point_subset(pts, R, s)
         smin = float(np.linalg.svd(dirichlet_gram(cand, lambda1), compute_uv=False)[-1])
@@ -335,6 +338,7 @@ def phase_transition(
     for count in sample_counts:  # every level, before the first solve
         if not 1 <= count <= m:
             raise ValueError(f"sample count {count} outside 1..{m}")
+        check_count(count, "sample count")  # 40.5 lies in the range but counts nothing
     # the exact operator matters here: phase-transition grids are small, so
     # the mask-condensed approximation is at its least accurate
     defaults = dict(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-8, cg_max=400,

@@ -22,6 +22,12 @@ Per CG step it gathers the iterate once through ``lift_geometry``, with
 no ``KSpaceArray`` check (``giraf_solve`` refuses a non-finite iterate),
 and scatters the product back with ``lift_adjoint``.
 
+The Gram follows the operator the caller picked, not the grid size.  The
+exact path multiplies out T(x)^H T(x) from that same gather
+(``lifted_gram``), which costs about one of its CG steps; the condensed
+path never forms the lifting, so it takes ``gram_matrix``, which works in
+the non-lifted domain.
+
 CG is Jacobi-preconditioned by lam P plus the diagonal of the term in use,
 read from W at no cost beyond its diagonal or trace.  It updates only its
 own buffers (x, r, z and p) in place: what the operator returns and its
@@ -226,6 +232,17 @@ def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
     return lift_adjoint(_lift(xv, cfg) @ wm, cfg)
 
 
+def lifted_gram(xv: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """T(x)^H T(x) multiplied out from the dense lifting of the gamma-shaped
+    ``xv``, gathered unchecked as in ``normal_apply_exact``; symmetrised as
+    ``gram_matrix``'s, so it is exactly Hermitian."""
+    t = _lift(xv, cfg)
+    gram = t.conj().T @ t
+    gram += gram.conj().T
+    gram *= 0.5
+    return gram
+
+
 def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``: trace(W) sum_b w_b^2.  Each
     block is circulant on gamma's array with the mask's lag-0 coefficient
@@ -345,7 +362,10 @@ def giraf_solve(
     eps_min = None
     for n in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
-        gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
+        if cfg.operator == APPROXIMATE:
+            gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
+        else:
+            gram = lifted_gram(x, lifting)
         t1 = time.perf_counter()
         # the spectrum where this iteration measures it: every iteration at
         # p > 0, whose weights need the eigenvectors, and at p = 0 only the

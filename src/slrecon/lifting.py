@@ -20,11 +20,12 @@ the valid lifting is the circular lifting on gamma's array restricted to
 the outputs m with m1 >= f1 - 1 and m2 >= f2 - 1, an indicator that factors
 as (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular
 Gram (Toeplitz in the circular autocorrelation: one forward FFT per block,
-one inverse in all) minus the row strips' and the column strips' Grams
-(each circular along the other axis, so 1-D FFTs and one small product per
-frequency) plus the (f1 - 1)(f2 - 1) corner windows the strips share
-(the rule on the rows [0, f - 1), read as the leading block of
-``circular_lags``), the only ones still multiplied out.
+whose axis-2 half the row strips share, one inverse in all) minus the row
+strips' and the column strips' Grams (each circular along the other axis,
+so 1-D FFTs, one small product per frequency and one small DFT product for
+the 2f - 1 lags read) plus the (f1 - 1)(f2 - 1) corner windows the strips
+share (the rule on the rows [0, f - 1)): one product over a wrapped patch
+of 2(f1 - 1) rows for all blocks, summed along its diagonals.
 The tests check the rule against an independent oracle, the same maps by
 circular FFT convolution on gamma's array, where the valid outputs are the
 slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  The solver's
@@ -272,22 +273,52 @@ def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     return reads * (cfg.multipliers**2).sum(axis=0)
 
 
-def _strip_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:
+def _corner_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:
+    """(f1, f2, f1, f2) Gram of the circular lifting's corner, the outputs
+    m1 < f1 - 1 and m2 < f2 - 1, of the weighted blocks ``ys``.
+
+    Output m and tap k read the row (m1 - k1) mod e1, and m1 - k1 takes the
+    2(f1 - 1) values a - (f1 - 1), a < 2(f1 - 1): one wrapped patch of rows
+    for all blocks.  With ``Z[(b, m2), (a, k2)]`` the patch read along axis 2
+    at (m2 - k2) mod e2, one product ``H = Z^H Z`` sums over (b, m2), and
+    entry ((k1, k2), (l1, l2)) sums H[a, k2, a', l2] over m1 along the (a, a')
+    diagonal from (f1 - 1 - k1, f1 - 1 - l1), f1 - 1 steps long: the
+    diagonal's suffix sum there less its suffix sum f1 - 1 steps on (none
+    past the patch, where k1 or l1 is 0).
+    """
+    if f1 == 1 or f2 == 1:  # no output lies in both strips
+        return np.zeros((f1, f2, f1, f2), dtype=complex)
+    e1, e2 = ys.shape[1:]
+    n = 2 * (f1 - 1)
+    patch = ys[:, np.arange(1 - f1, f1 - 1) % e1]  # (b, a, e2)
+    z = patch[:, :, _axis_reads(range(f2 - 1), f2, e2)].transpose(0, 2, 1, 3).reshape(-1, n * f2)
+    h = (z.conj().T @ z).reshape(n, f2, n, f2)
+    for a in range(n - 2, -1, -1):  # suffix sums along the (a, a') diagonals, in place
+        h[a, :, :-1] += h[a + 1, :, 1:]
+    corner = h[f1 - 1::-1, :, f1 - 1::-1].copy()
+    corner[1:, :, 1:] -= h[n - 1:f1 - 2:-1, :, n - 1:f1 - 2:-1]
+    return corner
+
+
+def _strip_gram(yhat: np.ndarray, f1: int, f2: int) -> np.ndarray:
     """(f1, f2, f1, f2) Gram of the circular lifting's row strips, the
-    outputs m1 < f1 - 1 at every m2, of the weighted blocks ``ys``.
+    outputs m1 < f1 - 1 at every m2, of weighted blocks whose FFT along
+    axis 2 is ``yhat``.
 
     The strips are circular along axis 2, so entry ((k1, k2), (l1, l2)) is
     ``rho[(k2 - l2) mod e2, k1, l1]``, where ``rho`` is the inverse FFT over
     the axis-2 frequency w of ``A_w^H A_w`` and
-    ``A_w[(b, i), k1] = yhat_b[(i - k1) mod e1, w]`` for i < f1 - 1, with
-    ``yhat_b`` the FFT of block b along axis 2: one f1 x f1 product per
-    frequency.
+    ``A_w[(b, i), k1] = yhat_b[(i - k1) mod e1, w]`` for i < f1 - 1: one
+    f1 x f1 product per frequency.  Only the 2 f2 - 1 lags |d| < f2 are
+    read, so they are taken by a (2 f2 - 1) x e2 inverse DFT product.
     """
-    e1, e2 = ys.shape[1:]
-    a = fft2(ys, axes=(-1,))[:, _axis_reads(range(f1 - 1), f1, e1)]  # (b, i, k1, w)
+    e1, e2 = yhat.shape[1:]
+    a = yhat[:, _axis_reads(range(f1 - 1), f1, e1)]  # (b, i, k1, w)
     a = a.transpose(3, 0, 1, 2).reshape(e2, -1, f1)
-    rho = ifft2(a.conj().swapaxes(1, 2) @ a, axes=(0,))
-    return rho[_axis_reads(range(f2), f2, e2)].transpose(2, 0, 3, 1)
+    lags = np.arange(1 - f2, f2)
+    idft = np.exp(2j * np.pi / e2 * np.arange(e2))[np.outer(lags, np.arange(e2)) % e2] / e2
+    rho = (idft @ (a.conj().swapaxes(1, 2) @ a).reshape(e2, -1)).reshape(-1, f1, f1)
+    return rho[np.subtract.outer(np.arange(f2), np.arange(f2)) + f2 - 1].transpose(2, 0, 3, 1)
 
 
 def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
@@ -297,32 +328,31 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     wrapping mod gamma's extents) restricted to the outputs m with
     m1 >= f1 - 1 and m2 >= f2 - 1.  That indicator factors as
     (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]), so the Gram is
-    ``G_c - G_R - G_C + G_corner``:
+    ``G_corner - G_R - G_C + G_c``:
 
+    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips, is one
+      product over a wrapped patch of 2(f1 - 1) rows, summed along its
+      diagonals (``_corner_gram``), so the lifted matrix is never held;
+    - ``G_R`` (the row strips m1 < f1 - 1) and ``G_C`` (the column strips
+      m2 < f2 - 1) are each circular along the other axis: 1-D FFTs, one
+      f x f product per frequency and one DFT product for the lags read
+      (``_strip_gram``); the row strips' FFT along axis 2 is reused for
+      the circular Gram;
     - ``G_c``, the circular Gram, is Toeplitz in the circular autocorrelation
       ``r = ifft2(sum_b |fft2(w_b x)|^2)``, read through
-      ``cfg.circular_lags``;
-    - ``G_R`` (the row strips m1 < f1 - 1) and ``G_C`` (the column strips
-      m2 < f2 - 1) are each circular along the other axis: 1-D FFTs and one
-      f x f product per frequency (``_strip_gram``);
-    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips (the read
-      rule on the rows [0, f - 1), the leading block of the rows [0, f) that
-      ``cfg.circular_lags`` holds), is added back one block at a time, so
-      the lifted matrix is never held whole.
+      ``cfg.circular_lags``.
 
     The result is symmetrised, so it is exactly Hermitian.
     """
     _check_input(x, cfg)
     ys = cfg.multipliers * x.values
     f1, f2 = cfg.lambda1.extents
-    gram = np.take(ifft2((np.abs(fft2(ys)) ** 2).sum(axis=0)), cfg.circular_lags)
-    taps = gram.reshape(f1, f2, f1, f2)  # a view: gram[(k1, k2), (l1, l2)]
-    taps -= _strip_gram(ys, f1, f2)
-    taps -= _strip_gram(ys.swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
-    corner = cfg.circular_lags.reshape(f1, f2, -1)[:f1 - 1, :f2 - 1]
-    for y in ys:
-        t = np.take(y, corner).reshape(-1, f1 * f2)
-        gram += t.conj().T @ t
+    taps = _corner_gram(ys, f1, f2)  # taps[k1, k2, l1, l2]
+    yhat = fft2(ys, axes=(-1,))
+    taps -= _strip_gram(yhat, f1, f2)
+    taps -= _strip_gram(fft2(ys, axes=(-2,)).swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
+    gram = taps.reshape(f1 * f2, f1 * f2)  # a view: gram[(k1, k2), (l1, l2)]
+    gram += np.take(ifft2((np.abs(fft2(yhat, axes=(-2,))) ** 2).sum(axis=0)), cfg.circular_lags)
     gram += gram.conj().T
     gram *= 0.5
     return gram

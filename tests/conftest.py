@@ -82,6 +82,13 @@ def lifting_configs(draw):
     return LiftingConfig.make(gamma, IndexSet2D.rect(f1, f2, offset=draw(shift)), weighting)
 
 
+def gram_bound(x: KSpaceArray, cfg: LiftingConfig) -> float:
+    """A bound on ||T(x)||^2, which the Gram oracles' tolerances are relative
+    to: T(x) can be exactly zero (a 2x1 grid under gradient weighting) while
+    an FFT rounds to ~1e-33."""
+    return cfg.n_filter * np.abs(cfg.multipliers).max() ** 2 * np.linalg.norm(x.values) ** 2
+
+
 def exact_apply_oracle(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """The exact annihilation term T^*(T(x) W) through the checked lifting,
     x wrapped as a ``KSpaceArray``: an oracle for ``normal_apply_exact``,

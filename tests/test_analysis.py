@@ -35,7 +35,21 @@ from conftest import mu_values_at
     (lambda: rho1_estimate(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
                            IndexSet2D.rect(3, 3), R=0, raster=8),
      "R must be an integer of at least 1, got 0"),
-], ids=["rel-tol-zero", "rel-tol-one", "rel-tol-nan", "rho1-r-zero"])
+    # a search with no start or no restart measures nothing
+    (lambda: rho1_estimate(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
+                           IndexSet2D.rect(3, 3), R=1, n_restarts=0, raster=8),
+     "n_restarts must be an integer of at least 1, got 0"),
+    (lambda: rho2_rayleigh_search(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
+                                  IndexSet2D.rect(3, 3), n_starts=0),
+     "n_starts must be an integer of at least 1, got 0"),
+    (lambda: rho2_rayleigh_search(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
+                                  IndexSet2D.rect(3, 3), refine_steps=-1),
+     "refine_steps must be an integer of at least 0, got -1"),
+    (lambda: rho2_rayleigh_search(random_edge_polynomial(IndexSet2D.rect(3, 3), seed=4),
+                                  IndexSet2D.rect(3, 3), refine_steps=2.5),
+     "refine_steps must be an integer of at least 0, got 2.5"),
+], ids=["rel-tol-zero", "rel-tol-one", "rel-tol-nan", "rho1-r-zero", "rho1-no-restart",
+        "rho2-no-start", "rho2-negative-steps", "rho2-fractional-steps"])
 def test_bad_setting_refused(call, needle):
     with pytest.raises(ValueError, match=needle):
         call()
@@ -199,6 +213,9 @@ class TestRho2:
         value = rho2(edge, lam1)
         search = rho2_rayleigh_search(edge, lam1, n_starts=30, refine_steps=300, seed=2)
         assert abs(value - search) < 0.01 * value
+        # with no refinement each start keeps its own quotient, at least
+        # lambda_min, so the estimate can only fall short of rho2
+        assert 0.0 < rho2_rayleigh_search(edge, lam1, n_starts=1, refine_steps=0) <= value
 
     @pytest.mark.filterwarnings("error")
     def test_rayleigh_search_keeps_every_start_of_a_1x1_filter(self):
@@ -326,4 +343,16 @@ class TestPhaseTransition:
         bad = next(c for c in levels if not 1 <= c <= 81)
         with pytest.raises(ValueError, match=f"sample count {bad} outside 1..81"):
             phase_transition(edge, IndexSet2D.rect(3, 3), IndexSet2D.rect(9, 9), levels, 2)
+        assert solves == []
+
+    def test_fractional_sample_count_refused_before_solving(self, monkeypatch):
+        # 40.5 lies within 1..81 but is no sample count
+        from slrecon import analysis
+
+        solves = []
+        monkeypatch.setattr(analysis, "giraf_solve", lambda *a, **kw: solves.append(a))
+        edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
+        with pytest.raises(ValueError,
+                           match="sample count must be an integer of at least 1, got 40.5"):
+            phase_transition(edge, IndexSet2D.rect(3, 3), IndexSet2D.rect(9, 9), [81, 40.5], 2)
         assert solves == []

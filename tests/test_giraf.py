@@ -25,6 +25,7 @@ from slrecon.giraf import (
     TRIANGULAR_BLOCK,
     cg_solve,
     giraf_solve,
+    lifted_gram,
     log_det_weights,
     mask_from_filters,
     normal_apply_approx,
@@ -39,8 +40,8 @@ from slrecon.giraf import (
 from slrecon.phantom import (Phantom, SamplingMask, dirac_fourier, make_mask, phantom_fourier,
                              random_edge_polynomial, sample_kspace, zero_fill)
 
-from conftest import (adjoint_apply, apply_filter, exact_apply_oracle, lifting_configs, log_penalty,
-                      random_kspace)
+from conftest import (adjoint_apply, apply_filter, exact_apply_oracle, gram_bound, lifting_configs,
+                      log_penalty, random_kspace)
 
 
 def rel_err(a, b):
@@ -246,6 +247,33 @@ class TestLogDetWeights:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps must be positive"):
             log_det_weights(np.eye(2, dtype=complex), 0.0)
+
+
+class TestLiftedGram:
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_matches_gram_matrix(self, cfg, seed):
+        x = random_kspace(cfg.gamma, seed)
+        gram = lifted_gram(x.values, cfg)
+        assert np.abs(gram - gram_matrix(x, cfg)).max() <= 1e-12 * gram_bound(x, cfg)
+        assert np.array_equal(gram, gram.conj().T)
+
+    @pytest.mark.parametrize("operator, fft_grams", [("approximate", 2), ("exact", 0)])
+    def test_gram_follows_the_operator(self, monkeypatch, operator, fft_grams):
+        # the exact path multiplies out the lifting its CG steps gather; only
+        # the condensed path, which never forms it, takes gram_matrix
+        from slrecon import giraf
+
+        calls = []
+        monkeypatch.setattr(giraf, "gram_matrix", lambda *a: calls.append(a) or gram_matrix(*a))
+        gamma = IndexSet2D.rect(9, 9)
+        mask = make_mask(gamma, "uniform", 1.5, seed=3)
+        b = sample_kspace(random_kspace(gamma, 5), mask)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
+        cfg = IRLSConfig(p=0.0, lam=1e3, operator=operator, max_outer=2, convergence_tol=1e-300)
+        _, rep = giraf_solve(b, mask, lifting, cfg)
+        assert rep.n_iterations == 2
+        assert len(calls) == fft_grams
 
 
 def dft_matrix(n):

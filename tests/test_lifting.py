@@ -11,6 +11,7 @@ from slrecon.grid import IndexSet2D, dilate, valid_output_set
 from slrecon.lifting import (
     KSpaceArray,
     LiftingConfig,
+    _corner_gram,
     embed,
     gram_matrix,
     lift_adjoint,
@@ -20,8 +21,8 @@ from slrecon.lifting import (
     scatter_sum,
 )
 
-from conftest import (adjoint_apply, apply_filter, conv_oracle, lifting_configs, random_kspace,
-                      scatter_oracle)
+from conftest import (adjoint_apply, apply_filter, conv_oracle, gram_bound, lifting_configs,
+                      random_kspace, scatter_oracle)
 
 
 def rel_err(a, b):
@@ -281,8 +282,9 @@ class TestConfigInvariants:
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs())
     def test_corner_is_the_leading_block_of_circular_lags(self, cfg):
-        # the Gram reads its corner, the rule on the rows [0, f - 1), out of
-        # circular_lags' rows [0, f): same taps, extents and row-major order
+        # the corner windows, the rule on the rows [0, f - 1), are the leading
+        # block of circular_lags' rows [0, f): same taps, extents and
+        # row-major order (the Gram's corner oracle below reads them)
         f1, f2 = cfg.lambda1.extents
         corner = cfg.circular_lags.reshape(f1, f2, -1)[:f1 - 1, :f2 - 1].reshape(-1, f1 * f2)
         expected = read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2), cfg.gamma.extents)
@@ -355,6 +357,15 @@ class TestAdjoint:
         assert np.isclose(total, np.abs(inner).sum())
 
 
+def corner_oracle(x, cfg):
+    """(f1, f2, f1, f2) Gram of the corner windows, the read rule on the rows
+    [0, f - 1) wrapped onto gamma's array, multiplied out over the blocks."""
+    f1, f2 = cfg.lambda1.extents
+    offsets = read_offsets((range(f1 - 1), range(f2 - 1)), (f1, f2), cfg.gamma.extents)
+    t = np.concatenate([(w * x.values).ravel()[offsets] for w in cfg.multipliers])
+    return (t.conj().T @ t).reshape(f1, f2, f1, f2)
+
+
 def gram_peak_bytes(x, cfg):
     tracemalloc.start()
     try:
@@ -403,17 +414,23 @@ class TestGram:
         x = random_kspace(gamma, 53)
         t = lift_dense(x, cfg)
         assert rel_err(gram_matrix(x, cfg), t.conj().T @ t) < 1e-9
+        corner = _corner_gram(cfg.multipliers * x.values, *lam1.extents)
+        assert rel_err(corner, corner_oracle(x, cfg)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_corner_matches_dense(self, cfg, seed):
+        x = random_kspace(cfg.gamma, seed)
+        corner = _corner_gram(cfg.multipliers * x.values, *cfg.lambda1.extents)
+        assert np.abs(corner - corner_oracle(x, cfg)).max() <= 1e-12 * gram_bound(x, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
     def test_matches_fft_oracle(self, cfg, seed):
-        # A[:, k] = T(x) e_k by FFT convolution; the tolerance is relative to
-        # a bound on ||T(x)||^2, since T(x) can be exactly zero (a 2x1 grid
-        # under gradient weighting) while the FFT rounds to ~1e-33
+        # A[:, k] = T(x) e_k by FFT convolution
         x = random_kspace(cfg.gamma, seed)
         a = np.stack([apply_filter(x, e, cfg) for e in np.eye(cfg.n_filter)], axis=1)
-        bound = cfg.n_filter * np.abs(cfg.multipliers).max() ** 2 * np.linalg.norm(x.values) ** 2
-        assert np.abs(gram_matrix(x, cfg) - a.conj().T @ a).max() <= 1e-12 * bound
+        assert np.abs(gram_matrix(x, cfg) - a.conj().T @ a).max() <= 1e-12 * gram_bound(x, cfg)
 
     def test_never_holds_the_lifted_matrix(self):
         gamma = IndexSet2D.rect(65, 65)
@@ -423,7 +440,7 @@ class TestGram:
         assert gram_peak_bytes(x, cfg) < lifted_bytes / 4
 
     def test_never_holds_the_lifted_matrix_129(self):
-        # the corner windows are gathered one block at a time at the design size too
+        # the corner's patch product stays small at the design size too
         gamma = IndexSet2D.rect(129, 129)
         cfg = LiftingConfig.make(gamma, IndexSet2D.rect(15, 15), "gradient")
         x = random_kspace(gamma, 73)
