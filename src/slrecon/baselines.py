@@ -110,6 +110,8 @@ def svt_solve(
         )
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
+    if reference is not None and reference.gamma != lifting.gamma:
+        raise ValueError("reference and lifting configs disagree on gamma")
     zf = zero_fill(b, mask)
     bfill = zf.values
     sampled = mask.sampled

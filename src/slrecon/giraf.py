@@ -22,11 +22,8 @@ Per CG step it gathers the iterate once through ``lift_geometry``, with
 no ``KSpaceArray`` check (``giraf_solve`` refuses a non-finite iterate),
 and scatters the product back with ``lift_adjoint``.
 
-The Gram follows the operator the caller picked, not the grid size.  The
-exact path multiplies out T(x)^H T(x) from that same gather
-(``lifted_gram``), which costs about one of its CG steps; the condensed
-path never forms the lifting, so it takes ``gram_matrix``, which works in
-the non-lifted domain.
+Both operators take the Gram from ``gram_matrix``, once per outer
+iteration; it picks its route from the lifting's size, not the operator.
 
 CG is Jacobi-preconditioned by lam P plus the diagonal of the term in use,
 read from W at no cost beyond its diagonal or trace.  It updates only its
@@ -232,17 +229,6 @@ def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
     return lift_adjoint(_lift(xv, cfg) @ wm, cfg)
 
 
-def lifted_gram(xv: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
-    """T(x)^H T(x) multiplied out from the dense lifting of the gamma-shaped
-    ``xv``, gathered unchecked as in ``normal_apply_exact``; symmetrised as
-    ``gram_matrix``'s, so it is exactly Hermitian."""
-    t = _lift(xv, cfg)
-    gram = t.conj().T @ t
-    gram += gram.conj().T
-    gram *= 0.5
-    return gram
-
-
 def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``: trace(W) sum_b w_b^2.  Each
     block is circulant on gamma's array with the mask's lag-0 coefficient
@@ -352,6 +338,8 @@ def giraf_solve(
     """
     if mask.gamma != lifting.gamma:
         raise ValueError("mask and lifting configs disagree on gamma")
+    if reference is not None and reference.gamma != lifting.gamma:
+        raise ValueError("reference and lifting configs disagree on gamma")
     data = cfg.lam * mask.sampled  # lam P, the data term of the normal equations
     b_fill = zero_fill(b, mask).values
     x = b_fill
@@ -362,10 +350,7 @@ def giraf_solve(
     eps_min = None
     for n in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
-        if cfg.operator == APPROXIMATE:
-            gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
-        else:
-            gram = lifted_gram(x, lifting)
+        gram = gram_matrix(KSpaceArray(lifting.gamma, x), lifting)
         t1 = time.perf_counter()
         # the spectrum where this iteration measures it: every iteration at
         # p > 0, whose weights need the eigenvectors, and at p = 0 only the

@@ -15,17 +15,12 @@ form); ``scatter_sum`` sums values back onto what they read.
 ``lift_geometry`` is the rule on gamma's array at the valid rows [f - 1, e),
 which never wrap: ``lift_dense`` gathers through it, ``lift_adjoint`` and
 ``lift_normal_diag`` scatter back.  ``circular_lags`` is the rule on the
-rows [0, f), the lag k - l of each pair of taps.  ``gram_matrix`` uses that
-the valid lifting is the circular lifting on gamma's array restricted to
-the outputs m with m1 >= f1 - 1 and m2 >= f2 - 1, an indicator that factors
-as (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]).  So the Gram is the circular
-Gram (Toeplitz in the circular autocorrelation: one forward FFT per block,
-whose axis-2 half the row strips share, one inverse in all) minus the row
-strips' and the column strips' Grams (each circular along the other axis,
-so 1-D FFTs, one small product per frequency and one small DFT product for
-the 2f - 1 lags read) plus the (f1 - 1)(f2 - 1) corner windows the strips
-share (the rule on the rows [0, f - 1)): one product over a wrapped patch
-of 2(f1 - 1) rows for all blocks, summed along its diagonals.
+rows [0, f), the lag k - l of each pair of taps.  ``gram_matrix`` is the
+one Gram of the package, chosen by the lifting's size: a small lifting is
+gathered and multiplied out; a large one goes through ``_fft_gram``, the
+circular Gram on gamma's array (Toeplitz in the circular autocorrelation)
+minus the wrapped row and column strips' Grams plus the corner windows
+they share (the rule on the rows [0, f - 1)), without the lifted matrix.
 The tests check the rule against an independent oracle, the same maps by
 circular FFT convolution on gamma's array, where the valid outputs are the
 slice [f1 - 1:, f2 - 1:] and read no wrapped sample.  The solver's
@@ -53,6 +48,9 @@ from .grid import IndexSet2D, valid_output_set
 
 IDENTITY = "identity"
 GRADIENT = "gradient"
+# the most lifted entries whose Gram ``gram_matrix`` multiplies out densely,
+# below the measured crossover (the table in its docstring)
+DENSE_GRAM_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -321,31 +319,17 @@ def _strip_gram(yhat: np.ndarray, f1: int, f2: int) -> np.ndarray:
     return rho[np.subtract.outer(np.arange(f2), np.arange(f2)) + f2 - 1].transpose(2, 0, 3, 1)
 
 
-def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
-    """Hermitian N x N Gram of the lifting, T(x)^H T(x).
-
-    The valid lifting is the circular lifting on gamma's array (windows
-    wrapping mod gamma's extents) restricted to the outputs m with
-    m1 >= f1 - 1 and m2 >= f2 - 1.  That indicator factors as
+def _fft_gram(values: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """T(x)^H T(x) of gamma-shaped values, unchecked and not symmetrised,
+    without the lifted matrix.  The valid outputs m1 >= f1 - 1, m2 >= f2 - 1
+    of the circular lifting on gamma's array have the indicator
     (1 - [m1 < f1 - 1]) (1 - [m2 < f2 - 1]), so the Gram is
-    ``G_corner - G_R - G_C + G_c``:
-
-    - ``G_corner``, the (f1 - 1)(f2 - 1) outputs in both strips, is one
-      product over a wrapped patch of 2(f1 - 1) rows, summed along its
-      diagonals (``_corner_gram``), so the lifted matrix is never held;
-    - ``G_R`` (the row strips m1 < f1 - 1) and ``G_C`` (the column strips
-      m2 < f2 - 1) are each circular along the other axis: 1-D FFTs, one
-      f x f product per frequency and one DFT product for the lags read
-      (``_strip_gram``); the row strips' FFT along axis 2 is reused for
-      the circular Gram;
-    - ``G_c``, the circular Gram, is Toeplitz in the circular autocorrelation
-      ``r = ifft2(sum_b |fft2(w_b x)|^2)``, read through
-      ``cfg.circular_lags``.
-
-    The result is symmetrised, so it is exactly Hermitian.
-    """
-    _check_input(x, cfg)
-    ys = cfg.multipliers * x.values
+    ``G_corner - G_R - G_C + G_c``: the corner windows in both strips
+    (``_corner_gram``), the row and the column strips, each circular along
+    the other axis (``_strip_gram``; the row strips' axis-2 FFT is reused),
+    and the circular Gram, Toeplitz in ``ifft2(sum_b |fft2(w_b x)|^2)``
+    read through ``cfg.circular_lags``."""
+    ys = cfg.multipliers * values
     f1, f2 = cfg.lambda1.extents
     taps = _corner_gram(ys, f1, f2)  # taps[k1, k2, l1, l2]
     yhat = fft2(ys, axes=(-1,))
@@ -353,6 +337,31 @@ def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
     taps -= _strip_gram(fft2(ys, axes=(-2,)).swapaxes(1, 2), f2, f1).transpose(1, 0, 3, 2)
     gram = taps.reshape(f1 * f2, f1 * f2)  # a view: gram[(k1, k2), (l1, l2)]
     gram += np.take(ifft2((np.abs(fft2(yhat, axes=(-2,))) ** 2).sum(axis=0)), cfg.circular_lags)
+    return gram
+
+
+def gram_matrix(x: KSpaceArray, cfg: LiftingConfig) -> np.ndarray:
+    """Hermitian N x N Gram T(x)^H T(x) of the lifting, for every caller.
+
+    Up to ``DENSE_GRAM_ENTRIES`` lifted entries (``cfg.lifted_shape`` alone
+    decides) the gathered lifting is multiplied out; above, ``_fft_gram``
+    works in the non-lifted domain.  Either result is symmetrised, so it is
+    exactly Hermitian.  Host ms per Gram, min of 300 calls, 1 thread, 2-core
+    host, identity weighting at 64x1/8x1 and gradient elsewhere; the dense
+    product's time triples between 19,208 and 20,000 entries:
+
+    lifting  64x1/8x1  17^2/5^2  21^2/5^2  20^2/7^2  24^2/5^2  33^2/5^2  65^2/15^2
+    entries       456     8,450    14,450    19,208    20,000    42,050  1,170,450
+    FFT         0.106     0.194     0.182     0.419     0.299     0.224      2.837
+    dense       0.008     0.055     0.088     0.223     0.386     0.647     41.884
+    """
+    _check_input(x, cfg)
+    rows, n = cfg.lifted_shape
+    if rows * n > DENSE_GRAM_ENTRIES:
+        gram = _fft_gram(x.values, cfg)
+    else:
+        t = _lift(x.values, cfg)
+        gram = t.conj().T @ t
     gram += gram.conj().T
     gram *= 0.5
     return gram

@@ -208,6 +208,8 @@ def random_edge_polynomial(
     (0, 0.5], since both regions must reach it."""
     if not 0.0 < min_region_area <= 0.5:
         raise ValueError(f"min_region_area must lie in (0, 0.5], got {min_region_area}")
+    if len(lambda0) == 1:  # a constant polynomial has no zero set
+        raise ValueError("lambda0 must hold more than one index: a 1x1 edge polynomial is constant")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     e1, e2 = lambda0.extents
     for _ in range(200):
@@ -221,7 +223,8 @@ def random_edge_polynomial(
         frac_pos = float((mu > 0).mean())
         if min_region_area <= frac_pos <= 1.0 - min_region_area:
             return edge
-    raise RuntimeError("no admissible edge polynomial found in 200 draws")
+    raise ValueError(f"no edge polynomial on lambda0 {e1}x{e2} reached min_region_area "
+                     f"{min_region_area} in both sign regions in 200 draws")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import LiftingConfig, lift_dense
+from slrecon import baselines, giraf
 from slrecon.baselines import SVTConfig, _threshold, delift, svt_solve, tv_solve
 from slrecon.giraf import IRLSConfig, giraf_solve
 from slrecon.phantom import (
@@ -289,6 +290,24 @@ class TestSVT:
         b = np.ones(np.count_nonzero(mask.sampled), dtype=complex)
         with pytest.raises(ValueError, match="mask and lifting configs disagree on gamma"):
             solve(b, mask, lifting)
+
+    @pytest.mark.parametrize("solve, module, step", [
+        (lambda *a, **k: giraf_solve(*a, IRLSConfig(p=0.0, lam=1e3), **k), giraf, "cg_solve"),
+        (lambda *a, **k: svt_solve(*a, SVTConfig(), **k), baselines, "_threshold"),
+    ], ids=["giraf", "svt"])
+    def test_reference_on_another_gamma_refused_before_any_step(self, monkeypatch, solve,
+                                                                module, step):
+        calls = []
+        inner = getattr(module, step)
+        monkeypatch.setattr(module, step, lambda *a: calls.append(a) or inner(*a))
+        gamma = IndexSet2D.rect(9, 9)
+        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3))
+        mask = make_mask(gamma, "uniform", 2.0, seed=0)
+        b = sample_kspace(random_kspace(gamma, 1), mask)
+        reference = random_kspace(IndexSet2D.rect(8, 8), 2)
+        with pytest.raises(ValueError, match="reference and lifting configs disagree on gamma"):
+            solve(b, mask, lifting, reference=reference)
+        assert calls == []
 
     def test_dense_cap_refuses_large_problems(self):
         gamma = IndexSet2D.rect(513, 513)

@@ -138,6 +138,13 @@ class TestPhantomCmd:
         assert code == 2
         assert "min_region_area" in capsys.readouterr().err
 
+    def test_single_index_lambda0_exits_two_at_once(self, tmp_path, capsys):
+        # a 1x1 edge polynomial is a constant with no zero set
+        code = run(["phantom", "--lambda0", "1x1", "--grid", "9x9", "--out", tmp_path / "ph"])
+        assert code == 2
+        assert "lambda0 must hold more than one index" in capsys.readouterr().err
+        assert not (tmp_path / "ph").exists()
+
     def test_oversample_improves_rank_residual(self, tmp_path):
         # doubling the oversampling shrinks the rank-test tail by >= 1.5x
         from slrecon.grid import IndexSet2D

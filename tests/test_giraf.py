@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from slrecon.grid import IndexSet2D
 from slrecon.lifting import (
+    DENSE_GRAM_ENTRIES,
     KSpaceArray,
     LiftingConfig,
+    _fft_gram,
     embed,
     gather,
     gram_matrix,
@@ -25,7 +27,6 @@ from slrecon.giraf import (
     TRIANGULAR_BLOCK,
     cg_solve,
     giraf_solve,
-    lifted_gram,
     log_det_weights,
     mask_from_filters,
     normal_apply_approx,
@@ -249,31 +250,41 @@ class TestLogDetWeights:
             log_det_weights(np.eye(2, dtype=complex), 0.0)
 
 
-class TestLiftedGram:
+class TestGramRoute:
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs(), st.integers(0, 2**16))
-    def test_matches_gram_matrix(self, cfg, seed):
+    def test_dense_route_matches_fft_oracle(self, cfg, seed):
+        # every drawn lifting is small enough to be multiplied out
+        assert np.prod(cfg.lifted_shape) <= DENSE_GRAM_ENTRIES
         x = random_kspace(cfg.gamma, seed)
-        gram = lifted_gram(x.values, cfg)
-        assert np.abs(gram - gram_matrix(x, cfg)).max() <= 1e-12 * gram_bound(x, cfg)
+        a = np.stack([apply_filter(x, e, cfg) for e in np.eye(cfg.n_filter)], axis=1)
+        gram = gram_matrix(x, cfg)
+        assert np.abs(gram - a.conj().T @ a).max() <= 1e-12 * gram_bound(x, cfg)
         assert np.array_equal(gram, gram.conj().T)
 
-    @pytest.mark.parametrize("operator, fft_grams", [("approximate", 2), ("exact", 0)])
-    def test_gram_follows_the_operator(self, monkeypatch, operator, fft_grams):
-        # the exact path multiplies out the lifting its CG steps gather; only
-        # the condensed path, which never forms it, takes gram_matrix
-        from slrecon import giraf
+    @pytest.mark.parametrize("operator", ["approximate", "exact"])
+    def test_gram_follows_the_size(self, monkeypatch, operator):
+        # either operator takes gram_matrix once per outer iteration, and the
+        # lifting's size alone picks the route: 9^2/3^2 (882 lifted entries)
+        # is multiplied out, 33^2/5^2 (42,050) goes through _fft_gram
+        from slrecon import giraf, lifting
 
-        calls = []
-        monkeypatch.setattr(giraf, "gram_matrix", lambda *a: calls.append(a) or gram_matrix(*a))
-        gamma = IndexSet2D.rect(9, 9)
-        mask = make_mask(gamma, "uniform", 1.5, seed=3)
-        b = sample_kspace(random_kspace(gamma, 5), mask)
-        lifting = LiftingConfig.make(gamma, IndexSet2D.rect(3, 3), "gradient")
-        cfg = IRLSConfig(p=0.0, lam=1e3, operator=operator, max_outer=2, convergence_tol=1e-300)
-        _, rep = giraf_solve(b, mask, lifting, cfg)
-        assert rep.n_iterations == 2
-        assert len(calls) == fft_grams
+        grams, ffts = [], []
+        monkeypatch.setattr(giraf, "gram_matrix", lambda *a: grams.append(a) or gram_matrix(*a))
+        monkeypatch.setattr(lifting, "_fft_gram", lambda *a: ffts.append(a) or _fft_gram(*a))
+        for n, f, fft_grams in [(9, 3, 0), (33, 5, 2)]:
+            gamma = IndexSet2D.rect(n, n)
+            mask = make_mask(gamma, "uniform", 1.5, seed=3)
+            b = sample_kspace(random_kspace(gamma, 5), mask)
+            cfg = LiftingConfig.make(gamma, IndexSet2D.rect(f, f), "gradient")
+            assert (np.prod(cfg.lifted_shape) > DENSE_GRAM_ENTRIES) == (fft_grams > 0)
+            irls = IRLSConfig(p=0.0, lam=1e3, operator=operator, max_outer=2, cg_max=20,
+                              convergence_tol=1e-300)
+            _, rep = giraf_solve(b, mask, cfg, irls)
+            assert rep.n_iterations == 2
+            assert (len(grams), len(ffts)) == (2, fft_grams)
+            grams.clear()
+            ffts.clear()
 
 
 def dft_matrix(n):

@@ -100,6 +100,17 @@ class TestRandomEdgePolynomial:
         with pytest.raises(ValueError, match="min_region_area"):
             random_edge_polynomial(IndexSet2D.rect(3, 3), seed=0, min_region_area=area)
 
+    def test_single_index_support_refused_at_once(self, monkeypatch):
+        # a 1x1 support is a constant: no zero set, so no draw could pass
+        monkeypatch.setattr(phantom, "rasterize_mu", lambda *a: pytest.fail("drew a polynomial"))
+        with pytest.raises(ValueError, match="lambda0 must hold more than one index"):
+            random_edge_polynomial(IndexSet2D.rect(1, 1), seed=0)
+
+    def test_exhausted_draws_name_their_inputs(self):
+        # both sign regions of exactly half the raster: no draw passes
+        with pytest.raises(ValueError, match=r"lambda0 3x3 reached min_region_area 0\.5"):
+            random_edge_polynomial(IndexSet2D.rect(3, 3), seed=0, min_region_area=0.5)
+
 
 class TestRasterizeMu:
     def test_dc_polynomial(self):
