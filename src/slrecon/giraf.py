@@ -16,11 +16,16 @@ application and weighting block.  It stays the circular convolution on
 gamma's array; only its FFT length changes (``LiftingConfig.mask_shape``):
 the transforms compute the linear convolution on a fast length, folded
 back onto gamma's array.  The exact term is the definition, the gradient
-T^*(T(x) W) of (1/2) tr(T(x) W T(x)^H) on the dense lifting; it is kept
-for validation and small grids, and holds the memory of ``lift_dense``.
-Per CG step it gathers the iterate once through ``lift_geometry``, with
-no ``KSpaceArray`` check (``giraf_solve`` refuses a non-finite iterate),
-and scatters the product back with ``lift_adjoint``.
+T^*(T(x) W) of (1/2) tr(T(x) W T(x)^H) on the dense lifting, in one of two
+forms picked by gamma's size alone.  Up to ``NORMAL_MATRIX_ENTRIES``
+entries |gamma|^2, ``giraf_solve`` assembles the term's |gamma| x |gamma|
+matrix once per outer iteration (``normal_matrix_exact``, box sums of W's
+lag diagonals written into one buffer per solve), and each CG step is one
+matvec.  Above, each CG step (``normal_apply_exact``) gathers the iterate
+once through ``lift_geometry``, with no ``KSpaceArray`` check
+(``giraf_solve`` refuses a non-finite iterate), multiplies by W and
+scatters the product back with ``lift_adjoint``, holding the memory of
+``lift_dense``.
 
 Both operators take the Gram from ``gram_matrix``, once per outer
 iteration; it picks its route from the lifting's size, not the operator.
@@ -64,6 +69,10 @@ EPS_MIN_FACTOR = 1e-12
 # the most a CG solve may leave of its starting residual, whatever cg_tol
 # allows: a warm start within cg_tol ||rhs|| still takes real steps
 CG_RESIDUAL_CUT = 0.1
+# the most entries |gamma|^2 for which giraf_solve applies the exact term as
+# its assembled matrix, near the measured crossover (the table in
+# normal_matrix_exact's docstring); the matrix then holds at most 4 MiB
+NORMAL_MATRIX_ENTRIES = 2**18
 # the most rows a triangular inverse hands to np.linalg.inv whole, chosen so
 # that small Grams (N = 25 and 8 in the giraf-exact-small benchmark) keep
 # np.linalg.inv's result bit for bit; no crossover with the blocked form was
@@ -229,6 +238,55 @@ def normal_apply_exact(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
     return lift_adjoint(_lift(xv, cfg) @ wm, cfg)
 
 
+def normal_matrix_exact(wm: np.ndarray, cfg: LiftingConfig,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """The |gamma| x |gamma| matrix A_W of ``normal_apply_exact``, rows and
+    columns the row-major positions on gamma's array:
+    ``A_W @ x.ravel()`` is T^*(T(x) W) raveled.
+
+    With positions i, j per axis, taps k and Delta = i - j, the entry
+    A_W[i, j] is sum_b w_b(i) w_b(j) sum_k W[k + Delta, k] over the taps k
+    with k and k + Delta in lambda1 and i + k in lambda2's rows [f - 1, e).
+    Off the lag-Delta diagonal's taps the sum reads zeros, so the taps form
+    a box per entry, and only entries with |Delta| < f on each axis
+    (``cfg.band_offsets``) can be nonzero.  Each is a box sum of one lag
+    diagonal (``cfg.band_diagonals``), read from the diagonals' 2-D prefix
+    sums through four corners (``cfg.band_corners``) and scaled by
+    ``cfg.band_weights``.  ``out``, if given, must hold zeros off the band
+    (any earlier result for this config does) and is written in place.
+
+    ``giraf_solve`` applies the matrix, one matvec per CG step, on liftings
+    with |gamma|^2 <= ``NORMAL_MATRIX_ENTRIES``, building it once per outer
+    iteration; larger ones apply ``normal_apply_exact``.  The matvec's cost
+    follows |gamma|^2 alone, while the lifted apply's grows with the filter
+    too, so a larger filter moves the crossover up (24^2/9^2) and a smaller
+    one down (20^2/3^2); the rule reads |gamma| alone, which also bounds the
+    matrix's memory.  Host us, min of 3 x 5 x 300 calls (100 builds), 1
+    thread, 2-core host, identity weighting at 64x1/8x1 and gradient
+    elsewhere:
+
+    lifting    64x1/8x1 9^2/3^2 17^2/5^2 20^2/3^2 20^2/7^2 22^2/5^2 24^2/5^2 24^2/9^2 33^2/5^2
+    |gamma|^2     4,096   6,561   83,521  160,000  160,000  234,256  331,776  331,776  1.19e6
+    lifted apply   12.0    18.0     74.3     60.4    179.7    123.1    152.3    514.0    321.1
+    matvec          2.2     3.0     22.9     72.0     70.2    110.4    154.4    178.5    648.7
+    build          30.9    39.2    224.5    109.3    702.1    400.6    480.7  1,812.9  1,069.5
+    """
+    f1, f2 = cfg.lambda1.extents
+    diagonals = np.take(np.append(wm.ravel(), 0.0), cfg.band_diagonals)
+    sums = np.zeros((len(diagonals), f1 + 1, f2 + 1), dtype=np.complex128)
+    np.cumsum(np.cumsum(diagonals, axis=1), axis=2, out=sums[:, 1:, 1:])
+    hi_hi, lo_hi, hi_lo, lo_lo = cfg.band_corners
+    values = np.take(sums, hi_hi)
+    values -= np.take(sums, lo_hi)
+    values -= np.take(sums, hi_lo)
+    values += np.take(sums, lo_lo)
+    values *= cfg.band_weights
+    if out is None:
+        out = np.zeros((len(cfg.gamma),) * 2, dtype=np.complex128)
+    out.reshape(-1)[cfg.band_offsets] = values
+    return out
+
+
 def normal_diag_approx(wm: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     """Diagonal of ``normal_apply_approx``: trace(W) sum_b w_b^2.  Each
     block is circulant on gamma's array with the mask's lag-0 coefficient
@@ -255,7 +313,8 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     unpreconditioned residual r = rhs - A x satisfies
     ||r|| <= min(tol ||rhs||, CG_RESIDUAL_CUT ||r0||), r0 the residual at x0.
 
-    Returns (x, info); info is keyed by ``IterationRecord``'s field names:
+    Returns (x, info), x complex128 (a zero rhs returns x = 0 and applies
+    no operator); info is keyed by ``IterationRecord``'s field names:
     the iteration count (``cg_iters``), the starting and final residuals
     relative to ||rhs|| (``cg_start_residual``, ``cg_residual``), why the
     iteration stopped (``cg_stop_reason``: "converged", "max_iter", or
@@ -263,16 +322,16 @@ def cg_solve(op, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, 
     quadratic objective 0.5<x,Ax> - Re<rhs,x> at entry and exit
     (``surrogate_start``, ``surrogate_end``; monotone for exact arithmetic CG).
     """
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:  # x = 0 solves it exactly, without an apply
+        return np.zeros(x0.shape, dtype=np.complex128), {
+            "cg_iters": 0, "cg_start_residual": 0.0, "cg_residual": 0.0,
+            "cg_stop_reason": "converged", "surrogate_start": 0.0, "surrogate_end": 0.0}
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     # x, r, z and p are this solve's own buffers, updated in place; what op
     # returns and the arguments are only read
     x = x0.astype(np.complex128)
     r = rhs - op(x)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(x0), {"cg_iters": 0, "cg_start_residual": 0.0,
-                                   "cg_residual": 0.0, "cg_stop_reason": "converged",
-                                   "surrogate_start": 0.0, "surrogate_end": 0.0}
 
     def phi(xc, rc):
         # 0.5<x, Ax> - Re<rhs, x> evaluated from the residual: Ax = rhs - r
@@ -346,6 +405,12 @@ def giraf_solve(
     rhs = cfg.lam * b_fill  # lam * adjoint-sampled data
     report = SolverReport()
 
+    size = len(lifting.gamma)
+    # the exact term's matrix on small liftings; its zero pattern is fixed,
+    # so one buffer serves every outer iteration
+    matrix = None
+    if cfg.operator == EXACT and size * size <= NORMAL_MATRIX_ENTRIES:
+        matrix = np.zeros((size, size), dtype=np.complex128)
     eps = None
     eps_min = None
     for n in range(1, cfg.max_outer + 1):
@@ -379,7 +444,11 @@ def giraf_solve(
             term = lambda v: normal_apply_approx(v, mask_fn, lifting)
             diag = normal_diag_approx(wm, lifting)
         else:
-            term = lambda v: normal_apply_exact(v, wm, lifting)
+            if matrix is None:
+                term = lambda v: normal_apply_exact(v, wm, lifting)
+            else:
+                normal_matrix_exact(wm, lifting, out=matrix)
+                term = lambda v: (matrix @ v.ravel()).reshape(v.shape)
             diag = normal_diag_exact(wm, lifting)
 
         def normal(v):

@@ -31,8 +31,13 @@ array; ``mask_lags`` is the lag map on that grid.
 A ``LiftingConfig`` is a function of gamma, lambda1 and the weighting:
 lambda2 is derived from them at construction, not accepted and checked.
 The arrays derived from its geometry are computed on first use and cached
-read-only, so no per-call map re-derives them; three of them are index
-tables (``lift_geometry``, ``circular_lags`` and ``mask_lags``).
+read-only, so no per-call map re-derives them.  The index tables among
+them are ``lift_geometry``, ``circular_lags`` and ``mask_lags``, and the
+int32 tables from which the solver assembles the exact normal operator's
+matrix on small grids: ``band_pairs`` and ``band_offsets`` (the entries the
+matrix can hold), ``band_diagonals`` (W's lag diagonals) and
+``band_corners`` (each entry's box of taps); ``band_weights`` holds the
+entries' multiplier products.
 """
 
 from __future__ import annotations
@@ -179,6 +184,70 @@ class LiftingConfig:
         between taps k and l of lambda1 (``circular_lags`` on that grid)."""
         f1, f2 = self.lambda1.extents
         return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.mask_shape))
+
+    @cached_property
+    def band_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis, the int32 position pairs (i, j) on gamma's array with
+        |i - j| below lambda1's extent f: the band of the matrix of
+        x -> T^*(T(x) W), whose entry (i, j) is nonzero only where both
+        axes' pairs are in it.  The band's entries run over axis 1's pairs,
+        then axis 2's (``band_offsets``).  A gamma whose |gamma|^2 exceeds
+        int32's range raises ValueError."""
+        n = len(self.gamma)
+        if n * n > np.iinfo(np.int32).max:
+            raise ValueError(f"a {n} x {n} matrix has more entries than int32 offsets reach")
+        pairs = []
+        for e, f in zip(self.gamma.extents, self.lambda1.extents):
+            near = np.flatnonzero(abs(np.subtract.outer(np.arange(e), np.arange(e))) < f)
+            pairs.append(tuple(_read_only(a.astype(np.int32)) for a in np.divmod(near, e)))
+        return tuple(pairs)
+
+    @cached_property
+    def band_offsets(self) -> np.ndarray:
+        """int32 flat row-major offsets of the band's entries (``band_pairs``)
+        in the |gamma| x |gamma| matrix."""
+        (i1, j1), (i2, j2) = self.band_pairs
+        e2, n = self.gamma.extents[1], len(self.gamma)
+        return _read_only(np.add.outer(i1 * (e2 * n) + j1 * e2, i2 * n + j2).ravel())
+
+    @cached_property
+    def band_corners(self) -> np.ndarray:
+        """(4, entries) int32 flat offsets into the prefix sums of W's lag
+        diagonals, shaped (lags, f1 + 1, f2 + 1) as in ``normal_matrix_exact``:
+        per band entry (i, j), the corners (hi1, hi2), (lo1, hi2), (hi1, lo2)
+        and (lo1, lo2) of the lag-(i - j) diagonal's tap box,
+        [lo, hi) = [max(0, f - 1 - i), min(f, e - i)) per axis, the taps k
+        whose output i + k lies in lambda2's rows [f - 1, e)."""
+        (f1, f2), (e1, e2) = self.lambda1.extents, self.gamma.extents
+        steps = ((2 * f2 - 1) * (f1 + 1) * (f2 + 1), f2 + 1), ((f1 + 1) * (f2 + 1), 1)
+        axes = []
+        for (i, j), e, f, (lag_step, tap_step) in zip(self.band_pairs, (e1, e2), (f1, f2), steps):
+            lag = (i - j + f - 1) * lag_step
+            axes.append((lag + np.minimum(e - i, f) * tap_step,
+                         lag + np.maximum(f - 1 - i, 0) * tap_step))
+        (hi1, lo1), (hi2, lo2) = axes
+        return _read_only(np.stack([np.add.outer(c1, c2).ravel()
+                                    for c1, c2 in ((hi1, hi2), (lo1, hi2), (hi1, lo2), (lo1, lo2))]))
+
+    @cached_property
+    def band_diagonals(self) -> np.ndarray:
+        """(lags, f1, f2) int32 flat offsets into an N x N weight matrix
+        followed by one zero: lag d's diagonal at tap k reads W[k + d, k],
+        or the zero past W where k + d leaves lambda1; lags d run row-major
+        over (1 - f1..f1 - 1) x (1 - f2..f2 - 1)."""
+        (f1, f2), n = self.lambda1.extents, self.n_filter
+        r1, r2 = (np.add.outer(np.arange(1 - f, f), np.arange(f)) for f in (f1, f2))
+        flat = (r1[:, None, :, None] * f2 + r2[None, :, None, :]) * n + np.arange(n).reshape(f1, f2)
+        inside = (((0 <= r1) & (r1 < f1))[:, None, :, None]
+                  & ((0 <= r2) & (r2 < f2))[None, :, None, :])
+        return _read_only(np.where(inside, flat, n * n).reshape(-1, f1, f2).astype(np.int32))
+
+    @cached_property
+    def band_weights(self) -> np.ndarray:
+        """sum_b w_b(i) w_b(j) of each band entry (i, j) (``band_offsets``)."""
+        (i1, j1), (i2, j2) = self.band_pairs
+        return _read_only(sum((w[np.ix_(i1, i2)] * w[np.ix_(j1, j2)]).ravel()
+                              for w in self.multipliers))
 
     @cached_property
     def normal_diag(self) -> np.ndarray:

@@ -24,6 +24,7 @@ from slrecon.giraf import (
     EPS0_FACTOR,
     EPS_MIN_FACTOR,
     IRLSConfig,
+    NORMAL_MATRIX_ENTRIES,
     TRIANGULAR_BLOCK,
     cg_solve,
     giraf_solve,
@@ -33,6 +34,7 @@ from slrecon.giraf import (
     normal_apply_exact,
     normal_diag_approx,
     normal_diag_exact,
+    normal_matrix_exact,
     schatten_penalty,
     weight_matrix,
     _lower_inverse,
@@ -440,6 +442,13 @@ class TestNormalOperators:
         assert rel_err(out, window * x.values) < 1e-12
 
 
+def exact_apply_bound(wm, xv, cfg):
+    """A bound on ||T^*(T(x) W)||: T^*T is diagonal with entries at most
+    N max|w|^2, so the term's norm is at most that times ||W||."""
+    lift_sq = cfg.n_filter * max(np.abs(w).max() ** 2 for w in cfg.multipliers)
+    return lift_sq * np.linalg.norm(wm, 2) * np.linalg.norm(xv)
+
+
 class TestExactOperatorOracle:
     @settings(max_examples=60, deadline=None)
     @given(weighted_banks(), st.integers(0, 2**16))
@@ -451,12 +460,9 @@ class TestExactOperatorOracle:
         expect = np.zeros_like(x.values)
         for f in filters.T:
             expect = expect + adjoint_apply(apply_filter(x, f, cfg), f, cfg).values
-        # relative to a bound on the operator's norm: T^*T is diagonal with
-        # entries at most N max|w|^2, and T(x) may vanish (or nearly so) while
-        # the FFT oracle still rounds at the scale of x
-        lift_sq = cfg.n_filter * max(np.abs(w).max() ** 2 for w in cfg.multipliers)
-        scale = lift_sq * np.linalg.norm(wm, 2) * np.linalg.norm(x.values)
-        assert np.linalg.norm(out - expect) <= 1e-12 * scale
+        # relative to a bound on the operator's norm: T(x) may vanish (or
+        # nearly so) while the FFT oracle still rounds at the scale of x
+        assert np.linalg.norm(out - expect) <= 1e-12 * exact_apply_bound(wm, x.values, cfg)
 
 
 class TestExactApplyComposition:
@@ -472,6 +478,58 @@ class TestExactApplyComposition:
         out = normal_apply_exact(xv, wm, cfg)
         assert out.dtype == np.complex128 and out.shape == cfg.gamma.extents
         assert np.array_equal(out, exact_apply_oracle(xv, wm, cfg))
+
+
+class TestExactMatrixRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs(), st.integers(0, 2**16))
+    def test_matvec_matches_the_oracle(self, cfg, seed):
+        # every drawn lifting takes the matrix route
+        assert len(cfg.gamma) ** 2 <= NORMAL_MATRIX_ENTRIES
+        rng = np.random.default_rng(seed)
+        n = cfg.n_filter
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        wm = f @ f.conj().T
+        xv = random_kspace(cfg.gamma, seed + 1).values
+        matrix = normal_matrix_exact(wm, cfg)
+        out = (matrix @ xv.ravel()).reshape(cfg.gamma.extents)
+        assert matrix.shape == (len(cfg.gamma),) * 2 and matrix.dtype == np.complex128
+        assert (np.linalg.norm(out - exact_apply_oracle(xv, wm, cfg))
+                <= 1e-12 * exact_apply_bound(wm, xv, cfg))
+        # rebuilt in place over another weight matrix's result, as giraf_solve
+        # does at every outer iteration: the same bits as a fresh build
+        wm2 = wm @ wm
+        assert np.array_equal(normal_matrix_exact(wm2, cfg, out=matrix),
+                              normal_matrix_exact(wm2, cfg))
+
+    @pytest.mark.parametrize("grid, filt, weighting, route", [
+        ((17, 17), (5, 5), "gradient", "matrix"),
+        ((64, 1), (8, 1), "identity", "matrix"),
+        ((33, 33), (5, 5), "gradient", "lifted"),
+    ])
+    def test_route_follows_the_size(self, monkeypatch, grid, filt, weighting, route):
+        # the matrix is built once per outer iteration and each CG step is
+        # its matvec; the lifted apply runs only where the matrix is not built
+        from slrecon import giraf
+
+        builds, applies = [], []
+        monkeypatch.setattr(giraf, "normal_matrix_exact",
+                            lambda *a, **k: builds.append(a) or normal_matrix_exact(*a, **k))
+        monkeypatch.setattr(giraf, "normal_apply_exact",
+                            lambda *a: applies.append(a) or normal_apply_exact(*a))
+        gamma = IndexSet2D.rect(*grid)
+        mask = make_mask(gamma, "uniform", 1.5, seed=3)
+        b = sample_kspace(random_kspace(gamma, 5), mask)
+        cfg = LiftingConfig.make(gamma, IndexSet2D.rect(*filt), weighting)
+        irls = IRLSConfig(p=0.0, lam=1e3, operator="exact", max_outer=2, cg_max=20,
+                          convergence_tol=1e-300)
+        _, rep = giraf_solve(b, mask, cfg, irls)
+        cg_steps = sum(r.cg_iters for r in rep.iterations)
+        assert rep.n_iterations == 2 and cg_steps > 0
+        if route == "matrix":
+            assert (len(builds), len(applies)) == (2, 0)
+        else:
+            assert (len(builds), len(applies)) == (0, cg_steps + 2)
 
 
 class TestCG:
@@ -517,6 +575,13 @@ class TestCG:
         x, info = cg_solve(op, np.ones(5), np.zeros(5), np.ones(5), 1e-10, 10)
         assert np.allclose(x, 0.0)
         assert info["cg_stop_reason"] == "converged"
+
+    def test_zero_rhs_returns_complex_zeros_without_an_apply(self):
+        calls = []
+        x, info = cg_solve(lambda v: calls.append(v) or v, np.ones(5), np.zeros(5, complex),
+                           np.ones(5), 1e-10, 10)
+        assert x.dtype == np.complex128 and np.array_equal(x, np.zeros(5))
+        assert calls == [] and info["cg_iters"] == 0
 
     def test_indefinite_operator_reports_stop_reason(self):
         x, info = cg_solve(lambda v: -v, np.ones(5), np.ones(5), np.zeros(5), 1e-10, 10)
@@ -700,10 +765,10 @@ def brute_force_irls_iteration(b, mask, cfg_lift, p, lam, eps0_factor, condensed
     return np.linalg.solve(r_dense, rhs).reshape(gamma.extents)
 
 
-def dirac_stream_recovery(seed):
-    """Five well separated Diracs on a 64x1 grid, recovered by the exact
-    operator with an 8x1 filter from a uniform mask drawn with ``seed``;
-    returns the mask and the relative error."""
+def dirac_stream_problem(seed):
+    """Five well separated Diracs on a 64x1 grid, sampled by a uniform mask
+    drawn with ``seed``, and the exact operator's settings with an 8x1
+    filter (acceptance criterion 8): (truth, b, mask, lifting, cfg)."""
     locs = [0.08, 0.31, 0.52, 0.74, 0.9]
     amps = np.array([1.0, -0.7 + 0.3j, 0.9, 1.2j, -0.5])
     gamma = IndexSet2D.rect(64, 1)
@@ -712,8 +777,86 @@ def dirac_stream_recovery(seed):
     lifting = LiftingConfig.make(gamma, IndexSet2D.rect(8, 1), "identity")
     cfg = IRLSConfig(p=0.0, lam=1e8, operator="exact", max_outer=40,
                      eps_decay=1.5, cg_tol=1e-13, cg_max=3000, convergence_tol=1e-10)
-    rec, _ = giraf_solve(sample_kspace(truth, mask), mask, lifting, cfg)
+    return truth, sample_kspace(truth, mask), mask, lifting, cfg
+
+
+def dirac_stream_recovery(seed):
+    """``dirac_stream_problem`` recovered; returns the mask and the relative
+    error."""
+    truth, b, mask, lifting, cfg = dirac_stream_problem(seed)
+    rec, _ = giraf_solve(b, mask, lifting, cfg)
     return mask, rel_err(rec.values, truth.values)
+
+
+def sweep_problem(count, seed):
+    """One trial of the 17x17 phase-transition sweep: acceptance criterion
+    9's phantom, a 5x5 filter under gradient weighting and
+    ``phase_transition``'s solver settings, sampled by a uniform mask of
+    ``count`` samples drawn with ``seed``: (b, mask, lifting, cfg)."""
+    gamma = IndexSet2D.rect(17, 17)
+    edge = random_edge_polynomial(IndexSet2D.rect(3, 3), seed=6)
+    truth = phantom_fourier(Phantom(edge, (1.0, 0.0), oversample=8), gamma)
+    mask = make_mask(gamma, "uniform", acceleration=len(gamma) / count, seed=seed)
+    lifting = LiftingConfig.make(gamma, IndexSet2D.rect(5, 5), "gradient")
+    cfg = IRLSConfig(p=0.0, lam=1e9, max_outer=15, cg_tol=1e-8, cg_max=400,
+                     convergence_tol=1e-7, operator="exact")
+    return sample_kspace(truth, mask), mask, lifting, cfg
+
+
+class TestExactDescent:
+    @pytest.mark.parametrize("route", ["matrix", "lifted"])
+    @pytest.mark.parametrize("problem", ["sweep", "fri"])
+    def test_objective_never_rises(self, monkeypatch, problem, route):
+        # At fixed eps an IRLS step is a majorize-minimize step, and CG from
+        # the warm start lowers its quadratic surrogate; a smaller eps lowers
+        # the log-det penalty at a fixed x.  Record n's objective is
+        # J_{eps_n}(x_{n-1}), so on the exact operator, whose term and Gram
+        # come from one lifting, no record may exceed the one before it by
+        # more than both records' round-off.
+        from slrecon import giraf
+
+        if problem == "sweep":
+            b, mask, lifting, cfg = sweep_problem(190, seed=0)
+        else:
+            _, b, mask, lifting, cfg = dirac_stream_problem(seed=1)
+        assert len(lifting.gamma) ** 2 <= NORMAL_MATRIX_ENTRIES  # the matrix route
+        if route == "lifted":
+            monkeypatch.setattr(giraf, "NORMAL_MATRIX_ENTRIES", 0)
+        traces = []
+
+        def traced_gram(*args):
+            gram = gram_matrix(*args)
+            traces.append(float(np.trace(gram).real))
+            return gram
+
+        monkeypatch.setattr(giraf, "gram_matrix", traced_gram)
+        _, rep = giraf_solve(b, mask, lifting, cfg)
+        recs = rep.iterations
+        assert len(recs) == len(traces) >= 5
+        # The round-off of a record, from the log-det's conditioning.  The
+        # Gram is multiplied out (the dense route), each entry a sum of
+        # ``rows`` products, so it is off by at most gamma_rows trace(G) in
+        # the Frobenius norm; the Cholesky of G + eps I is backward stable,
+        # off by at most gamma_(N+1) trace(G + eps I).  By Weyl's theorem no
+        # eigenvalue of G + eps I moves by more than their sum, delta, and
+        # every eigenvalue is at least eps, so the penalty, half the sum of
+        # the N eigenvalues' logs, moves by at most N delta / (2 eps).  The
+        # data term, a sum of m squares, is off by at most gamma_(m+2) of it.
+        rows, n = lifting.lifted_shape
+        assert rows * n <= DENSE_GRAM_ENTRIES
+
+        def gamma_(k):
+            unit = np.finfo(float).eps / 2
+            return k * unit / (1 - k * unit)
+
+        tols = [n * (gamma_(rows) * t + gamma_(n + 1) * (t + n * r.eps)) / (2 * r.eps)
+                + gamma_(mask.sampled.sum() + 2) * r.data_fit + gamma_(2) * abs(r.objective)
+                for r, t in zip(recs, traces)]
+        rises = [(k + 2, later.objective - earlier.objective, tol + tol_next)
+                 for k, (earlier, later, tol, tol_next)
+                 in enumerate(zip(recs, recs[1:], tols, tols[1:]))
+                 if later.objective > earlier.objective + tol + tol_next]
+        assert rises == [], rises
 
 
 class TestGirafSolve:

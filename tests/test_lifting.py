@@ -271,14 +271,20 @@ class TestConfigInvariants:
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         # built on first use, not when the config is made
-        lazy = ("circular_lags", "mask_lags", "normal_diag")
+        lazy = ("circular_lags", "mask_lags", "normal_diag", "band_offsets", "band_corners",
+                "band_diagonals", "band_weights")
         assert not set(lazy) & set(vars(cfg))
         for name in lazy:
             assert getattr(cfg, name) is getattr(cfg, name)
         assert np.array_equal(cfg.normal_diag, lift_normal_diag(np.ones(cfg.n_filter), cfg))
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
-        for a in (cfg.multipliers, cfg.lift_geometry, *(getattr(cfg, name) for name in lazy)):
+        band_pairs = [a for pair in cfg.band_pairs for a in pair]
+        for a in (cfg.multipliers, cfg.lift_geometry, *(getattr(cfg, name) for name in lazy),
+                  *band_pairs):
             assert not a.flags.writeable
+        # the exact term's matrix tables, beside the lag tables, are int32
+        for a in (cfg.band_offsets, cfg.band_corners, cfg.band_diagonals, *band_pairs):
+            assert a.dtype == np.int32
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs())
