@@ -13,8 +13,12 @@ The read rule, output i and tap k read index (i - k) mod e on an array of
 extents e, is written once, in ``read_offsets`` (``_axis_reads`` is its 1-D
 form); ``scatter_sum`` sums values back onto what they read.
 ``lift_geometry`` is the rule on gamma's array at the valid rows [f - 1, e),
-which never wrap: ``lift_dense`` gathers through it, ``lift_adjoint`` and
-``lift_normal_diag`` scatter back.  ``circular_lags`` is the rule on the
+which never wrap: ``lift_dense`` gathers through it, ``lift_adjoint``
+scatters back.  On those rows the rule factors per axis into one 0/1 box,
+``tap_boxes``: B[i, k] = [f - 1 <= i + k < e], tap k of the window at
+output i + k reads position i.  Two products with the boxes give the exact
+normal operator's matrix, ``lift_normal_matrix``, and its diagonal,
+``lift_normal_diag``.  ``circular_lags`` is the rule on the
 rows [0, f), the lag k - l of each pair of taps.  ``gram_matrix`` is the
 one Gram of the package, chosen by the lifting's size: a small lifting is
 gathered and multiplied out; a large one goes through ``_fft_gram``, the
@@ -33,11 +37,10 @@ lambda2 is derived from them at construction, not accepted and checked.
 The arrays derived from its geometry are computed on first use and cached
 read-only, so no per-call map re-derives them.  The index tables among
 them are ``lift_geometry``, ``circular_lags`` and ``mask_lags``, and the
-int32 tables from which the solver assembles the exact normal operator's
-matrix on small grids: ``band_pairs`` and ``band_offsets`` (the entries the
-matrix can hold), ``band_diagonals`` (W's lag diagonals) and
-``band_corners`` (each entry's box of taps); ``band_weights`` holds the
-entries' multiplier products.
+two that ``lift_normal_matrix`` reads beside the boxes: ``band_diagonals``
+(W's lag diagonals) and ``band_targets`` (where each position and lag
+lands in the matrix); ``band_weights`` holds the entries' multiplier
+products.
 """
 
 from __future__ import annotations
@@ -186,68 +189,53 @@ class LiftingConfig:
         return _read_only(read_offsets((range(f1), range(f2)), (f1, f2), self.mask_shape))
 
     @cached_property
-    def band_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per axis, the int32 position pairs (i, j) on gamma's array with
-        |i - j| below lambda1's extent f: the band of the matrix of
-        x -> T^*(T(x) W), whose entry (i, j) is nonzero only where both
-        axes' pairs are in it.  The band's entries run over axis 1's pairs,
-        then axis 2's (``band_offsets``).  A gamma whose |gamma|^2 exceeds
-        int32's range raises ValueError."""
-        n = len(self.gamma)
-        if n * n > np.iinfo(np.int32).max:
-            raise ValueError(f"a {n} x {n} matrix has more entries than int32 offsets reach")
-        pairs = []
+    def tap_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per axis, the (e, f) 0/1 float box B[i, k] = [f - 1 <= i + k < e]:
+        tap k of the window at output i + k reads position i (the rule on the
+        valid rows [f - 1, e))."""
+        boxes = []
         for e, f in zip(self.gamma.extents, self.lambda1.extents):
-            near = np.flatnonzero(abs(np.subtract.outer(np.arange(e), np.arange(e))) < f)
-            pairs.append(tuple(_read_only(a.astype(np.int32)) for a in np.divmod(near, e)))
-        return tuple(pairs)
-
-    @cached_property
-    def band_offsets(self) -> np.ndarray:
-        """int32 flat row-major offsets of the band's entries (``band_pairs``)
-        in the |gamma| x |gamma| matrix."""
-        (i1, j1), (i2, j2) = self.band_pairs
-        e2, n = self.gamma.extents[1], len(self.gamma)
-        return _read_only(np.add.outer(i1 * (e2 * n) + j1 * e2, i2 * n + j2).ravel())
-
-    @cached_property
-    def band_corners(self) -> np.ndarray:
-        """(4, entries) int32 flat offsets into the prefix sums of W's lag
-        diagonals, shaped (lags, f1 + 1, f2 + 1) as in ``normal_matrix_exact``:
-        per band entry (i, j), the corners (hi1, hi2), (lo1, hi2), (hi1, lo2)
-        and (lo1, lo2) of the lag-(i - j) diagonal's tap box,
-        [lo, hi) = [max(0, f - 1 - i), min(f, e - i)) per axis, the taps k
-        whose output i + k lies in lambda2's rows [f - 1, e)."""
-        (f1, f2), (e1, e2) = self.lambda1.extents, self.gamma.extents
-        steps = ((2 * f2 - 1) * (f1 + 1) * (f2 + 1), f2 + 1), ((f1 + 1) * (f2 + 1), 1)
-        axes = []
-        for (i, j), e, f, (lag_step, tap_step) in zip(self.band_pairs, (e1, e2), (f1, f2), steps):
-            lag = (i - j + f - 1) * lag_step
-            axes.append((lag + np.minimum(e - i, f) * tap_step,
-                         lag + np.maximum(f - 1 - i, 0) * tap_step))
-        (hi1, lo1), (hi2, lo2) = axes
-        return _read_only(np.stack([np.add.outer(c1, c2).ravel()
-                                    for c1, c2 in ((hi1, hi2), (lo1, hi2), (hi1, lo2), (lo1, lo2))]))
+            reads = np.add.outer(np.arange(e), np.arange(f))
+            boxes.append(_read_only(((f - 1 <= reads) & (reads < e)).astype(float)))
+        return tuple(boxes)
 
     @cached_property
     def band_diagonals(self) -> np.ndarray:
-        """(lags, f1, f2) int32 flat offsets into an N x N weight matrix
-        followed by one zero: lag d's diagonal at tap k reads W[k + d, k],
-        or the zero past W where k + d leaves lambda1; lags d run row-major
-        over (1 - f1..f1 - 1) x (1 - f2..f2 - 1)."""
+        """(2 f1 - 1, 2 f2 - 1, f1, f2) flat offsets into an N x N weight
+        matrix followed by one zero: lag d's diagonal at tap k reads
+        W[k + d, k], or the zero past W where k + d leaves lambda1; lags d
+        run over (1 - f1..f1 - 1) x (1 - f2..f2 - 1)."""
         (f1, f2), n = self.lambda1.extents, self.n_filter
         r1, r2 = (np.add.outer(np.arange(1 - f, f), np.arange(f)) for f in (f1, f2))
         flat = (r1[:, None, :, None] * f2 + r2[None, :, None, :]) * n + np.arange(n).reshape(f1, f2)
         inside = (((0 <= r1) & (r1 < f1))[:, None, :, None]
                   & ((0 <= r2) & (r2 < f2))[None, :, None, :])
-        return _read_only(np.where(inside, flat, n * n).reshape(-1, f1, f2).astype(np.int32))
+        return _read_only(np.where(inside, flat, n * n))
+
+    @cached_property
+    def band_targets(self) -> np.ndarray:
+        """Flat offsets, in (i1, d1, d2, i2) order, into a |gamma|^2 + 1
+        buffer: position i and lag d (|d| < f per axis, as in
+        ``band_diagonals``) point at the entry (i, i - d) of the row-major
+        |gamma| x |gamma| matrix, or at the spare last entry where i - d
+        leaves gamma's array."""
+        (e1, e2), n = self.gamma.extents, len(self.gamma)
+        j1, j2 = (np.subtract.outer(np.arange(e), np.arange(1 - f, f))
+                  for e, f in zip(self.gamma.extents, self.lambda1.extents))
+        along1 = (np.arange(e1)[:, None] * n + j1) * e2  # (i1 e2) n + j1 e2
+        along2 = np.arange(e2)[:, None] * n + j2
+        flat = along1[:, :, None, None] + along2.T[None, None]
+        inside = (((0 <= j1) & (j1 < e1))[:, :, None, None]
+                  & ((0 <= j2) & (j2 < e2)).T[None, None])
+        return _read_only(np.where(inside, flat, n * n).ravel())
 
     @cached_property
     def band_weights(self) -> np.ndarray:
-        """sum_b w_b(i) w_b(j) of each band entry (i, j) (``band_offsets``)."""
-        (i1, j1), (i2, j2) = self.band_pairs
-        return _read_only(sum((w[np.ix_(i1, i2)] * w[np.ix_(j1, j2)]).ravel()
-                              for w in self.multipliers))
+        """sum_b w_b(i) w_b(j) of each entry (i, j) that ``band_targets``
+        points at, 0 at the spare entry."""
+        w = np.pad(self.multipliers.reshape(len(self.multipliers), -1), ((0, 0), (0, 1)))
+        i, j = np.divmod(self.band_targets, len(self.gamma))
+        return _read_only((w[:, i] * w[:, j]).sum(axis=0))
 
     @cached_property
     def normal_diag(self) -> np.ndarray:
@@ -334,10 +322,42 @@ def lift_normal_diag(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
     (aligned with cfg.lambda1), as a real gamma-shaped array.
 
     Entry i is sum_b w_b(i)^2 times the sum of d[k] over the taps k whose
-    window reads i; zero only where every multiplier vanishes.
+    window reads i, B1 d B2^T through ``cfg.tap_boxes``; zero only where
+    every multiplier vanishes.
     """
-    reads = scatter_sum(cfg.lift_geometry, np.tile(d, cfg.n_out), cfg.gamma.extents)
-    return reads * (cfg.multipliers**2).sum(axis=0)
+    b1, b2 = cfg.tap_boxes
+    return b1 @ np.reshape(d, cfg.lambda1.extents) @ b2.T * (cfg.multipliers**2).sum(axis=0)
+
+
+def lift_normal_matrix(wm: np.ndarray, cfg: LiftingConfig,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The |gamma| x |gamma| matrix A_W of x -> T^*(T(x) W), rows and
+    columns the row-major positions on gamma's array:
+    ``A_W @ x.ravel()`` is T^*(T(x) W) raveled, and its diagonal is
+    ``lift_normal_diag(diag W)``.
+
+    With positions i, j per axis and the lag d = i - j, the entry A_W[i, j]
+    is sum_b w_b(i) w_b(j) sum_k W[k + d, k] over the taps k with k and
+    k + d in lambda1 and i + k in lambda2's rows [f - 1, e): over every
+    position and every lag |d| < f, the box product B1 D_d B2^T of the
+    lag-d diagonal D_d (``cfg.band_diagonals``) with ``cfg.tap_boxes``,
+    scaled by ``cfg.band_weights`` and written through
+    ``cfg.band_targets``; no other entry can be nonzero.  The result is a
+    view of a flat buffer of |gamma|^2 + 1 entries, the last a spare that
+    takes the lags leaving gamma's array.  ``out``, if given, is that
+    buffer, holding zeros off the band (any earlier one for this config
+    does), and is written in place.
+    """
+    b1, b2 = cfg.tap_boxes
+    (f1, f2), n = cfg.lambda1.extents, len(cfg.gamma)
+    diagonals = np.take(np.append(wm.ravel(), 0.0), cfg.band_diagonals)
+    rows = (diagonals.reshape(-1, f2) @ b2.T).reshape(*diagonals.shape[:3], -1)
+    sums = (b1 @ rows.transpose(2, 0, 1, 3).reshape(f1, -1)).ravel()
+    sums *= cfg.band_weights
+    if out is None:
+        out = np.zeros(n * n + 1, dtype=np.complex128)
+    out[cfg.band_targets] = sums
+    return out[:-1].reshape(n, n)
 
 
 def _corner_gram(ys: np.ndarray, f1: int, f2: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from slrecon.baselines import _div, _fwd_diff, _threshold, delift
 from slrecon.grid import IndexSet2D
 from slrecon._fft import fft2, ifft2
 from slrecon.lifting import (KSpaceArray, LiftingConfig, embed, gather, gram_matrix, lift_adjoint,
-                             lift_dense)
+                             lift_dense, scatter_sum)
 from slrecon.phantom import EdgePolynomial, SamplingMask, zero_fill
 
 
@@ -94,6 +94,15 @@ def exact_apply_oracle(xv: np.ndarray, wm: np.ndarray, cfg: LiftingConfig) -> np
     x wrapped as a ``KSpaceArray``: an oracle for ``normal_apply_exact``,
     which gathers unchecked."""
     return lift_adjoint(lift_dense(KSpaceArray(cfg.gamma, xv), cfg) @ wm, cfg)
+
+
+def normal_diag_oracle(d: np.ndarray, cfg: LiftingConfig) -> np.ndarray:
+    """The diagonal of x -> T^*(T(x) W) for a weight matrix with diagonal
+    ``d``, by scattering d[k] over ``lift_geometry`` onto the index each
+    window reads at tap k, times sum_b w_b^2: an oracle for
+    ``lift_normal_diag``, which reads the tap boxes."""
+    reads = scatter_sum(cfg.lift_geometry, np.tile(d, cfg.n_out), cfg.gamma.extents)
+    return reads * (cfg.multipliers**2).sum(axis=0)
 
 
 def scatter_oracle(offsets: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -17,6 +17,7 @@ from slrecon.lifting import (
     gram_matrix,
     lift_adjoint,
     lift_dense,
+    lift_normal_matrix,
 )
 from slrecon.report import IterationRecord, snr_db
 from slrecon.giraf import (
@@ -34,7 +35,6 @@ from slrecon.giraf import (
     normal_apply_exact,
     normal_diag_approx,
     normal_diag_exact,
-    normal_matrix_exact,
     schatten_penalty,
     weight_matrix,
     _lower_inverse,
@@ -491,16 +491,20 @@ class TestExactMatrixRoute:
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         wm = f @ f.conj().T
         xv = random_kspace(cfg.gamma, seed + 1).values
-        matrix = normal_matrix_exact(wm, cfg)
+        matrix = lift_normal_matrix(wm, cfg)
         out = (matrix @ xv.ravel()).reshape(cfg.gamma.extents)
         assert matrix.shape == (len(cfg.gamma),) * 2 and matrix.dtype == np.complex128
         assert (np.linalg.norm(out - exact_apply_oracle(xv, wm, cfg))
                 <= 1e-12 * exact_apply_bound(wm, xv, cfg))
-        # rebuilt in place over another weight matrix's result, as giraf_solve
-        # does at every outer iteration: the same bits as a fresh build
+        # rebuilt in place over another weight matrix's result, in the flat
+        # buffer with its spare entry, as giraf_solve does at every outer
+        # iteration: a view of that buffer, the same bits as a fresh build
+        buffer = np.zeros(len(cfg.gamma) ** 2 + 1, dtype=np.complex128)
+        lift_normal_matrix(wm, cfg, out=buffer)
         wm2 = wm @ wm
-        assert np.array_equal(normal_matrix_exact(wm2, cfg, out=matrix),
-                              normal_matrix_exact(wm2, cfg))
+        rebuilt = lift_normal_matrix(wm2, cfg, out=buffer)
+        assert np.shares_memory(rebuilt, buffer)
+        assert np.array_equal(rebuilt, lift_normal_matrix(wm2, cfg))
 
     @pytest.mark.parametrize("grid, filt, weighting, route", [
         ((17, 17), (5, 5), "gradient", "matrix"),
@@ -513,8 +517,8 @@ class TestExactMatrixRoute:
         from slrecon import giraf
 
         builds, applies = [], []
-        monkeypatch.setattr(giraf, "normal_matrix_exact",
-                            lambda *a, **k: builds.append(a) or normal_matrix_exact(*a, **k))
+        monkeypatch.setattr(giraf, "lift_normal_matrix",
+                            lambda *a, **k: builds.append(a) or lift_normal_matrix(*a, **k))
         monkeypatch.setattr(giraf, "normal_apply_exact",
                             lambda *a: applies.append(a) or normal_apply_exact(*a))
         gamma = IndexSet2D.rect(*grid)
@@ -807,9 +811,21 @@ class TestExactDescent:
     @pytest.mark.parametrize("route", ["matrix", "lifted"])
     @pytest.mark.parametrize("problem", ["sweep", "fri"])
     def test_objective_never_rises(self, monkeypatch, problem, route):
-        # At fixed eps an IRLS step is a majorize-minimize step, and CG from
-        # the warm start lowers its quadratic surrogate; a smaller eps lowers
-        # the log-det penalty at a fixed x.  Record n's objective is
+        self.check_descent(monkeypatch, problem, route, p=0.0)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("route", ["matrix", "lifted"])
+    @pytest.mark.parametrize("problem", ["sweep", "fri"])
+    def test_schatten_objective_never_rises(self, monkeypatch, problem, route, p):
+        self.check_descent(monkeypatch, problem, route, p)
+
+    @staticmethod
+    def check_descent(monkeypatch, problem, route, p):
+        # At fixed eps an IRLS step is a majorize-minimize step: the penalty,
+        # the log-det at p = 0 and (1/p) tr((G + eps I)^(p/2)) at p > 0, is
+        # concave in the Gram, so its tangent majorizes it, and CG from the
+        # warm start lowers that quadratic surrogate; a smaller eps lowers
+        # the penalty at a fixed x.  Record n's objective is
         # J_{eps_n}(x_{n-1}), so on the exact operator, whose term and Gram
         # come from one lifting, no record may exceed the one before it by
         # more than both records' round-off.
@@ -819,6 +835,7 @@ class TestExactDescent:
             b, mask, lifting, cfg = sweep_problem(190, seed=0)
         else:
             _, b, mask, lifting, cfg = dirac_stream_problem(seed=1)
+        cfg = dataclasses.replace(cfg, p=p)
         assert len(lifting.gamma) ** 2 <= NORMAL_MATRIX_ENTRIES  # the matrix route
         if route == "lifted":
             monkeypatch.setattr(giraf, "NORMAL_MATRIX_ENTRIES", 0)
@@ -833,15 +850,20 @@ class TestExactDescent:
         _, rep = giraf_solve(b, mask, lifting, cfg)
         recs = rep.iterations
         assert len(recs) == len(traces) >= 5
-        # The round-off of a record, from the log-det's conditioning.  The
+        # The round-off of a record, from the penalty's conditioning.  The
         # Gram is multiplied out (the dense route), each entry a sum of
         # ``rows`` products, so it is off by at most gamma_rows trace(G) in
-        # the Frobenius norm; the Cholesky of G + eps I is backward stable,
-        # off by at most gamma_(N+1) trace(G + eps I).  By Weyl's theorem no
-        # eigenvalue of G + eps I moves by more than their sum, delta, and
-        # every eigenvalue is at least eps, so the penalty, half the sum of
-        # the N eigenvalues' logs, moves by at most N delta / (2 eps).  The
-        # data term, a sum of m squares, is off by at most gamma_(m+2) of it.
+        # the Frobenius norm.  At p = 0 the Cholesky of G + eps I is
+        # backward stable, off by at most gamma_(N+1) trace(G + eps I); at
+        # p > 0 the eigenvalues come from eigh, exact for a matrix within
+        # p(N) u ||G||_2 of G, taken here as gamma_(N^2) trace(G).  By
+        # Weyl's theorem no eigenvalue of G + eps I moves by more than their
+        # sum, delta.  Every eigenvalue is at least eps, where the penalty's
+        # slope in each eigenvalue is at most (1/2) eps^(p/2 - 1), so the
+        # penalty, a sum over N eigenvalues, moves by at most
+        # N delta (1/2) eps^(p/2 - 1); at p > 0 its sum of N powers adds
+        # gamma_(N+3) of it.  The data term, a sum of m squares, is off by
+        # at most gamma_(m+2) of it.
         rows, n = lifting.lifted_shape
         assert rows * n <= DENSE_GRAM_ENTRIES
 
@@ -849,8 +871,15 @@ class TestExactDescent:
             unit = np.finfo(float).eps / 2
             return k * unit / (1 - k * unit)
 
-        tols = [n * (gamma_(rows) * t + gamma_(n + 1) * (t + n * r.eps)) / (2 * r.eps)
-                + gamma_(mask.sampled.sum() + 2) * r.data_fit + gamma_(2) * abs(r.objective)
+        def penalty_tol(r, t):
+            if p == 0:
+                delta = gamma_(rows) * t + gamma_(n + 1) * (t + n * r.eps)
+                return n * delta / (2 * r.eps)
+            delta = (gamma_(rows) + gamma_(n * n)) * t
+            return n * delta * 0.5 * r.eps ** (p / 2 - 1) + gamma_(n + 3) * abs(r.penalty)
+
+        tols = [penalty_tol(r, t) + gamma_(mask.sampled.sum() + 2) * r.data_fit
+                + gamma_(2) * abs(r.objective)
                 for r, t in zip(recs, traces)]
         rises = [(k + 2, later.objective - earlier.objective, tol + tol_next)
                  for k, (earlier, later, tol, tol_next)

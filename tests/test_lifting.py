@@ -23,7 +23,7 @@ from slrecon.lifting import (
 )
 
 from conftest import (adjoint_apply, apply_filter, conv_oracle, gram_bound, lifting_configs,
-                      random_kspace, scatter_oracle)
+                      normal_diag_oracle, random_kspace, scatter_oracle)
 
 
 def rel_err(a, b):
@@ -271,20 +271,20 @@ class TestConfigInvariants:
         assert cfg.multipliers is cfg.multipliers
         assert cfg.lift_geometry is cfg.lift_geometry
         # built on first use, not when the config is made
-        lazy = ("circular_lags", "mask_lags", "normal_diag", "band_offsets", "band_corners",
-                "band_diagonals", "band_weights")
+        lazy = ("circular_lags", "mask_lags", "normal_diag", "band_diagonals", "band_targets",
+                "band_weights", "tap_boxes")
         assert not set(lazy) & set(vars(cfg))
         for name in lazy:
             assert getattr(cfg, name) is getattr(cfg, name)
         assert np.array_equal(cfg.normal_diag, lift_normal_diag(np.ones(cfg.n_filter), cfg))
         assert len(cfg.multipliers) == (1 if weighting == "identity" else 2)
-        band_pairs = [a for pair in cfg.band_pairs for a in pair]
-        for a in (cfg.multipliers, cfg.lift_geometry, *(getattr(cfg, name) for name in lazy),
-                  *band_pairs):
+        arrays = [getattr(cfg, name) for name in lazy if name != "tap_boxes"]
+        for a in (cfg.multipliers, cfg.lift_geometry, *arrays, *cfg.tap_boxes):
             assert not a.flags.writeable
-        # the exact term's matrix tables, beside the lag tables, are int32
-        for a in (cfg.band_offsets, cfg.band_corners, cfg.band_diagonals, *band_pairs):
-            assert a.dtype == np.int32
+        # the exact term's matrix tables index as numpy does, with no
+        # conversion per call
+        for a in (cfg.band_diagonals, cfg.band_targets):
+            assert a.dtype == np.intp
 
     @settings(max_examples=60, deadline=None)
     @given(lifting_configs())
@@ -318,6 +318,21 @@ class TestConfigInvariants:
             for l, tap_l in enumerate(cfg.lambda1.indices):
                 lag = np.ravel_multi_index(tuple((tap_k - tap_l) % e), e)
                 assert cfg.circular_lags[k, l] == lag
+
+    @settings(max_examples=60, deadline=None)
+    @given(lifting_configs())
+    def test_tap_boxes_follow_the_read_rule(self, cfg):
+        # tap k reads position i from the output i + k exactly when that
+        # output is valid: the boxes' outer product counts lift_geometry's
+        # reads at tap k
+        b1, b2 = cfg.tap_boxes
+        for k in range(cfg.n_filter):
+            k1, k2 = divmod(k, cfg.lambda1.extents[1])
+            counts = np.bincount(cfg.lift_geometry[:, k], minlength=len(cfg.gamma))
+            assert np.array_equal(np.outer(b1[:, k1], b2[:, k2]).ravel(), counts)
+        # the box product of ones counts each index's reads exactly, so
+        # delift's denominator is the scatter's to the bit
+        assert np.array_equal(cfg.normal_diag, normal_diag_oracle(np.ones(cfg.n_filter), cfg))
 
     def test_only_the_four_inputs_are_settable(self):
         settable = [f.name for f in dataclasses.fields(LiftingConfig) if f.init]
